@@ -25,6 +25,7 @@ from .checker import (
     admits,
     check_state_naive,
     ensures,
+    modal_image,
     model_check,
     truth_set_sa,
     truth_set_se,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Any, Iterable, Iterator, Sequence
 
-from .checker import ModelChecker, model_check
+from .checker import modal_image, model_check
 from .errors import InputError
 from .formula import Formula, Modal, Modality, Neg, Or, Prop, format_formula
 from .model import TransitionSystem, TruthSet, make_model, truth_set
@@ -61,25 +61,7 @@ def closure_step(
     m: TransitionSystem, family: TruthFamily, modality: Modality, agent: str
 ) -> dict[TruthSet, TruthSet]:
     """Image of every family member under one modality/agent pair."""
-    checker = ModelChecker(m)
-    out: dict[TruthSet, TruthSet] = {}
-    for member in family:
-        out[member] = _modal_image(checker, modality, agent, member)
-    return out
-
-
-def _modal_image(
-    checker: ModelChecker, modality: Modality, agent: str, member: TruthSet
-) -> TruthSet:
-    from .checker import truth_set_sa, truth_set_se, truth_set_wa, truth_set_we
-
-    op = {
-        Modality.WA: truth_set_wa,
-        Modality.WE: truth_set_we,
-        Modality.SE: truth_set_se,
-        Modality.SA: truth_set_sa,
-    }[modality]
-    return op(checker.model, agent, member)
+    return {member: modal_image(m, modality, agent, member) for member in family}
 
 
 @dataclass(frozen=True)
@@ -122,11 +104,10 @@ def verify_closure(
         image = x.union(y)
         if image not in family:
             violations.append(ClosureViolation("union", image, (x, y)))
-    checker = ModelChecker(m)
     for modality in modalities:
         for agent in agents:
             for member in family:
-                image = _modal_image(checker, modality, agent, member)
+                image = modal_image(m, modality, agent, member)
                 if image not in family:
                     violations.append(
                         ClosureViolation("modality", image, (member,), modality, agent)

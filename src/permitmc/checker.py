@@ -1,10 +1,17 @@
 """Semantics engine: global model checking and a literal per-state oracle.
 
-The global checker computes truth sets bottom-up; each modality is a single
-pass over the mechanism per state, so one recursion step costs
-O(|S| + |M| + |Delta|). The per-state oracle `check_state_naive` transcribes
-the satisfaction relation directly with no sharing; it exists so the two
-implementations can be checked against each other.
+Whether an action ``i`` of agent ``a`` at state ``s`` ensures or admits a
+truth set depends only on U(s, a, i), the union of the successors of the
+mechanism entries where ``a`` plays ``i``. Each model caches these unions
+(``TransitionSystem.successor_unions``), built in O(|Delta| * |Ag|) on first
+use, and one classifier, ``modal_image``, answers all four modalities from
+them in O(sum over s of |Act_a(s)|) per modal step. The global checker
+computes truth sets bottom-up with one such step per modal subformula.
+
+The per-state oracle ``check_state_naive`` transcribes the satisfaction
+relation directly from the raw mechanism, with no sharing and no cached
+table; it exists so the two implementations can be checked against each
+other.
 """
 
 from __future__ import annotations
@@ -13,11 +20,12 @@ from typing import Container
 
 from .errors import InputError
 from .formula import TOP_PROP, Formula, Modal, Modality, Neg, Or, Prop
-from .model import TransitionSystem, TruthSet, full_set
+from .model import TransitionSystem, TruthSet, full_set, profiles_with_action
 
 __all__ = [
     "ensures",
     "admits",
+    "modal_image",
     "truth_set_wa",
     "truth_set_we",
     "truth_set_se",
@@ -28,23 +36,13 @@ __all__ = [
 ]
 
 
-def _require_locus(m: TransitionSystem, s: str, agent: str, action: str) -> None:
-    if s not in set(m.states):
-        raise InputError(f"unknown state {s!r}")
-    if agent not in m.agents:
-        raise InputError(f"unknown agent {agent!r}")
-    if action not in m.action_set(s, agent):
-        raise InputError(f"action {action!r} of agent {agent!r} unavailable at state {s!r}")
-
-
 def ensures(
     m: TransitionSystem, s: str, agent: str, action: str, target: Container[str]
 ) -> bool:
     """True when every successor reachable while ``agent`` plays ``action``
     lies in ``target``. Vacuously true if the action occurs in no mechanism
     entry, which cannot happen in valid models."""
-    _require_locus(m, s, agent, action)
-    return all(t in target for profile, t in m.entries(s) if profile.get(agent) == action)
+    return all(t in target for _, t in profiles_with_action(m, s, agent, action))
 
 
 def admits(
@@ -52,75 +50,49 @@ def admits(
 ) -> bool:
     """True when some successor reachable while ``agent`` plays ``action``
     lies in ``target``; the dual of ensuring the complement."""
-    _require_locus(m, s, agent, action)
-    return any(t in target for profile, t in m.entries(s) if profile.get(agent) == action)
+    return any(t in target for _, t in profiles_with_action(m, s, agent, action))
+
+
+def modal_image(m: TransitionSystem, kind: Modality, agent: str, psi: TruthSet) -> TruthSet:
+    """States where ``kind[agent]`` holds of ``psi``.
+
+    An action ensures ``psi`` when its successor union lies inside it (the
+    test of WE and SE) and admits ``psi`` when the union meets it (WA and SA).
+    A weak modality holds where some permitted action passes the test, a
+    strong one where no non-permitted action does.
+    """
+    if agent not in m.agents:
+        raise InputError(f"unknown agent {agent!r}")
+    inside = psi.members
+    if kind is Modality.WE or kind is Modality.SE:
+        passes = inside.issuperset
+    else:
+
+        def passes(union: frozenset[str]) -> bool:
+            return not inside.isdisjoint(union)
+
+    weak = kind is Modality.WA or kind is Modality.WE
+    side = 0 if weak else 1
+    members = frozenset(
+        s for s, row in m.successor_unions.items() if any(map(passes, row[agent][side])) is weak
+    )
+    return TruthSet(m.states, members)
 
 
 def truth_set_wa(m: TransitionSystem, agent: str, psi: TruthSet) -> TruthSet:
-    """States where some permitted action of ``agent`` admits ``psi``:
-    scan mechanism entries and collect on the first witness."""
-    members = set()
-    inside = psi.members
-    for s in m.states:
-        permitted = m.permitted_set(s, agent)
-        for profile, target in m.entries(s):
-            if target in inside and profile.get(agent) in permitted:
-                members.add(s)
-                break
-    return TruthSet(m.states, frozenset(members))
+    return modal_image(m, Modality.WA, agent, psi)
 
 
 def truth_set_we(m: TransitionSystem, agent: str, psi: TruthSet) -> TruthSet:
-    """States where some permitted action of ``agent`` ensures ``psi``:
-    start from all available actions, strike out each action seen reaching
-    outside ``psi``, then test the survivors against the permitted set."""
-    members = set()
-    inside = psi.members
-    for s in m.states:
-        ensurers = set(m.action_set(s, agent))
-        for profile, target in m.entries(s):
-            if target not in inside:
-                ensurers.discard(profile.get(agent))
-        if ensurers & m.permitted_set(s, agent):
-            members.add(s)
-    return TruthSet(m.states, frozenset(members))
+    return modal_image(m, Modality.WE, agent, psi)
 
 
 def truth_set_se(m: TransitionSystem, agent: str, psi: TruthSet) -> TruthSet:
-    """States where every action of ``agent`` that ensures ``psi`` is
-    permitted; same striking pass as the WE computation with a subset test."""
-    members = set()
-    inside = psi.members
-    for s in m.states:
-        ensurers = set(m.action_set(s, agent))
-        for profile, target in m.entries(s):
-            if target not in inside:
-                ensurers.discard(profile.get(agent))
-        if ensurers <= m.permitted_set(s, agent):
-            members.add(s)
-    return TruthSet(m.states, frozenset(members))
+    return modal_image(m, Modality.SE, agent, psi)
 
 
 def truth_set_sa(m: TransitionSystem, agent: str, psi: TruthSet) -> TruthSet:
-    """States where every action of ``agent`` that admits ``psi`` is
-    permitted: sieve out states with a counterexample entry."""
-    members = set(m.states)
-    inside = psi.members
-    for s in m.states:
-        permitted = m.permitted_set(s, agent)
-        for profile, target in m.entries(s):
-            if target in inside and profile.get(agent) not in permitted:
-                members.discard(s)
-                break
-    return TruthSet(m.states, frozenset(members))
-
-
-_MODALITY_OPS = {
-    Modality.WA: truth_set_wa,
-    Modality.WE: truth_set_we,
-    Modality.SE: truth_set_se,
-    Modality.SA: truth_set_sa,
-}
+    return modal_image(m, Modality.SA, agent, psi)
 
 
 class ModelChecker:
@@ -150,9 +122,7 @@ class ModelChecker:
         elif isinstance(f, Or):
             result = self.truth_set(f.left).union(self.truth_set(f.right))
         elif isinstance(f, Modal):
-            if f.agent not in self.model.agents:
-                raise InputError(f"formula mentions unknown agent {f.agent!r}")
-            result = _MODALITY_OPS[f.kind](self.model, f.agent, self.truth_set(f.child))
+            result = modal_image(self.model, f.kind, f.agent, self.truth_set(f.child))
         else:
             raise InputError(f"not a formula node: {f!r}")
         self._memo[f] = result

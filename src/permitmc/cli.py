@@ -2,7 +2,8 @@
 
 Exit codes are disjoint across all subcommands: 0 on success, 1 on a semantic
 failure (counterexample, rejected derivation, failed witness, translation
-mismatch, fixture regression), 2 on usage or input errors. Sets print in
+mismatch, fixture regression), 2 on usage or input errors, 3 on an internal
+error (any other exception, reported on one stderr line). Sets print in
 sorted state order and ``--json`` payloads carry a schema tag, so outputs
 diff cleanly in CI. Randomized subcommands echo their seed for replay.
 """
@@ -49,6 +50,7 @@ SCHEMA = "permitmc/v1"
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _load_model(path: str, validate: bool = True) -> TransitionSystem:
@@ -457,6 +459,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InputError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -28,6 +29,7 @@ PROFILE_CAP_ENV = "PERMITMC_PROFILE_CAP"
 
 Profile = Mapping[str, str]
 TransitionEntry = tuple[Profile, str]
+ActionUnions = tuple[frozenset[str], ...]
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,33 @@ class TransitionSystem:
 
     def entries(self, state: str) -> tuple[TransitionEntry, ...]:
         return self.mechanism.get(state, ())
+
+    @cached_property
+    def successor_unions(self) -> dict[str, dict[str, tuple[ActionUnions, ActionUnions]]]:
+        """state -> agent -> (successor unions of the permitted available
+        actions, successor unions of the other available actions).
+
+        The union of an action is the set of successors of the mechanism
+        entries whose profile assigns that action to the agent. Entries whose
+        profile misses the agent or gives it an unavailable action count for
+        none of its actions. Built once per model; models are immutable.
+        """
+        table = {}
+        for s in self.states:
+            entries = self.entries(s)
+            row = table[s] = {}
+            for a in self.agents:
+                unions: dict[str, set[str]] = {i: set() for i in self.action_set(s, a)}
+                for profile, target in entries:
+                    u = unions.get(profile.get(a))
+                    if u is not None:
+                        u.add(target)
+                allowed = self.permitted_set(s, a)
+                row[a] = (
+                    tuple(frozenset(u) for i, u in unions.items() if i in allowed),
+                    tuple(frozenset(u) for i, u in unions.items() if i not in allowed),
+                )
+        return table
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from strategies import formulas, model_and_formulas, models
 
+from permitmc.algebra import closure_step, default_family, verify_closure
 from permitmc.checker import (
     admits,
     check_state_naive,
@@ -120,10 +121,20 @@ def test_oracle_equivalence(pair):
 
 
 def test_unknown_agent_is_an_input_error(fig1):
-    with pytest.raises(InputError):
-        model_check(fig1, parse("WA[zz] p"))
-    with pytest.raises(InputError):
-        check_state_naive(fig1, "s", parse("WA[zz] p"))
+    family = default_family(fig1, "p")
+    calls = [
+        lambda: model_check(fig1, parse("WA[zz] p")),
+        lambda: check_state_naive(fig1, "s", parse("WA[zz] p")),
+        lambda: truth_set_wa(fig1, "zz", full_set(fig1)),
+        lambda: truth_set_we(fig1, "zz", full_set(fig1)),
+        lambda: truth_set_se(fig1, "zz", full_set(fig1)),
+        lambda: truth_set_sa(fig1, "zz", full_set(fig1)),
+        lambda: closure_step(fig1, family, Modality.SE, "zz"),
+        lambda: verify_closure(fig1, family, [Modality.WA], ["zz"]),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="unknown agent 'zz'"):
+            call()
 
 
 @given(models(max_states=3, max_actions=2))

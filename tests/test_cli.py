@@ -76,6 +76,59 @@ def test_check_rejects_invalid_model_unless_disabled(broken_model_path, capsys):
     assert out.strip() == "u"
 
 
+def test_check_modal_formula_on_invalid_model(tmp_path, capsys):
+    # At s, one entry misses agent b and another gives b the unavailable action
+    # "3"; each counts for a's action but for none of b's. At t, a's permitted
+    # action "9" is unavailable.
+    one = {"a": ["1"], "b": ["1"]}
+    model = {
+        "agents": ["a", "b"],
+        "states": ["s", "t", "u"],
+        "actions": {"s": {"a": ["1", "2"], "b": ["1", "2"]}, "t": one, "u": one},
+        "permitted": {"s": one, "t": {"a": ["1", "9"], "b": ["1"]}, "u": one},
+        "transitions": [
+            {"from": "s", "profile": {"a": "1", "b": "1"}, "to": "t"},
+            {"from": "s", "profile": {"a": "1", "b": "2"}, "to": "t"},
+            {"from": "s", "profile": {"a": "2", "b": "1"}, "to": "u"},
+            {"from": "s", "profile": {"a": "2", "b": "2"}, "to": "u"},
+            {"from": "s", "profile": {"a": "1"}, "to": "u"},
+            {"from": "s", "profile": {"a": "1", "b": "3"}, "to": "u"},
+            {"from": "t", "profile": {"a": "1", "b": "1"}, "to": "t"},
+            {"from": "u", "profile": {"a": "1", "b": "1"}, "to": "u"},
+        ],
+        "valuation": {"p": ["u"]},
+    }
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(model))
+    assert run_cli(capsys, "check", "--model", str(path), "--formula", "WE[a] !p")[0] == 2
+    # WE[a] !p: a's permitted action 1 at s reaches t and u, so only t holds it.
+    # SE[b] p: b's non-permitted action 2 at s reaches t, so it does not
+    # ensure p; the unavailable action 3 is no action of b.
+    # WE[a] false: the unavailable "9" does not vacuously ensure false at t.
+    cases = (
+        ("WE[a] !p", "t"),
+        ("SE[b] p", "s t u"),
+        ("SE[b] p & !WE[a] !p", "s u"),
+        ("WE[a] false", ""),
+    )
+    for formula, expected in cases:
+        code, out, err = run_cli(
+            capsys, "check", "--model", str(path), "--formula", formula, "--no-validate"
+        )
+        assert (code, out.strip(), err) == (0, expected, "")
+
+
+def test_unexpected_exception_exits_3_with_one_line(fig1_path, capsys, monkeypatch):
+    def crash(m, f):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr("permitmc.cli.model_check", crash)
+    code, out, err = run_cli(capsys, "check", "--model", fig1_path, "--formula", "p")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom second line\n"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["check", "--formula", "p"]) == 2
     assert main(["frobnicate"]) == 2
