@@ -76,7 +76,7 @@ def modal_image(m: TransitionSystem, kind: Modality, agent: str, psi: TruthSet) 
     members = frozenset(
         s for s, row in m.successor_unions.items() if any(map(passes, row[agent][side])) is weak
     )
-    return TruthSet(m.states, members)
+    return TruthSet._unchecked(m.states, members)
 
 
 def truth_set_wa(m: TransitionSystem, agent: str, psi: TruthSet) -> TruthSet:

@@ -19,7 +19,8 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Any, Iterable, Iterator, Mapping
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn
 
 from .errors import CapacityError, InputError
 from .formula import TOP_PROP
@@ -107,14 +108,25 @@ class TruthSet:
     def sorted_members(self) -> list[str]:
         return sorted(self.members)
 
+    @classmethod
+    def _unchecked(cls, universe: tuple[str, ...], members: frozenset[str]) -> "TruthSet":
+        """A truth set whose members lie in ``universe`` by construction,
+        built without the O(|universe|) membership check."""
+        ts = object.__new__(cls)
+        object.__setattr__(ts, "universe", universe)
+        object.__setattr__(ts, "members", members)
+        return ts
+
     def complement(self) -> "TruthSet":
-        return TruthSet(self.universe, frozenset(self.universe) - self.members)
+        return TruthSet._unchecked(self.universe, frozenset(self.universe) - self.members)
 
     def union(self, other: "TruthSet") -> "TruthSet":
+        if other.universe is self.universe:
+            return TruthSet._unchecked(self.universe, self.members | other.members)
         return TruthSet(self.universe, self.members | other.members)
 
     def intersection(self, other: "TruthSet") -> "TruthSet":
-        return TruthSet(self.universe, self.members & other.members)
+        return TruthSet._unchecked(self.universe, self.members & other.members)
 
     def is_full(self) -> bool:
         return self.members == frozenset(self.universe)
@@ -149,7 +161,10 @@ def make_model(
     """
     mechanism: dict[str, list[TransitionEntry]] = {}
     for source, profile, target in transitions:
-        mechanism.setdefault(source, []).append((dict(profile), target))
+        entries = mechanism.get(source)
+        if entries is None:
+            entries = mechanism[source] = []
+        entries.append((dict(profile), target))
     return TransitionSystem(
         agents=tuple(agents),
         states=tuple(states),
@@ -195,13 +210,20 @@ def validate_model(m: TransitionSystem, cap: int | None = None) -> list[Violatio
     """Check every model invariant; an empty report means the model is valid.
 
     Violations are data, not failures: arbitrary candidate structures are
-    accepted. Only the continuity check is guarded by a profile-count cap
-    (default 10^6, override via PERMITMC_PROFILE_CAP), which raises
-    CapacityError when exceeded.
+    accepted. The mechanism is read in one pass, which also collects, per
+    state, the distinct profiles that cover the agent set with available
+    actions. Continuity holds at a state when their number equals the
+    product of its per-agent action counts; the product of the available
+    actions is enumerated only at a state where it does not, to name the
+    uncovered profiles. That enumeration is guarded by a cap on the total
+    number of profiles (default 10^6, override via PERMITMC_PROFILE_CAP),
+    which raises CapacityError when exceeded, whether or not the model is
+    valid.
     """
     cap = profile_cap() if cap is None else cap
     out: list[Violation] = []
     state_set = set(m.states)
+    agent_set = set(m.agents)
 
     for name, seq, code in (("agent", m.agents, "duplicate-agent"), ("state", m.states, "duplicate-state")):
         seen: set[str] = set()
@@ -211,14 +233,21 @@ def validate_model(m: TransitionSystem, cap: int | None = None) -> list[Violatio
             seen.add(item)
 
     total_profiles = 0
+    # state -> number of profiles of available actions, and the available
+    # action sets in agent order
+    need: dict[str, int] = {}
+    available: dict[str, tuple[frozenset[str], ...]] = {}
     for s in m.states:
+        act_sets = []
         for a in m.agents:
             acts = m.action_set(s, a)
+            act_set = frozenset(acts)
+            act_sets.append(act_set)
             if not acts:
                 out.append(
                     Violation("empty-actions", f"no actions for agent {a!r} at state {s!r}", s, a)
                 )
-            if len(set(acts)) != len(acts):
+            if len(act_set) != len(acts):
                 out.append(
                     Violation("duplicate-action", f"duplicate action names at ({s!r}, {a!r})", s, a)
                 )
@@ -229,7 +258,7 @@ def validate_model(m: TransitionSystem, cap: int | None = None) -> list[Violatio
                         "empty-permitted", f"empty permitted set at ({s!r}, {a!r})", s, a
                     )
                 )
-            extra = perm - set(acts)
+            extra = perm - act_set
             if extra:
                 out.append(
                     Violation(
@@ -240,22 +269,30 @@ def validate_model(m: TransitionSystem, cap: int | None = None) -> list[Violatio
                     )
                 )
         counts = [len(m.action_set(s, a)) for a in m.agents]
-        total_profiles += math.prod(counts) if all(counts) else 0
+        need[s] = math.prod(counts) if all(counts) else 0
+        total_profiles += need[s]
+        available[s] = tuple(act_sets)
 
     if total_profiles > cap:
         raise CapacityError(
             f"profile enumeration would visit {total_profiles} profiles, over the cap of {cap}"
         )
 
+    actions_of = _actions_getter(m.agents)
+    # state -> distinct agent-ordered action tuples of covering profiles
+    # whose actions are all available there
+    covered: dict[str, set[tuple[str, ...]]] = {}
     for s, entries in m.mechanism.items():
         if s not in state_set:
             out.append(
                 Violation("unknown-state-in-mechanism", f"transitions from unknown state {s!r}", s)
             )
             continue
+        good = covered[s] = set()
+        avail = available[s]
         for profile, target in entries:
-            key = _profile_key(profile)
-            if set(profile) != set(m.agents):
+            if profile.keys() != agent_set:
+                key = _profile_key(profile)
                 out.append(
                     Violation(
                         "malformed-profile",
@@ -265,19 +302,14 @@ def validate_model(m: TransitionSystem, cap: int | None = None) -> list[Violatio
                     )
                 )
             else:
-                bad = [a for a in m.agents if profile[a] not in m.action_set(s, a)]
-                for a in bad:
-                    out.append(
-                        Violation(
-                            "malformed-profile",
-                            f"profile {dict(key)} at state {s!r} uses unavailable action "
-                            f"{profile[a]!r} of agent {a!r}",
-                            s,
-                            a,
-                            key,
-                        )
-                    )
+                acts = actions_of(profile)
+                if acts not in good:
+                    if all(map(frozenset.__contains__, avail, acts)):
+                        good.add(acts)
+                    else:
+                        out.extend(_unavailable_actions(m, s, profile))
             if target not in state_set:
+                key = _profile_key(profile)
                 out.append(
                     Violation(
                         "bad-target",
@@ -288,26 +320,13 @@ def validate_model(m: TransitionSystem, cap: int | None = None) -> list[Violatio
                 )
 
     for s in m.states:
-        per_agent = [m.action_set(s, a) for a in m.agents]
-        if not all(per_agent):
-            continue  # already reported as empty-actions; product is empty
-        covered = {
-            _profile_key(profile)
-            for profile, _ in m.entries(s)
-            if set(profile) == set(m.agents)
-        }
-        for combo in product(*per_agent):
-            profile = dict(zip(m.agents, combo))
-            key = _profile_key(profile)
-            if key not in covered:
-                out.append(
-                    Violation(
-                        "continuity",
-                        f"profile {dict(key)} at state {s!r} has no successor",
-                        s,
-                        profile=key,
-                    )
-                )
+        # need[s] is 0 where some agent has no action (reported as empty-actions).
+        # Each covered tuple is a distinct one of the need[s] combinations of
+        # available actions, so a full count leaves none uncovered. Duplicate
+        # agents or actions make combinations coincide, so such states never
+        # reach the count and are enumerated.
+        if need[s] and len(covered.get(s, ())) != need[s]:
+            out.extend(_uncovered_profiles(m, s))
 
     for p, states in m.valuation.items():
         if p == TOP_PROP:
@@ -324,6 +343,39 @@ def validate_model(m: TransitionSystem, cap: int | None = None) -> list[Violatio
             )
 
     return out
+
+
+def _actions_getter(agents: tuple[str, ...]) -> Callable[[Profile], tuple[str, ...]]:
+    """profile -> tuple of its actions in the order of ``agents``."""
+    if len(agents) > 1:
+        return itemgetter(*agents)
+    return lambda profile: tuple(profile[a] for a in agents)
+
+
+def _unavailable_actions(m: TransitionSystem, s: str, profile: Profile) -> Iterator[Violation]:
+    key = _profile_key(profile)
+    for a in m.agents:
+        if profile[a] not in m.action_set(s, a):
+            yield Violation(
+                "malformed-profile",
+                f"profile {dict(key)} at state {s!r} uses unavailable action "
+                f"{profile[a]!r} of agent {a!r}",
+                s,
+                a,
+                key,
+            )
+
+
+def _uncovered_profiles(m: TransitionSystem, s: str) -> Iterator[Violation]:
+    """Continuity violations at ``s``, one per profile of available actions
+    that no mechanism entry covers, in enumeration order."""
+    covered = {_profile_key(profile) for profile, _ in m.entries(s) if set(profile) == set(m.agents)}
+    for combo in product(*(m.action_set(s, a) for a in m.agents)):
+        key = _profile_key(dict(zip(m.agents, combo)))
+        if key not in covered:
+            yield Violation(
+                "continuity", f"profile {dict(key)} at state {s!r} has no successor", s, profile=key
+            )
 
 
 def is_valid(m: TransitionSystem, cap: int | None = None) -> bool:
@@ -345,7 +397,7 @@ def is_deterministic(m: TransitionSystem) -> bool:
 
 
 def _require_profile(m: TransitionSystem, s: str, profile: Profile) -> dict[str, str]:
-    if s not in set(m.states):
+    if s not in m.states:
         raise InputError(f"unknown state {s!r}")
     profile = dict(profile)
     if set(profile) != set(m.agents):
@@ -359,14 +411,14 @@ def _require_profile(m: TransitionSystem, s: str, profile: Profile) -> dict[str,
 def successors(m: TransitionSystem, s: str, profile: Profile) -> frozenset[str]:
     """All successors of ``s`` under ``profile``; nonempty for valid models."""
     profile = _require_profile(m, s, profile)
-    return frozenset(t for entry, t in m.entries(s) if dict(entry) == profile)
+    return frozenset(t for entry, t in m.entries(s) if entry == profile)
 
 
 def profiles_with_action(
     m: TransitionSystem, s: str, agent: str, action: str
 ) -> Iterator[TransitionEntry]:
     """Mechanism entries at ``s`` whose profile assigns ``action`` to ``agent``."""
-    if s not in set(m.states):
+    if s not in m.states:
         raise InputError(f"unknown state {s!r}")
     if agent not in m.agents:
         raise InputError(f"unknown agent {agent!r}")
@@ -385,8 +437,12 @@ def _expect(cond: bool, message: str) -> None:
         raise InputError(message)
 
 
+def _is_str_list(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def _str_list(value: Any, what: str) -> list[str]:
-    _expect(isinstance(value, list) and all(isinstance(x, str) for x in value), f"{what} must be a list of strings")
+    _expect(_is_str_list(value), f"{what} must be a list of strings")
     return list(value)
 
 
@@ -409,42 +465,64 @@ def model_to_dict(m: TransitionSystem) -> dict[str, Any]:
 
 def model_from_dict(data: Any) -> TransitionSystem:
     """Decode the JSON model format. Structural (shape) errors raise InputError;
-    semantic problems are left for validate_model to report."""
+    semantic problems are left for validate_model to report.
+
+    Each entry gets one combined type test, and an error message is built
+    only once a test fails. Nothing is copied here: make_model copies every
+    container into the model."""
     _expect(isinstance(data, dict), "model document must be a JSON object")
     for key in ("agents", "states", "actions", "permitted", "transitions", "valuation"):
         _expect(key in data, f"model document is missing the {key!r} field")
     agents = _str_list(data["agents"], "agents")
     states = _str_list(data["states"], "states")
 
-    def decode_table(raw: Any, what: str) -> dict[str, dict[str, list[str]]]:
+    def check_table(raw: Any, what: str) -> dict[str, dict[str, list[str]]]:
         _expect(isinstance(raw, dict), f"{what} must be an object keyed by state")
-        table: dict[str, dict[str, list[str]]] = {}
         for s, per in raw.items():
             _expect(isinstance(per, dict), f"{what}[{s!r}] must be an object keyed by agent")
-            table[s] = {a: _str_list(acts, f"{what}[{s!r}][{a!r}]") for a, acts in per.items()}
-        return table
+            for a, acts in per.items():
+                if not _is_str_list(acts):
+                    raise InputError(f"{what}[{s!r}][{a!r}] must be a list of strings")
+        return raw
 
-    actions = decode_table(data["actions"], "actions")
-    permitted = decode_table(data["permitted"], "permitted")
+    actions = check_table(data["actions"], "actions")
+    permitted = check_table(data["permitted"], "permitted")
 
-    _expect(isinstance(data["transitions"], list), "transitions must be a list")
-    transitions: list[tuple[str, dict[str, str], str]] = []
-    for i, entry in enumerate(data["transitions"]):
-        _expect(isinstance(entry, dict), f"transitions[{i}] must be an object")
-        for key in ("from", "profile", "to"):
-            _expect(key in entry, f"transitions[{i}] is missing {key!r}")
-        _expect(isinstance(entry["from"], str) and isinstance(entry["to"], str),
-                f"transitions[{i}] endpoints must be strings")
-        prof = entry["profile"]
-        _expect(
-            isinstance(prof, dict)
-            and all(isinstance(k, str) and isinstance(v, str) for k, v in prof.items()),
-            f"transitions[{i}].profile must map agent names to action names",
-        )
-        transitions.append((entry["from"], dict(prof), entry["to"]))
+    raw_transitions = data["transitions"]
+    _expect(isinstance(raw_transitions, list), "transitions must be a list")
+    for i, entry in enumerate(raw_transitions):
+        if not (
+            isinstance(entry, dict)
+            and "from" in entry
+            and "profile" in entry
+            and "to" in entry
+            and isinstance(entry["from"], str)
+            and isinstance(entry["to"], str)
+            and isinstance(entry["profile"], dict)
+            and all(isinstance(k, str) and isinstance(v, str) for k, v in entry["profile"].items())
+        ):
+            _transition_shape_error(i, entry)
 
     raw_val = data["valuation"]
     _expect(isinstance(raw_val, dict), "valuation must be an object keyed by proposition")
     valuation = {p: _str_list(sts, f"valuation[{p!r}]") for p, sts in raw_val.items()}
 
+    transitions = ((entry["from"], entry["profile"], entry["to"]) for entry in raw_transitions)
     return make_model(agents, states, actions, permitted, transitions, valuation)
+
+
+def _transition_shape_error(i: int, entry: Any) -> NoReturn:
+    """Raise the InputError for the first shape check that ``transitions[i]``
+    fails, in the order the format lists them."""
+    _expect(isinstance(entry, dict), f"transitions[{i}] must be an object")
+    for key in ("from", "profile", "to"):
+        _expect(key in entry, f"transitions[{i}] is missing {key!r}")
+    _expect(isinstance(entry["from"], str) and isinstance(entry["to"], str),
+            f"transitions[{i}] endpoints must be strings")
+    prof = entry["profile"]
+    _expect(
+        isinstance(prof, dict)
+        and all(isinstance(k, str) and isinstance(v, str) for k, v in prof.items()),
+        f"transitions[{i}].profile must map agent names to action names",
+    )
+    raise AssertionError(f"transitions[{i}] passes every shape check")

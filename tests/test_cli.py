@@ -118,6 +118,19 @@ def test_check_modal_formula_on_invalid_model(tmp_path, capsys):
         assert (code, out.strip(), err) == (0, expected, "")
 
 
+@pytest.mark.parametrize("formula", ["!p", "WE[a] p"])
+def test_check_no_validate_rejects_valuation_outside_states(tmp_path, capsys, formula):
+    doc = model_to_dict(load_fixture("fig1-wa").model)
+    doc["valuation"]["p"].append("zz")
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "check", "--model", str(path), "--formula", formula, "--no-validate"
+    )
+    assert (code, out) == (2, "")
+    assert "truth set members outside the state universe: ['zz']" in err
+
+
 def test_unexpected_exception_exits_3_with_one_line(fig1_path, capsys, monkeypatch):
     def crash(m, f):
         raise RuntimeError("boom\nsecond line")

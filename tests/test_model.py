@@ -1,11 +1,16 @@
 import json
+import random
+import re
+from itertools import product
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from permitmc.checker import model_check
 from permitmc.errors import CapacityError, InputError
 from permitmc.formula import parse
+from permitmc.generate import GenParams, random_model
 from permitmc.model import (
     TruthSet,
     is_deterministic,
@@ -199,6 +204,14 @@ def test_truth_set_operations():
         TruthSet(("s",), frozenset({"zz"}))
 
 
+def test_truth_set_union_checks_members_across_universes():
+    small = TruthSet(("s",), frozenset({"s"}))
+    wide = TruthSet(("s", "zz"), frozenset({"zz"}))
+    with pytest.raises(InputError, match=re.escape("outside the state universe: ['zz']")):
+        small.union(wide)
+    assert wide.union(small).members == {"s", "zz"}
+
+
 @given(models())
 def test_generated_models_have_successors_everywhere(m):
     assert validate_model(m) == []
@@ -226,18 +239,159 @@ def test_json_roundtrip(fig1):
     assert again == fig1
 
 
-@pytest.mark.parametrize(
-    "mutilate",
-    [
-        lambda d: d.pop("agents"),
-        lambda d: d.update(states="nope"),
-        lambda d: d["transitions"].append({"from": "s"}),
-        lambda d: d.update(transitions={"not": "a list"}),
-        lambda d: d["actions"].update(s="nope"),
-    ],
-)
+# The first five keep their place: each case's test id is its position.
+SHAPE_ERRORS = {
+    (lambda d: d.pop("agents")): "model document is missing the 'agents' field",
+    (lambda d: d.update(states="nope")): "states must be a list of strings",
+    (lambda d: d["transitions"].append({"from": "s"})): "transitions[6] is missing 'profile'",
+    (lambda d: d.update(transitions={"not": "a list"})): "transitions must be a list",
+    (lambda d: d["actions"].update(s="nope")): "actions['s'] must be an object keyed by agent",
+    (lambda d: d["transitions"].__setitem__(3, "nope")): "transitions[3] must be an object",
+    (lambda d: d["transitions"][2].pop("to")): "transitions[2] is missing 'to'",
+    (lambda d: d["transitions"][4].update({"from": 7})): "transitions[4] endpoints must be strings",
+    (lambda d: d["transitions"][5]["profile"].update(b=1)):
+        "transitions[5].profile must map agent names to action names",
+}
+
+
+@pytest.mark.parametrize("mutilate", list(SHAPE_ERRORS))
 def test_model_from_dict_shape_errors(fig1, mutilate):
     doc = model_to_dict(fig1)
     mutilate(doc)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=f"^{re.escape(SHAPE_ERRORS[mutilate])}$"):
         model_from_dict(doc)
+
+
+def test_model_from_dict_reports_the_first_failing_check(fig1):
+    doc = model_to_dict(fig1)
+    doc["transitions"][1] = {"from": 1, "to": "t"}  # missing profile comes first
+    doc["actions"]["t"]["b"] = ["1", 2]
+    with pytest.raises(InputError, match=re.escape("actions['t']['b'] must be a list of strings")):
+        model_from_dict(doc)
+    doc["actions"]["t"]["b"] = ["1"]
+    with pytest.raises(InputError, match=re.escape("transitions[1] is missing 'profile'")):
+        model_from_dict(doc)
+
+
+def test_model_owns_its_containers(fig1):
+    doc = model_to_dict(fig1)
+    m = model_from_dict(doc)
+    doc["transitions"][0]["profile"]["a"] = "9"
+    doc["actions"]["s"]["a"].append("9")
+    assert m == fig1
+
+
+# --- validation on a seeded corpus of broken models ---------------------------
+
+
+def _mutate(doc: dict, kind: str, rng: random.Random) -> None:
+    entries = doc["transitions"]
+    if not entries:
+        return
+    entry = rng.choice(entries)
+    agent = rng.choice(sorted(entry["profile"]) or ["a"])
+    if kind == "drop-entry":
+        entries.remove(entry)
+    elif kind == "unknown-target":
+        entry["to"] = "nowhere"
+    elif kind == "unknown-agent":
+        entry["profile"]["zz"] = "1"
+    elif kind == "unavailable-action":
+        entry["profile"][agent] = "9"
+    elif kind == "missing-agent":
+        entry["profile"].pop(agent, None)
+    elif kind == "renamed-agent":
+        entry["profile"]["zz"] = entry["profile"].pop(agent, "1")
+    elif kind == "duplicate-agent":
+        doc["agents"].append(rng.choice(doc["agents"]))
+    elif kind == "duplicate-action":
+        acts = doc["actions"][rng.choice(doc["states"])][rng.choice(doc["agents"])]
+        acts.append(rng.choice(acts))
+
+
+MUTATIONS = (
+    "drop-entry",
+    "unknown-target",
+    "unknown-agent",
+    "unavailable-action",
+    "missing-agent",
+    "renamed-agent",
+    "duplicate-agent",
+    "duplicate-action",
+)
+
+
+def mutated_models(seed: int, count: int):
+    """Generated models, each with zero to three seeded mutations."""
+    rng = random.Random(seed)
+    for i in range(count):
+        params = GenParams(
+            seed=rng.getrandbits(32),
+            num_agents=rng.randint(1, 3),
+            num_states=rng.randint(1, 5),
+            max_actions=rng.randint(1, 3),
+            permitted_density=0.6,
+            branching=rng.choice((1, 2)),
+        )
+        doc = model_to_dict(random_model(params))
+        for _ in range(i % 4):
+            _mutate(doc, rng.choice(MUTATIONS), rng)
+        yield model_from_dict(doc)
+
+
+def _uncovered_by_brute_force(m):
+    """Every profile of available actions with no entry of an equal dict."""
+    out = []
+    for s in m.states:
+        for combo in product(*(m.action_set(s, a) for a in m.agents)):
+            profile = dict(zip(m.agents, combo))
+            if not any(dict(p) == profile for p, _ in m.entries(s)):
+                out.append((s, tuple(sorted(profile.items()))))
+    return out
+
+
+def test_continuity_matches_brute_force_on_mutated_corpus():
+    invalid = 0
+    for m in mutated_models(seed=3, count=240):
+        report = validate_model(m)
+        invalid += bool(report)
+        got = [(v.state, v.profile) for v in report if v.code == "continuity"]
+        assert got == _uncovered_by_brute_force(m)
+    assert invalid > 120
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=3), children, max_size=4),
+    max_leaves=12,
+)
+MODEL_KEYS = ("agents", "states", "actions", "permitted", "transitions", "valuation")
+
+
+@st.composite
+def near_models(draw):
+    """fig-sized model documents with one field or one entry replaced."""
+    doc = model_to_dict(draw(models(max_states=3)))
+    key = draw(st.sampled_from(MODEL_KEYS))
+    if key == "transitions" and doc["transitions"] and draw(st.booleans()):
+        i = draw(st.integers(0, len(doc["transitions"]) - 1))
+        doc["transitions"][i] = draw(JSON | st.fixed_dictionaries(
+            {"from": JSON | st.sampled_from(doc["states"]), "profile": JSON, "to": JSON}
+        ))
+    else:
+        doc[key] = draw(JSON)
+    return doc
+
+
+@given(JSON | st.fixed_dictionaries({k: JSON for k in MODEL_KEYS}) | near_models())
+def test_arbitrary_json_fails_only_with_input_error(doc):
+    try:
+        m = model_from_dict(doc)
+    except InputError:
+        return
+    try:
+        report = validate_model(m, cap=1000)
+    except CapacityError:
+        return
+    assert isinstance(report, list)
