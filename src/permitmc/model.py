@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import CapacityError, InputError
 from .formula import TOP_PROP
@@ -161,10 +161,7 @@ def make_model(
     """
     mechanism: dict[str, list[TransitionEntry]] = {}
     for source, profile, target in transitions:
-        entries = mechanism.get(source)
-        if entries is None:
-            entries = mechanism[source] = []
-        entries.append((dict(profile), target))
+        mechanism.setdefault(source, []).append((dict(profile), target))
     return TransitionSystem(
         agents=tuple(agents),
         states=tuple(states),
@@ -467,19 +464,20 @@ def model_from_dict(data: Any) -> TransitionSystem:
     """Decode the JSON model format. Structural (shape) errors raise InputError;
     semantic problems are left for validate_model to report.
 
-    Each entry gets one combined type test, and an error message is built
-    only once a test fails. Nothing is copied here: make_model copies every
-    container into the model."""
+    A message is formatted only for a check that fails. Nothing is copied
+    here: make_model copies every container into the model."""
     _expect(isinstance(data, dict), "model document must be a JSON object")
     for key in ("agents", "states", "actions", "permitted", "transitions", "valuation"):
-        _expect(key in data, f"model document is missing the {key!r} field")
+        if key not in data:
+            raise InputError(f"model document is missing the {key!r} field")
     agents = _str_list(data["agents"], "agents")
     states = _str_list(data["states"], "states")
 
     def check_table(raw: Any, what: str) -> dict[str, dict[str, list[str]]]:
         _expect(isinstance(raw, dict), f"{what} must be an object keyed by state")
         for s, per in raw.items():
-            _expect(isinstance(per, dict), f"{what}[{s!r}] must be an object keyed by agent")
+            if not isinstance(per, dict):
+                raise InputError(f"{what}[{s!r}] must be an object keyed by agent")
             for a, acts in per.items():
                 if not _is_str_list(acts):
                     raise InputError(f"{what}[{s!r}][{a!r}] must be a list of strings")
@@ -491,38 +489,25 @@ def model_from_dict(data: Any) -> TransitionSystem:
     raw_transitions = data["transitions"]
     _expect(isinstance(raw_transitions, list), "transitions must be a list")
     for i, entry in enumerate(raw_transitions):
+        if not isinstance(entry, dict):
+            raise InputError(f"transitions[{i}] must be an object")
+        for key in ("from", "profile", "to"):
+            if key not in entry:
+                raise InputError(f"transitions[{i}] is missing {key!r}")
+        if not (isinstance(entry["from"], str) and isinstance(entry["to"], str)):
+            raise InputError(f"transitions[{i}] endpoints must be strings")
+        prof = entry["profile"]
         if not (
-            isinstance(entry, dict)
-            and "from" in entry
-            and "profile" in entry
-            and "to" in entry
-            and isinstance(entry["from"], str)
-            and isinstance(entry["to"], str)
-            and isinstance(entry["profile"], dict)
-            and all(isinstance(k, str) and isinstance(v, str) for k, v in entry["profile"].items())
+            isinstance(prof, dict)
+            and all(isinstance(k, str) and isinstance(v, str) for k, v in prof.items())
         ):
-            _transition_shape_error(i, entry)
+            raise InputError(f"transitions[{i}].profile must map agent names to action names")
 
     raw_val = data["valuation"]
     _expect(isinstance(raw_val, dict), "valuation must be an object keyed by proposition")
-    valuation = {p: _str_list(sts, f"valuation[{p!r}]") for p, sts in raw_val.items()}
+    for p, sts in raw_val.items():
+        if not _is_str_list(sts):
+            raise InputError(f"valuation[{p!r}] must be a list of strings")
 
     transitions = ((entry["from"], entry["profile"], entry["to"]) for entry in raw_transitions)
-    return make_model(agents, states, actions, permitted, transitions, valuation)
-
-
-def _transition_shape_error(i: int, entry: Any) -> NoReturn:
-    """Raise the InputError for the first shape check that ``transitions[i]``
-    fails, in the order the format lists them."""
-    _expect(isinstance(entry, dict), f"transitions[{i}] must be an object")
-    for key in ("from", "profile", "to"):
-        _expect(key in entry, f"transitions[{i}] is missing {key!r}")
-    _expect(isinstance(entry["from"], str) and isinstance(entry["to"], str),
-            f"transitions[{i}] endpoints must be strings")
-    prof = entry["profile"]
-    _expect(
-        isinstance(prof, dict)
-        and all(isinstance(k, str) and isinstance(v, str) for k, v in prof.items()),
-        f"transitions[{i}].profile must map agent names to action names",
-    )
-    raise AssertionError(f"transitions[{i}] passes every shape check")
+    return make_model(agents, states, actions, permitted, transitions, raw_val)
