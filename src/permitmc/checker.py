@@ -4,9 +4,13 @@ Whether an action ``i`` of agent ``a`` at state ``s`` ensures or admits a
 truth set depends only on U(s, a, i), the union of the successors of the
 mechanism entries where ``a`` plays ``i``. Each model caches these unions
 (``TransitionSystem.successor_unions``), built in O(|Delta| * |Ag|) on first
-use, and one classifier, ``modal_image``, answers all four modalities from
-them in O(sum over s of |Act_a(s)|) per modal step. The global checker
-computes truth sets bottom-up with one such step per modal subformula.
+use, as flat rows per agent: for its permitted and for its other available
+actions, the states and the unions, one row per (state, action). One
+classifier, ``modal_image``, answers all four modalities with one C-level
+scan (``map`` and ``compress``) of one side of the agent's rows:
+O(sum over s and i of |U(s, a, i)|) set work per modal step, with no
+interpreter work per state. The global checker computes truth sets
+bottom-up with one such step per modal subformula.
 
 The per-state oracle ``check_state_naive`` transcribes the satisfaction
 relation directly from the raw mechanism, with no sharing and no cached
@@ -16,6 +20,8 @@ other.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import not_
 from typing import Container
 
 from .errors import InputError
@@ -59,24 +65,21 @@ def modal_image(m: TransitionSystem, kind: Modality, agent: str, psi: TruthSet) 
     An action ensures ``psi`` when its successor union lies inside it (the
     test of WE and SE) and admits ``psi`` when the union meets it (WA and SA).
     A weak modality holds where some permitted action passes the test, a
-    strong one where no non-permitted action does.
+    strong one where no non-permitted action does. Either way the step is
+    one scan of the agent's rows on that side, mapped and compressed in C.
     """
-    if agent not in m.agents:
+    sides = m.successor_unions.get(agent)
+    if sides is None:
         raise InputError(f"unknown agent {agent!r}")
+    weak = kind is Modality.WA or kind is Modality.WE
+    states, unions = sides[0 if weak else 1]
     inside = psi.members
     if kind is Modality.WE or kind is Modality.SE:
-        passes = inside.issuperset
+        tests = map(inside.issuperset, unions)
     else:
-
-        def passes(union: frozenset[str]) -> bool:
-            return not inside.isdisjoint(union)
-
-    weak = kind is Modality.WA or kind is Modality.WE
-    side = 0 if weak else 1
-    members = frozenset(
-        s for s, row in m.successor_unions.items() if any(map(passes, row[agent][side])) is weak
-    )
-    return TruthSet._unchecked(m.states, members)
+        tests = map(not_, map(inside.isdisjoint, unions))
+    hits = frozenset(compress(states, tests))
+    return TruthSet._unchecked(m.states, hits if weak else m.state_set - hits)
 
 
 def truth_set_wa(m: TransitionSystem, agent: str, psi: TruthSet) -> TruthSet:

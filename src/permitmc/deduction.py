@@ -583,6 +583,8 @@ def derivation_from_dict(data: Any) -> Derivation:
     for i, raw in enumerate(data["steps"], start=1):
         if not isinstance(raw, dict) or "formula" not in raw or "by" not in raw:
             raise InputError(f"step {i} must be an object with 'formula' and 'by'")
+        if not isinstance(raw["formula"], str):
+            raise InputError(f"step {i}: 'formula' must be a string")
         f = parse(raw["formula"])
         by = raw["by"]
         if not isinstance(by, str):
@@ -610,7 +612,10 @@ def derivation_from_dict(data: Any) -> Derivation:
             (ref,) = _int_args(arg, 1, i)
             we = raw.get("as", [])
             se = raw.get("bs", [])
-            if not all(isinstance(x, str) for x in we + se):
+            if not all(
+                isinstance(names, list) and all(isinstance(x, str) for x in names)
+                for names in (we, se)
+            ):
                 raise InputError(f"step {i}: 'as' and 'bs' must be lists of agent names")
             steps.append(DerivationStep(f, JIR4(ref, tuple(we), tuple(se))))
         else:

@@ -30,7 +30,8 @@ PROFILE_CAP_ENV = "PERMITMC_PROFILE_CAP"
 
 Profile = Mapping[str, str]
 TransitionEntry = tuple[Profile, str]
-ActionUnions = tuple[frozenset[str], ...]
+# parallel tuples: states, and the successor union of one action at each
+UnionRows = tuple[tuple[str, ...], tuple[frozenset[str], ...]]
 
 
 @dataclass(frozen=True)
@@ -56,31 +57,43 @@ class TransitionSystem:
         return self.mechanism.get(state, ())
 
     @cached_property
-    def successor_unions(self) -> dict[str, dict[str, tuple[ActionUnions, ActionUnions]]]:
-        """state -> agent -> (successor unions of the permitted available
-        actions, successor unions of the other available actions).
+    def state_set(self) -> frozenset[str]:
+        return frozenset(self.states)
 
-        The union of an action is the set of successors of the mechanism
+    @cached_property
+    def successor_unions(self) -> dict[str, tuple[UnionRows, UnionRows]]:
+        """agent -> (rows of its permitted available actions, rows of its
+        other available actions), one row per (state, action).
+
+        Each side is two parallel tuples: the states, and the successor union
+        of the action at that state, the set of successors of the mechanism
         entries whose profile assigns that action to the agent. Entries whose
         profile misses the agent or gives it an unavailable action count for
-        none of its actions. Built once per model; models are immutable.
+        none of its actions. Permitted actions that are not available have no
+        row. With flat rows a modal step is one C-level scan of one side of
+        the agent's rows, O(sum over s and i of |U(s, a, i)|) set work with no
+        interpreter work per state. Built once per model in
+        O(|Delta| * |Ag|); models are immutable.
         """
-        table = {}
-        for s in self.states:
+        # agent -> ((permitted states, unions), (other states, unions))
+        rows = {a: (([], []), ([], [])) for a in self.agents}
+        for s in dict.fromkeys(self.states):  # each state once, even if named twice
             entries = self.entries(s)
-            row = table[s] = {}
-            for a in self.agents:
-                unions: dict[str, set[str]] = {i: set() for i in self.action_set(s, a)}
+            for a, sides in rows.items():
+                by_action: dict[str, set[str]] = {i: set() for i in self.action_set(s, a)}
                 for profile, target in entries:
-                    u = unions.get(profile.get(a))
+                    u = by_action.get(profile.get(a))
                     if u is not None:
                         u.add(target)
                 allowed = self.permitted_set(s, a)
-                row[a] = (
-                    tuple(frozenset(u) for i, u in unions.items() if i in allowed),
-                    tuple(frozenset(u) for i, u in unions.items() if i not in allowed),
-                )
-        return table
+                for i, u in by_action.items():
+                    states, unions = sides[i not in allowed]
+                    states.append(s)
+                    unions.append(frozenset(u))
+        return {
+            a: tuple((tuple(states), tuple(unions)) for states, unions in sides)
+            for a, sides in rows.items()
+        }
 
 
 @dataclass(frozen=True)

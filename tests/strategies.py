@@ -8,6 +8,15 @@ from permitmc.formula import BOT, TOP, Modal, Modality, Neg, Or, Prop
 from permitmc.generate import GenParams, random_model
 
 
+# arbitrary JSON values, for decoders that must fail only with InputError
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=3), children, max_size=4),
+    max_leaves=12,
+)
+
+
 def formulas(agents=("a", "b"), props=("p0", "q0"), max_leaves=10):
     base = st.one_of(
         st.sampled_from([Prop(p) for p in props]),

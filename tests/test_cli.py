@@ -189,6 +189,18 @@ def test_prove_builtin_and_rejection(tmp_path, capsys):
     assert doc["accepted"] is False and doc["failed_step"] == 1
 
 
+@pytest.mark.parametrize(
+    "step",
+    [{"formula": 5, "by": "taut"}, {"formula": "p", "by": "ir4:1", "as": "a"}],
+)
+def test_prove_bad_derivation_field_is_usage_error(tmp_path, capsys, step):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"steps": [step]}))
+    code, out, err = run_cli(capsys, "prove", "--derivation", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_witness_verify_and_refute(fig1_path, capsys):
     code, out, _ = run_cli(capsys, "witness", "--target", "WA", "--model", fig1_path)
     assert code == 0

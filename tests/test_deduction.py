@@ -1,6 +1,9 @@
+import re
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
-from strategies import models
+from strategies import JSON, models
 
 from permitmc.deduction import (
     AXIOMS,
@@ -329,3 +332,42 @@ def test_derivation_decode_errors():
         derivation_from_dict({"steps": [{"formula": "p", "by": "mp:1"}]})
     with pytest.raises(InputError):
         derivation_from_dict({"steps": [{"formula": "p", "by": "wat:1"}]})
+
+
+NOT_A_FORMULA = "step 1: 'formula' must be a string"
+NOT_AGENT_LISTS = "step 1: 'as' and 'bs' must be lists of agent names"
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        ({"formula": 5, "by": "taut"}, NOT_A_FORMULA),
+        ({"formula": ["p"], "by": "taut"}, NOT_A_FORMULA),
+        ({"formula": "p", "by": "ir4:1", "as": "a"}, NOT_AGENT_LISTS),
+        ({"formula": "p", "by": "ir4:1", "as": "a", "bs": "b"}, NOT_AGENT_LISTS),
+        ({"formula": "p", "by": "ir4:1", "as": {"a": "b"}}, NOT_AGENT_LISTS),
+        ({"formula": "p", "by": "ir4:1", "bs": ["b", 1]}, NOT_AGENT_LISTS),
+    ],
+)
+def test_derivation_field_types_are_input_errors(step, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        derivation_from_dict({"steps": [step]})
+
+
+# step objects whose fields mix well-formed values with arbitrary JSON
+BY = st.sampled_from(
+    ["taut", "mp:1,2", "mp:1", "axiom:A2", "ir2:1", "ir3:1", "ir4:1", "ir4:x", "wat"]
+)
+STEP = st.fixed_dictionaries(
+    {"formula": JSON | st.sampled_from(["p", "WE[a] p", "p ->", "p | !p"]), "by": JSON | BY},
+    optional={"bind": JSON, "agent": JSON, "as": JSON | st.just(["a"]), "bs": JSON},
+)
+
+
+@given(JSON | st.fixed_dictionaries({"steps": JSON | st.lists(JSON | STEP, max_size=4)}))
+def test_arbitrary_derivation_json_fails_only_with_input_error(doc):
+    try:
+        d = derivation_from_dict(doc)
+    except InputError:
+        return
+    assert isinstance(verify_derivation(d).accepted, bool)

@@ -7,9 +7,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from permitmc.checker import model_check
+from permitmc.checker import modal_image, model_check
 from permitmc.errors import CapacityError, InputError
-from permitmc.formula import parse
+from permitmc.formula import Modality, parse
 from permitmc.generate import GenParams, random_model
 from permitmc.model import (
     TruthSet,
@@ -22,7 +22,7 @@ from permitmc.model import (
     validate_model,
 )
 
-from strategies import formulas, model_and_formulas, models
+from strategies import JSON, formulas, model_and_formulas, models
 
 
 def two_agent_square(transitions, permitted=None):
@@ -307,6 +307,12 @@ def _mutate(doc: dict, kind: str, rng: random.Random) -> None:
     elif kind == "duplicate-action":
         acts = doc["actions"][rng.choice(doc["states"])][rng.choice(doc["agents"])]
         acts.append(rng.choice(acts))
+    elif kind == "permitted-unavailable":
+        doc["permitted"][rng.choice(doc["states"])][rng.choice(doc["agents"])].append("9")
+    elif kind == "duplicate-state":
+        doc["states"].append(rng.choice(doc["states"]))
+    elif kind == "second-successor":
+        entries.append({**entry, "profile": dict(entry["profile"]), "to": rng.choice(doc["states"])})
 
 
 MUTATIONS = (
@@ -321,7 +327,19 @@ MUTATIONS = (
 )
 
 
-def mutated_models(seed: int, count: int):
+# the mutations that bear on the successor-union table
+TABLE_MUTATIONS = (
+    "drop-entry",
+    "missing-agent",
+    "unavailable-action",
+    "permitted-unavailable",
+    "duplicate-state",
+    "duplicate-action",
+    "second-successor",
+)
+
+
+def mutated_models(seed: int, count: int, kinds=MUTATIONS):
     """Generated models, each with zero to three seeded mutations."""
     rng = random.Random(seed)
     for i in range(count):
@@ -335,7 +353,7 @@ def mutated_models(seed: int, count: int):
         )
         doc = model_to_dict(random_model(params))
         for _ in range(i % 4):
-            _mutate(doc, rng.choice(MUTATIONS), rng)
+            _mutate(doc, rng.choice(kinds), rng)
         yield model_from_dict(doc)
 
 
@@ -360,12 +378,46 @@ def test_continuity_matches_brute_force_on_mutated_corpus():
     assert invalid > 120
 
 
-JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=3), children, max_size=4),
-    max_leaves=12,
-)
+def _modal_by_brute_force(m, kind, agent, psi):
+    """The README rule for unvalidated models, read off the raw entries: an
+    action's union takes the entries whose profile gives the agent that
+    action, and only available actions are tested."""
+    ensure = kind in (Modality.WE, Modality.SE)
+    out = set()
+    for s in m.states:
+        permitted = m.permitted_set(s, agent)
+        weak_side, strong_side = [], []
+        for i in m.action_set(s, agent):
+            union = {t for profile, t in m.entries(s) if profile.get(agent) == i}
+            passes = union <= psi.members if ensure else bool(union & psi.members)
+            (weak_side if i in permitted else strong_side).append(passes)
+        if kind in (Modality.WA, Modality.WE):
+            holds = any(weak_side)
+        else:
+            holds = not any(strong_side)
+        if holds:
+            out.add(s)
+    return out
+
+
+def test_modal_image_matches_brute_force_on_mutated_corpus():
+    rng = random.Random(8)
+    invalid = images = 0
+    for m in mutated_models(seed=4, count=200, kinds=TABLE_MUTATIONS):
+        invalid += bool(validate_model(m))
+        for _ in range(3):
+            psi = TruthSet(m.states, frozenset(s for s in m.states if rng.random() < 0.5))
+            for agent in m.agents:
+                for kind in Modality:
+                    got = modal_image(m, kind, agent, psi)
+                    assert got.universe == m.states
+                    assert got.members == _modal_by_brute_force(m, kind, agent, psi)
+                    images += 1
+        with pytest.raises(InputError, match="^unknown agent 'zz'$"):
+            modal_image(m, Modality.SA, "zz", psi)
+    assert invalid > 100 and images > 4000
+
+
 MODEL_KEYS = ("agents", "states", "actions", "permitted", "transitions", "valuation")
 
 
