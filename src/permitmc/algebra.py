@@ -21,8 +21,6 @@ from .errors import InputError
 from .formula import Formula, Modal, Modality, Neg, Or, Prop, format_formula
 from .model import TransitionSystem, TruthSet, make_model, truth_set
 
-_MODALITY_ORDER = (Modality.WA, Modality.WE, Modality.SE, Modality.SA)
-
 
 @dataclass(frozen=True)
 class TruthFamily:
@@ -160,7 +158,7 @@ def verify_witness(
     closed = (
         tuple(closed_modalities)
         if closed_modalities is not None
-        else tuple(mod for mod in _MODALITY_ORDER if mod is not target)
+        else tuple(mod for mod in Modality if mod is not target)
     )
     agents = tuple(agents) if agents is not None else m.agents
     escape_agent = escape_agent if escape_agent is not None else agents[0]

@@ -13,20 +13,34 @@ modalities translate into coalition-next formulas:
     SE[a] f  ->  !<<a>> X !(f -> d_a)
     SA[a] f  ->  !<<all agents>> X !(f -> d_a)
 
-where "all agents" includes Nature whenever it exists. verify_translation
-checks the translation agrees with direct model checking at every expanded
-state.
+where "all agents" includes Nature whenever it exists. Translated formulas
+are core formula nodes (Prop, Neg, Or; conjunction and implication desugar as
+in the source language) plus the two game nodes ADeontic (the atom d_a) and
+ANext (coalition next). verify_translation checks the translation agrees with
+direct model checking at every expanded state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Mapping
 
 from .checker import model_check
 from .errors import CapacityError, InputError
-from .formula import TOP_PROP, Formula, Modal, Modality, Neg, Or, Prop, modal_depth
+from .formula import (
+    TOP_PROP,
+    Formula,
+    Modal,
+    Modality,
+    Neg,
+    Or,
+    Prop,
+    and_,
+    cache_hash,
+    implies,
+    modal_depth,
+)
 from .model import TransitionSystem
 
 NATURE = "__nature"
@@ -40,50 +54,30 @@ class AtlState:
     allowed: frozenset[str]  # agents whose incoming action was permitted
 
 
-# --- next-step formulas -----------------------------------------------------------
+# --- game formula nodes ------------------------------------------------------------
 
 
-class AtlFormula:
-    __slots__ = ()
-
-
+@cache_hash
 @dataclass(frozen=True, slots=True)
-class AProp(AtlFormula):
-    name: str
+class ADeontic(Formula):
+    """The atom d_<agent>; never equal to a source Prop, whatever its name."""
 
-
-@dataclass(frozen=True, slots=True)
-class ADeontic(AtlFormula):
     agent: str
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(("ADeontic", self.agent)))
 
 
+@cache_hash
 @dataclass(frozen=True, slots=True)
-class ANeg(AtlFormula):
-    child: AtlFormula
-
-
-@dataclass(frozen=True, slots=True)
-class AOr(AtlFormula):
-    left: AtlFormula
-    right: AtlFormula
-
-
-@dataclass(frozen=True, slots=True)
-class AAnd(AtlFormula):
-    left: AtlFormula
-    right: AtlFormula
-
-
-@dataclass(frozen=True, slots=True)
-class AImplies(AtlFormula):
-    left: AtlFormula
-    right: AtlFormula
-
-
-@dataclass(frozen=True, slots=True)
-class ANext(AtlFormula):
+class ANext(Formula):
     coalition: frozenset[str]
-    child: AtlFormula
+    child: Formula
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(("ANext", self.coalition, self.child._hash)))
 
 
 # --- model expansion ---------------------------------------------------------------
@@ -185,27 +179,27 @@ def expand_model(m: TransitionSystem, max_agents: int = DEFAULT_AGENT_CAP) -> At
 # --- translation -------------------------------------------------------------------
 
 
-def translate_formula(f: Formula, am: AtlModel) -> AtlFormula:
+def translate_formula(f: Formula, am: AtlModel) -> Formula:
     """Structurally translate a permission formula for evaluation on ``am``."""
     grand = am.grand_coalition()
 
-    def go(g: Formula) -> AtlFormula:
+    def go(g: Formula) -> Formula:
         if isinstance(g, Prop):
-            return AProp(g.name)
+            return g
         if isinstance(g, Neg):
-            return ANeg(go(g.child))
+            return Neg(go(g.child))
         if isinstance(g, Or):
-            return AOr(go(g.left), go(g.right))
+            return Or(go(g.left), go(g.right))
         if isinstance(g, Modal):
             body = go(g.child)
             d = ADeontic(g.agent)
             if g.kind is Modality.WA:
-                return ANext(grand, AAnd(d, body))
+                return ANext(grand, and_(d, body))
             if g.kind is Modality.WE:
-                return ANext(frozenset({g.agent}), AAnd(d, body))
+                return ANext(frozenset({g.agent}), and_(d, body))
             if g.kind is Modality.SE:
-                return ANeg(ANext(frozenset({g.agent}), ANeg(AImplies(body, d))))
-            return ANeg(ANext(grand, ANeg(AImplies(body, d))))
+                return Neg(ANext(frozenset({g.agent}), Neg(implies(body, d))))
+            return Neg(ANext(grand, Neg(implies(body, d))))
         raise InputError(f"not a formula node: {g!r}")
 
     return go(f)
@@ -217,8 +211,8 @@ def translate_formula(f: Formula, am: AtlModel) -> AtlFormula:
 def eval_atl(
     am: AtlModel,
     state: AtlState,
-    f: AtlFormula,
-    _memo: dict[tuple[AtlState, AtlFormula], bool] | None = None,
+    f: Formula,
+    _memo: dict[tuple[AtlState, Formula], bool] | None = None,
 ) -> bool:
     """Evaluate a next-step formula: a coalition can force its body when some
     joint move of the coalition makes the body hold for every completion by
@@ -229,18 +223,14 @@ def eval_atl(
     if cached is not None:
         return cached
 
-    if isinstance(f, AProp):
+    if isinstance(f, Prop):
         result = am.holds_prop(state, f.name)
     elif isinstance(f, ADeontic):
         result = f.agent in state.allowed
-    elif isinstance(f, ANeg):
+    elif isinstance(f, Neg):
         result = not eval_atl(am, state, f.child, memo)
-    elif isinstance(f, AOr):
+    elif isinstance(f, Or):
         result = eval_atl(am, state, f.left, memo) or eval_atl(am, state, f.right, memo)
-    elif isinstance(f, AAnd):
-        result = eval_atl(am, state, f.left, memo) and eval_atl(am, state, f.right, memo)
-    elif isinstance(f, AImplies):
-        result = (not eval_atl(am, state, f.left, memo)) or eval_atl(am, state, f.right, memo)
     elif isinstance(f, ANext):
         players = am.players
         unknown = f.coalition - set(players)
@@ -292,7 +282,7 @@ def verify_translation(
     expected = model_check(m, f)
     am = expand_model(m, max_agents)
     translated = translate_formula(f, am)
-    memo: dict[tuple[AtlState, AtlFormula], bool] = {}
+    memo: dict[tuple[AtlState, Formula], bool] = {}
     checked = 0
     for st in am.states:
         want = st.base in expected

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import random
 import sys
 from typing import Any, Sequence
@@ -36,7 +37,7 @@ from .fixtures import (
     load_fixture,
     run_fixture,
 )
-from .formula import Modality, format_formula, implies, parse
+from .formula import Modal, Modality, Neg, format_formula, implies, parse
 from .generate import GenParams, random_formula, random_model
 from .model import (
     TransitionSystem,
@@ -53,15 +54,29 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _load_model(path: str, validate: bool = True) -> TransitionSystem:
+def _read_json(path: str) -> Any:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    m = model_from_dict(data)
+    except RecursionError as exc:
+        raise InputError(f"{path} nests too deeply to decode") from exc
+
+
+def _write_json(path: str | pathlib.Path, payload: Any) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def _load_model(path: str, validate: bool = True) -> TransitionSystem:
+    m = model_from_dict(_read_json(path))
     if validate:
         report = validate_model(m)
         if report:
@@ -153,8 +168,6 @@ def _soundness_round(m: TransitionSystem, rng: random.Random, depth: int) -> lis
     phi = random_formula(rng.getrandbits(32), depth, m.agents, props)
     psi = random_formula(rng.getrandbits(32), depth, m.agents, props)
     agent = rng.choice(m.agents)
-    from .formula import Modal, Neg
-
     ir2 = check_rule_locally(
         m,
         "ir2",
@@ -212,13 +225,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     if args.builtin:
         derivation = load_derivation_fixture(args.builtin)
     else:
-        try:
-            with open(args.derivation, encoding="utf-8") as fh:
-                derivation = derivation_from_dict(json.load(fh))
-        except OSError as exc:
-            raise InputError(f"cannot read {args.derivation}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{args.derivation} is not valid JSON: {exc}") from exc
+        derivation = derivation_from_dict(_read_json(args.derivation))
     verdict = verify_derivation(derivation)
     if args.json:
         _emit_json(
@@ -272,13 +279,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 def _cmd_translate(args: argparse.Namespace) -> int:
     m = _load_model(args.model)
     am = expand_model(m)
-    payload = atl_model_to_dict(am)
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise InputError(f"cannot write {args.out}: {exc}") from exc
+    _write_json(args.out, atl_model_to_dict(am))
     print(f"wrote {args.out} ({len(am.states)} expanded states"
           f"{', with the bookkeeping agent' if am.has_nature else ''})")
     if args.verify:
@@ -313,12 +314,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     m = random_model(params)
     payload = model_to_dict(m)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            raise InputError(f"cannot write {args.out}: {exc}") from exc
+        _write_json(args.out, payload)
         print(f"wrote {args.out}")
     else:
         _emit_json({"model": payload})
@@ -327,16 +323,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_fixtures(args: argparse.Namespace) -> int:
     if args.export:
-        import pathlib
-
         out_dir = pathlib.Path(args.export)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot write {out_dir}: {exc}") from exc
         for fid in FIXTURE_IDS:
             fx = load_fixture(fid)
             for variant, model in fx.models.items():
                 name = fid if len(fx.models) == 1 else f"{fid}.{variant}"
                 path = out_dir / f"{name}.json"
-                path.write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
+                _write_json(path, model_to_dict(model))
                 print(f"wrote {path}")
         return EXIT_OK
     if not args.run:

@@ -287,25 +287,17 @@ def _unfold_disj(f: Formula, n: int) -> list[Formula] | None:
     return parts
 
 
-def check_ir2_shape(premise: Formula, conclusion: Formula, agent: str) -> str | None:
-    """None when ``conclusion`` is the WA-monotonicity consequence of
-    ``premise`` for ``agent``; otherwise the reason it is not."""
+def check_monotone_shape(
+    premise: Formula, conclusion: Formula, agent: str, kind: Modality
+) -> str | None:
+    """None when ``conclusion`` follows from the implication ``premise`` by
+    ir2 (``kind`` WA: phi -> psi gives WA phi -> WA psi) or ir3 (``kind`` SA:
+    it gives SA psi -> SA phi) for ``agent``; otherwise the reason it does not."""
     pair = match_implies(premise)
     if pair is None:
         return "premise is not an implication"
-    phi, psi = pair
-    expected = implies(Modal(Modality.WA, agent, phi), Modal(Modality.WA, agent, psi))
-    if conclusion != expected:
-        return f"conclusion is not {format_formula(expected)!r}"
-    return None
-
-
-def check_ir3_shape(premise: Formula, conclusion: Formula, agent: str) -> str | None:
-    pair = match_implies(premise)
-    if pair is None:
-        return "premise is not an implication"
-    phi, psi = pair
-    expected = implies(Modal(Modality.SA, agent, psi), Modal(Modality.SA, agent, phi))
+    phi, psi = pair if kind is Modality.WA else pair[::-1]
+    expected = implies(Modal(kind, agent, phi), Modal(kind, agent, psi))
     if conclusion != expected:
         return f"conclusion is not {format_formula(expected)!r}"
     return None
@@ -351,38 +343,23 @@ class RuleVerdict:
     counterexample: str | None = None
 
 
-def _decompose_ir_conclusion(
-    conclusion: Formula, kind: Modality, side: str
-) -> tuple[tuple[str, ...], list[Formula]] | None:
-    """Greedy read of one side of an ir4 conclusion as a chain of modal
-    formulas of one kind; unambiguous because chains nest to the right."""
-    fold = _unfold_modal_chain(conclusion, kind, side)
-    if fold is None:
-        return None
-    return tuple(a for a, _ in fold), [f for _, f in fold]
-
-
-def _unfold_modal_chain(
-    node: Formula, kind: Modality, side: str
-) -> list[tuple[str, Formula]] | None:
-    empty = TOP if side == "conj" else BOT
-    if node == empty:
-        return []
-    if isinstance(node, Modal) and node.kind is kind:
-        return [(node.agent, node.child)]
-    if side == "conj":
-        pair = match_and(node)
-    else:
-        pair = (node.left, node.right) if isinstance(node, Or) and node != TOP else None
-    if pair is None:
-        return None
-    head, rest = pair
-    if not (isinstance(head, Modal) and head.kind is kind):
-        return None
-    tail = _unfold_modal_chain(rest, kind, side)
-    if tail is None:
-        return None
-    return [(head.agent, head.child)] + tail
+def _chain_agents(node: Formula, kind: Modality, conjunctive: bool) -> tuple[str, ...] | None:
+    """Agents of one side of an ir4 conclusion read as a right-nested chain of
+    ``kind`` modal formulas joined by & (``conjunctive``) or |; greedy, which
+    is unambiguous because chains nest to the right."""
+    agents: list[str] = []
+    while node != (TOP if conjunctive else BOT):
+        if isinstance(node, Modal) and node.kind is kind:
+            return (*agents, node.agent)
+        if conjunctive:
+            pair = match_and(node)
+        else:
+            pair = (node.left, node.right) if isinstance(node, Or) and node != TOP else None
+        if pair is None or not (isinstance(pair[0], Modal) and pair[0].kind is kind):
+            return None
+        agents.append(pair[0].agent)
+        node = pair[1]
+    return tuple(agents)
 
 
 def check_rule_locally(
@@ -392,33 +369,24 @@ def check_rule_locally(
     valid in ``m``, the conclusion must be too. The premise/conclusion pair
     must syntactically be an instance of the named rule."""
     rule = rule.lower()
-    if rule == "ir2":
-        params = _extract_ir2_ir3(conclusion, Modality.WA)
-        if params is None:
-            raise InputError("conclusion is not a WA-monotonicity consequence")
-        agent, phi, psi = params
-        if premise != implies(phi, psi):
-            raise InputError("premise does not match the conclusion's implication")
-    elif rule == "ir3":
-        params = _extract_ir2_ir3(conclusion, Modality.SA)
-        if params is None:
-            raise InputError("conclusion is not an SA-anti-monotonicity consequence")
-        agent, psi, phi = params
-        if premise != implies(phi, psi):
-            raise InputError("premise does not match the conclusion's implication")
+    pair = match_implies(conclusion)
+    if rule in ("ir2", "ir3"):
+        if pair is None or not isinstance(pair[0], Modal):
+            raise InputError("conclusion is not an implication from a modal formula")
+        kind = Modality.WA if rule == "ir2" else Modality.SA
+        reason = check_monotone_shape(premise, conclusion, pair[0].agent, kind)
     elif rule == "ir4":
-        pair = match_implies(conclusion)
         if pair is None:
             raise InputError("conclusion is not an implication")
-        left = _decompose_ir_conclusion(pair[0], Modality.WE, "conj")
-        right = _decompose_ir_conclusion(pair[1], Modality.SE, "disj")
-        if left is None or right is None:
+        we_agents = _chain_agents(pair[0], Modality.WE, conjunctive=True)
+        se_agents = _chain_agents(pair[1], Modality.SE, conjunctive=False)
+        if we_agents is None or se_agents is None:
             raise InputError("conclusion does not have the WE.../SE... shape")
-        reason = check_ir4_shape(premise, conclusion, left[0], right[0])
-        if reason is not None:
-            raise InputError(reason)
+        reason = check_ir4_shape(premise, conclusion, we_agents, se_agents)
     else:
         raise InputError(f"unknown rule {rule!r}")
+    if reason is not None:
+        raise InputError(reason)
 
     premise_check = check_validity(m, premise)
     if not premise_check.valid:
@@ -429,22 +397,6 @@ def check_rule_locally(
         premise_valid=True,
         counterexample=conclusion_check.counterexample,
     )
-
-
-def _extract_ir2_ir3(
-    conclusion: Formula, kind: Modality
-) -> tuple[str, Formula, Formula] | None:
-    pair = match_implies(conclusion)
-    if pair is None:
-        return None
-    left, right = pair
-    if not (isinstance(left, Modal) and left.kind is kind):
-        return None
-    if not (isinstance(right, Modal) and right.kind is kind):
-        return None
-    if left.agent != right.agent:
-        return None
-    return left.agent, left.child, right.child
 
 
 # --- derivations -----------------------------------------------------------------
@@ -546,12 +498,11 @@ def verify_derivation(d: Derivation) -> DerivationVerdict:
                     k,
                     f"step {j.implication} is not literally step {j.antecedent} -> this formula",
                 )
-        elif isinstance(j, JIR2):
-            reason = check_ir2_shape(d.steps[j.premise - 1].formula, step.formula, j.agent)
-            if reason is not None:
-                return reject(k, reason)
-        elif isinstance(j, JIR3):
-            reason = check_ir3_shape(d.steps[j.premise - 1].formula, step.formula, j.agent)
+        elif isinstance(j, (JIR2, JIR3)):
+            kind = Modality.WA if isinstance(j, JIR2) else Modality.SA
+            reason = check_monotone_shape(
+                d.steps[j.premise - 1].formula, step.formula, j.agent, kind
+            )
             if reason is not None:
                 return reject(k, reason)
         elif isinstance(j, JIR4):

@@ -62,6 +62,18 @@ class Formula:
 # checking linear in formula size and deep trees clear of the recursion limit.
 
 
+def _cached_hash(self) -> int:
+    return self._hash
+
+
+def cache_hash(node: type) -> type:
+    """Class decorator for a frozen dataclass node: hash instances by the
+    ``_hash`` field that its ``__post_init__`` computes."""
+    node.__hash__ = _cached_hash  # type: ignore[assignment]
+    return node
+
+
+@cache_hash
 @dataclass(frozen=True, slots=True)
 class Prop(Formula):
     name: str
@@ -71,6 +83,7 @@ class Prop(Formula):
         object.__setattr__(self, "_hash", hash(("Prop", self.name)))
 
 
+@cache_hash
 @dataclass(frozen=True, slots=True)
 class Neg(Formula):
     child: Formula
@@ -80,6 +93,7 @@ class Neg(Formula):
         object.__setattr__(self, "_hash", hash(("Neg", self.child._hash)))
 
 
+@cache_hash
 @dataclass(frozen=True, slots=True)
 class Or(Formula):
     left: Formula
@@ -90,6 +104,7 @@ class Or(Formula):
         object.__setattr__(self, "_hash", hash(("Or", self.left._hash, self.right._hash)))
 
 
+@cache_hash
 @dataclass(frozen=True, slots=True)
 class Modal(Formula):
     kind: Modality
@@ -101,14 +116,6 @@ class Modal(Formula):
         object.__setattr__(
             self, "_hash", hash(("Modal", self.kind, self.agent, self.child._hash))
         )
-
-
-def _cached_hash(self) -> int:
-    return self._hash
-
-
-for _node in (Prop, Neg, Or, Modal):
-    _node.__hash__ = _cached_hash  # type: ignore[assignment]
 
 
 TOP: Formula = Or(Prop(TOP_PROP), Neg(Prop(TOP_PROP)))
@@ -223,7 +230,6 @@ def agents_of(f: Formula) -> set[str]:
 
 # --- parsing ---------------------------------------------------------------
 
-_MODALITY_WORDS = {m.value: m for m in Modality}
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(r"->|[!&|()\[\]]|[A-Za-z_][A-Za-z0-9_]*")
 
@@ -294,13 +300,13 @@ class _Parser:
             self.i += 1
             return Neg(self.unary())
         if tok is not None and self._peek(1) == "[" and _IDENT_RE.fullmatch(tok):
-            if tok not in _MODALITY_WORDS:
+            if tok not in Modality.__members__:
                 raise ParseError(
                     f"unknown modality keyword {tok!r}",
                     self._pos(),
-                    tuple(sorted(_MODALITY_WORDS)),
+                    tuple(sorted(Modality.__members__)),
                 )
-            kind = _MODALITY_WORDS[self._take()]
+            kind = Modality[self._take()]
             self._expect("[")
             agent = self._peek()
             if agent is None or not _IDENT_RE.fullmatch(agent):

@@ -125,12 +125,6 @@ def replicate_model(m: TransitionSystem, copies: int) -> TransitionSystem:
 
 
 _PRODUCTIONS = ("prop", "const", "neg", "or", "wa", "we", "se", "sa")
-_MODALITY_BY_PRODUCTION = {
-    "wa": Modality.WA,
-    "we": Modality.WE,
-    "se": Modality.SE,
-    "sa": Modality.SA,
-}
 
 
 def random_formula(
@@ -164,5 +158,5 @@ def _gen(rng: random.Random, depth: int, agents: tuple[str, ...], props: tuple[s
         return Neg(_gen(rng, depth - 1, agents, props))
     if production == "or":
         return Or(_gen(rng, depth - 1, agents, props), _gen(rng, depth - 1, agents, props))
-    kind = _MODALITY_BY_PRODUCTION[production]
+    kind = Modality[production.upper()]
     return Modal(kind, rng.choice(agents), _gen(rng, depth - 1, agents, props))

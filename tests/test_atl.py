@@ -3,12 +3,8 @@ from hypothesis import given, settings
 from strategies import model_and_formulas
 
 from permitmc.atl import (
-    AAnd,
     ADeontic,
-    AImplies,
-    ANeg,
     ANext,
-    AProp,
     AtlState,
     NATURE,
     atl_model_to_dict,
@@ -19,7 +15,8 @@ from permitmc.atl import (
 )
 from permitmc.checker import model_check
 from permitmc.errors import CapacityError, InputError
-from permitmc.formula import Modal, Modality, Neg, Prop, modal_depth, parse
+from permitmc.formula import Modal, Modality, Neg, Or, Prop, and_, implies, modal_depth, parse
+from permitmc.generate import random_formula
 from permitmc.model import make_model
 
 
@@ -46,26 +43,71 @@ def test_expanded_valuation_and_deontic_atoms(fig1):
     assert am.holds_prop(st, "p")
     assert eval_atl(am, st, ADeontic("a"))
     assert not eval_atl(am, AtlState("u", frozenset()), ADeontic("a"))
-    assert eval_atl(am, st, AProp("__top"))
+    assert eval_atl(am, st, Prop("__top"))
 
 
 def test_translate_shapes(fig1):
+    # Source propositions pass through unchanged; d_a & f and f -> d_a are the
+    # core language's desugared conjunction and implication.
     am = expand_model(fig1)
     grand = am.grand_coalition()
     p = Prop("p")
-    assert translate_formula(p, am) == AProp("p")
+    assert translate_formula(p, am) is p
     assert translate_formula(Modal(Modality.WA, "a", p), am) == ANext(
-        grand, AAnd(ADeontic("a"), AProp("p"))
+        grand, and_(ADeontic("a"), p)
     )
     assert translate_formula(Modal(Modality.WE, "a", p), am) == ANext(
-        frozenset({"a"}), AAnd(ADeontic("a"), AProp("p"))
+        frozenset({"a"}), and_(ADeontic("a"), p)
     )
-    assert translate_formula(Modal(Modality.SE, "b", Neg(p)), am) == ANeg(
-        ANext(frozenset({"b"}), ANeg(AImplies(ANeg(AProp("p")), ADeontic("b"))))
+    assert translate_formula(Modal(Modality.SE, "b", Neg(p)), am) == Neg(
+        ANext(frozenset({"b"}), Neg(implies(Neg(p), ADeontic("b"))))
     )
-    assert translate_formula(Modal(Modality.SA, "b", p), am) == ANeg(
-        ANext(grand, ANeg(AImplies(AProp("p"), ADeontic("b"))))
+    assert translate_formula(Modal(Modality.SA, "b", p), am) == Neg(
+        ANext(grand, Neg(implies(p, ADeontic("b"))))
     )
+
+
+def test_translation_uses_core_and_game_nodes_only(fig1, fig3):
+    for m in (fig1, fig3):
+        am = expand_model(m)
+        for seed in range(40):
+            stack = [translate_formula(random_formula(seed, 4, m.agents, ["p"]), am)]
+            while stack:
+                node = stack.pop()
+                assert type(node) in (Prop, Neg, Or, ADeontic, ANext), node
+                if isinstance(node, (Neg, ANext)):
+                    stack.append(node.child)
+                elif isinstance(node, Or):
+                    stack.extend((node.left, node.right))
+
+
+def test_eval_rejects_untranslated_modal(fig1):
+    am = expand_model(fig1)
+    with pytest.raises(InputError):
+        eval_atl(am, am.states[0], Modal(Modality.WA, "a", Prop("p")))
+
+
+def test_source_prop_named_like_deontic_atom():
+    # d_a holds exactly where a arrived by its forbidden action, the opposite
+    # of the game's deontic atom for a.
+    m = make_model(
+        ["a"],
+        ["s", "t", "u"],
+        actions={"s": {"a": ["1", "2"]}, "t": {"a": ["1"]}, "u": {"a": ["1"]}},
+        permitted={"s": {"a": ["1"]}, "t": {"a": ["1"]}, "u": {"a": ["1"]}},
+        transitions=[
+            ("s", {"a": "1"}, "t"),
+            ("s", {"a": "2"}, "u"),
+            ("t", {"a": "1"}, "t"),
+            ("u", {"a": "1"}, "u"),
+        ],
+        valuation={"d_a": ["u"], "p": ["t"]},
+    )
+    am = expand_model(m)
+    st = AtlState("u", frozenset())
+    assert eval_atl(am, st, Prop("d_a")) and not eval_atl(am, st, ADeontic("a"))
+    for text in ("WA[a] d_a", "WE[a] !d_a", "SE[a] d_a", "SA[a] (d_a | p)", "d_a"):
+        assert verify_translation(m, parse(text)).ok, text
 
 
 def test_grand_coalition_includes_nature(fig3):
@@ -77,7 +119,7 @@ def test_grand_coalition_includes_nature(fig3):
 
 def test_eval_grand_next_true(fig1):
     am = expand_model(fig1)
-    f = ANext(am.grand_coalition(), AProp("__top"))
+    f = ANext(am.grand_coalition(), Prop("__top"))
     for st in am.states:
         assert eval_atl(am, st, f)
 
@@ -101,9 +143,9 @@ def test_eval_empty_coalition_universal():
     )
     am = expand_model(m)
     start = AtlState("s", frozenset({"a"}))
-    assert eval_atl(am, start, ANext(frozenset(), AProp("p")))
-    assert not eval_atl(am, start, ANext(frozenset(), AProp("q")))
-    assert eval_atl(am, start, ANext(frozenset({"a"}), AProp("q")))
+    assert eval_atl(am, start, ANext(frozenset(), Prop("p")))
+    assert not eval_atl(am, start, ANext(frozenset(), Prop("q")))
+    assert eval_atl(am, start, ANext(frozenset({"a"}), Prop("q")))
 
 
 def test_translated_wa_matches_direct_check_everywhere(fig1):
@@ -117,7 +159,7 @@ def test_translated_wa_matches_direct_check_everywhere(fig1):
 def test_eval_unknown_coalition_member(fig1):
     am = expand_model(fig1)
     with pytest.raises(InputError):
-        eval_atl(am, am.states[0], ANext(frozenset({"zz"}), AProp("p")))
+        eval_atl(am, am.states[0], ANext(frozenset({"zz"}), Prop("p")))
 
 
 def test_verify_translation_fig_fixtures(fig1, fig2, fig3, fig4):

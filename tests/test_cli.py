@@ -64,6 +64,18 @@ def test_check_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"\xff\xfe{", "is not valid JSON: "), (b"[" * 100_000 + b"]" * 100_000, "nests too deeply")],
+)
+def test_check_undecodable_file_is_usage_error(tmp_path, capsys, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run_cli(capsys, "check", "--model", str(bad), "--formula", "p")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad} {message}") and err.count("\n") == 1
+
+
 def test_check_rejects_invalid_model_unless_disabled(broken_model_path, capsys):
     code, _, err = run_cli(
         capsys, "check", "--model", broken_model_path, "--formula", "p"
@@ -275,6 +287,15 @@ def test_fixtures_export(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "fig1-wa.json").exists()
     assert (tmp_path / "factory.se-regulation.json").exists()
+
+
+def test_fixtures_export_onto_existing_file(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("keep")
+    code, out, err = run_cli(capsys, "fixtures", "--export", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert target.read_text() == "keep"
 
 
 def test_module_entrypoint_subprocess():

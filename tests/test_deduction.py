@@ -1,4 +1,6 @@
+import random
 import re
+from itertools import permutations
 
 import hypothesis.strategies as st
 import pytest
@@ -12,6 +14,8 @@ from permitmc.deduction import (
     DerivationStep,
     JMP,
     JTaut,
+    check_ir4_shape,
+    check_monotone_shape,
     check_rule_locally,
     check_validity,
     derivation_from_dict,
@@ -29,10 +33,12 @@ from permitmc.formula import (
     Or,
     Prop,
     and_,
+    conj,
     disj,
     implies,
     parse,
 )
+from permitmc.generate import GenParams, random_formula, random_model
 from permitmc.model import make_model
 
 P, Q = Prop("p"), Prop("q")
@@ -202,6 +208,85 @@ def test_ir4_empty_sides():
     m = subset_model()
     verdict = check_rule_locally(m, "ir4", parse("true -> !p"), parse("true -> SE[a]p"))
     assert verdict.valid or verdict.counterexample
+
+
+def _mutate(f, rng):
+    """``f`` with one randomly chosen node rewritten."""
+    if isinstance(f, Prop) or rng.random() < 0.25:
+        options = [Neg(f), Prop("p1")]
+        if isinstance(f, Modal):
+            options.append(Modal(rng.choice(list(Modality)), f.agent, f.child))
+            options.append(Modal(f.kind, rng.choice("abc"), f.child))
+        elif isinstance(f, Or):
+            options.append(Or(f.right, f.left))
+        elif isinstance(f, Neg):
+            options.append(f.child)
+        return rng.choice(options)
+    if isinstance(f, Neg):
+        return Neg(_mutate(f.child, rng))
+    if isinstance(f, Modal):
+        return Modal(f.kind, f.agent, _mutate(f.child, rng))
+    if rng.random() < 0.5:
+        return Or(_mutate(f.left, rng), f.right)
+    return Or(f.left, _mutate(f.right, rng))
+
+
+def _rule_instance(rng, agents, props):
+    """A seeded (rule, premise, conclusion) that is an instance of the rule."""
+    phis = [random_formula(rng.getrandbits(32), 2, agents, props) for _ in range(3)]
+    rule = rng.choice(("ir2", "ir3", "ir4"))
+    a = rng.choice(agents)
+    if rule == "ir2":
+        return rule, implies(phis[0], phis[1]), implies(
+            Modal(Modality.WA, a, phis[0]), Modal(Modality.WA, a, phis[1])
+        )
+    if rule == "ir3":
+        return rule, implies(phis[0], phis[1]), implies(
+            Modal(Modality.SA, a, phis[1]), Modal(Modality.SA, a, phis[0])
+        )
+    chosen = rng.sample(agents, rng.randint(1, len(agents)))
+    cut = rng.randint(0, len(chosen))
+    we, se = chosen[:cut], chosen[cut:]
+    premise = implies(conj(phis[: len(we)]), disj([Neg(f) for f in phis[: len(se)]]))
+    conclusion = implies(
+        conj([Modal(Modality.WE, x, f) for x, f in zip(we, phis)]),
+        disj([Modal(Modality.SE, x, f) for x, f in zip(se, phis)]),
+    )
+    return rule, premise, conclusion
+
+
+def _is_rule_instance(rule, premise, conclusion, agents):
+    """Whether the shape checker accepts the pair for some choice of agents."""
+    if rule in ("ir2", "ir3"):
+        kind = Modality.WA if rule == "ir2" else Modality.SA
+        return any(check_monotone_shape(premise, conclusion, x, kind) is None for x in agents)
+    return any(
+        check_ir4_shape(premise, conclusion, chosen[:cut], chosen[cut:]) is None
+        for k in range(len(agents) + 1)
+        for chosen in permutations(agents, k)
+        for cut in range(k + 1)
+    )
+
+
+def test_rule_check_raises_exactly_off_the_shape_checker():
+    m = random_model(GenParams(seed=5, num_agents=3, num_props=2))
+    rng = random.Random(17)
+    accepted = rejected = 0
+    for _ in range(300):
+        rule, premise, conclusion = _rule_instance(rng, m.agents, ["p0", "p1"])
+        pairs = [(premise, conclusion), (_mutate(premise, rng), conclusion)]
+        pairs += [(premise, _mutate(conclusion, rng)) for _ in range(3)]
+        for p, c in pairs:
+            expected = _is_rule_instance(rule, p, c, m.agents)
+            try:
+                check_rule_locally(m, rule, p, c)
+                raised = False
+            except InputError:
+                raised = True
+            assert raised != expected, (rule, str(p), str(c))
+            accepted += expected
+            rejected += not expected
+    assert accepted > 300 and rejected > 300
 
 
 # --- derivation verification ---------------------------------------------------------
