@@ -18,12 +18,20 @@ are core formula nodes (Prop, Neg, Or; conjunction and implication desugar as
 in the source language) plus the two game nodes ADeontic (the atom d_a) and
 ANext (coalition next). verify_translation checks the translation agrees with
 direct model checking at every expanded state.
+
+expand_model computes each successor once: per base state it keeps one row
+per total move vector, holding the index of the successor game state.
+eval_atl labels the game globally: each distinct subformula gets the set of
+game-state indices where it holds, children first. Propositions and d_a are
+index sets, negation and disjunction are set operations, and <<C>> X f is a
+pre-image computed per base state, holding at all its copies or at none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
 from typing import Any, Mapping
 
 from .checker import model_check
@@ -88,12 +96,15 @@ class AtlModel:
     source: TransitionSystem
     agents: tuple[str, ...]  # source agents, without Nature
     has_nature: bool
+    # index base_index * 2^|agents| + mask: the base state's copy whose
+    # allowed set holds the agents at the mask's set bits, in agent order
     states: tuple[AtlState, ...]
     # base state -> player -> available moves (actions, or successor indices
     # for Nature)
     moves: Mapping[str, Mapping[str, tuple[str, ...]]]
-    # base state -> profile key -> successors sorted by state order
-    profile_successors: Mapping[str, Mapping[tuple[str, ...], tuple[str, ...]]]
+    # base state -> one (move vector, index of its successor in states) per
+    # total move vector, in the product order of the players' moves
+    rows: Mapping[str, tuple[tuple[tuple[str, ...], int], ...]]
 
     @property
     def players(self) -> tuple[str, ...]:
@@ -102,78 +113,59 @@ class AtlModel:
     def grand_coalition(self) -> frozenset[str]:
         return frozenset(self.players)
 
-    def transition(self, base: str, move_vector: Mapping[str, str]) -> AtlState:
-        """Unique successor state under a total move vector."""
-        profile = tuple(move_vector[a] for a in self.agents)
-        targets = self.profile_successors[base].get(profile)
-        if targets is None:
-            raise InputError(f"move vector {dict(move_vector)} is not available at {base!r}")
-        if self.has_nature:
-            pick = int(move_vector[NATURE]) % len(targets)
-        else:
-            pick = 0
-        allowed = frozenset(
-            a
-            for a in self.agents
-            if move_vector[a] in self.source.permitted_set(base, a)
-        )
-        return AtlState(targets[pick], allowed)
-
-    def holds_prop(self, state: AtlState, name: str) -> bool:
-        if name == TOP_PROP:
-            return True
-        return state.base in self.source.valuation.get(name, frozenset())
-
 
 def expand_model(m: TransitionSystem, max_agents: int = DEFAULT_AGENT_CAP) -> AtlModel:
     """Expand a transition system into the deterministic game structure.
 
     Produces 2^|agents| expanded states per source state, so the agent count
     is capped. Nature joins only when some profile has several successors;
-    its moves at a state index successor choices (out-of-range moves wrap)."""
+    its moves at a state index successor choices (out-of-range moves wrap).
+    The successor of each (base state, move vector) is computed here once;
+    it does not depend on the allowed set of the state moved from."""
     if len(m.agents) > max_agents:
         raise CapacityError(f"{len(m.agents)} agents exceed the expansion cap of {max_agents}")
 
     state_order = {s: i for i, s in enumerate(m.states)}
-    profile_successors: dict[str, dict[tuple[str, ...], tuple[str, ...]]] = {}
-    max_multiplicity: dict[str, int] = {}
+    # base state -> agent-ordered profile -> successors sorted by state order
+    profile_successors: dict[str, dict[tuple[str, ...], list[str]]] = {}
     for s in m.states:
-        table: dict[tuple[str, ...], list[str]] = {}
+        table: dict[tuple[str, ...], set[str]] = {}
         for profile, target in m.entries(s):
-            key = tuple(profile[a] for a in m.agents)
-            bucket = table.setdefault(key, [])
-            if target not in bucket:
-                bucket.append(target)
+            table.setdefault(tuple(profile[a] for a in m.agents), set()).add(target)
         profile_successors[s] = {
-            key: tuple(sorted(targets, key=state_order.__getitem__))
-            for key, targets in table.items()
+            key: sorted(targets, key=state_order.__getitem__) for key, targets in table.items()
         }
-        max_multiplicity[s] = max(
-            (len(ts) for ts in profile_successors[s].values()), default=1
-        )
+    has_nature = any(len(ts) > 1 for table in profile_successors.values() for ts in table.values())
 
-    has_nature = any(mult > 1 for mult in max_multiplicity.values())
-
+    n = len(m.agents)
+    players = tuple(m.agents) + ((NATURE,) if has_nature else ())
     moves: dict[str, dict[str, tuple[str, ...]]] = {}
+    rows: dict[str, tuple[tuple[tuple[str, ...], int], ...]] = {}
     for s in m.states:
+        table = profile_successors[s]
         per_player = {a: tuple(m.action_set(s, a)) for a in m.agents}
         if has_nature:
-            per_player[NATURE] = tuple(str(i) for i in range(max_multiplicity[s]))
+            multiplicity = max((len(ts) for ts in table.values()), default=1)
+            per_player[NATURE] = tuple(str(i) for i in range(multiplicity))
         moves[s] = per_player
+        permitted = [m.permitted_set(s, a) for a in m.agents]
+        out = []
+        for vector in product(*(per_player[p] for p in players)):
+            targets = table.get(vector[:n])
+            if targets is None:
+                raise InputError(
+                    f"move vector {dict(zip(players, vector))} is not available at {s!r}"
+                )
+            target = targets[int(vector[n]) % len(targets)] if has_nature else targets[0]
+            mask = sum(1 << i for i, allowed in enumerate(permitted) if vector[i] in allowed)
+            out.append((vector, state_order[target] << n | mask))
+        rows[s] = tuple(out)
 
-    subsets: list[frozenset[str]] = []
-    for mask in range(1 << len(m.agents)):
-        subsets.append(frozenset(a for i, a in enumerate(m.agents) if mask >> i & 1))
+    subsets = [
+        frozenset(a for i, a in enumerate(m.agents) if mask >> i & 1) for mask in range(1 << n)
+    ]
     states = tuple(AtlState(s, subset) for s in m.states for subset in subsets)
-
-    return AtlModel(
-        source=m,
-        agents=tuple(m.agents),
-        has_nature=has_nature,
-        states=states,
-        moves=moves,
-        profile_successors=profile_successors,
-    )
+    return AtlModel(m, tuple(m.agents), has_nature, states, moves, rows)
 
 
 # --- translation -------------------------------------------------------------------
@@ -208,51 +200,66 @@ def translate_formula(f: Formula, am: AtlModel) -> Formula:
 # --- evaluation --------------------------------------------------------------------
 
 
-def eval_atl(
-    am: AtlModel,
-    state: AtlState,
-    f: Formula,
-    _memo: dict[tuple[AtlState, Formula], bool] | None = None,
-) -> bool:
-    """Evaluate a next-step formula: a coalition can force its body when some
+def eval_atl(am: AtlModel, f: Formula) -> frozenset[int]:
+    """Indices into ``am.states`` where the next-step formula ``f`` holds.
+
+    Global labelling: each distinct subformula gets its set once, children
+    first, from an explicit stack. A coalition can force its body when some
     joint move of the coalition makes the body hold for every completion by
     the remaining players."""
-    memo = _memo if _memo is not None else {}
-    key = (state, f)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
+    everything = frozenset(range(len(am.states)))
+    labels: dict[Formula, frozenset[int]] = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in labels:
+            continue
+        if isinstance(g, Prop):
+            where = am.source.valuation.get(g.name, frozenset())
+            labels[g] = _copies(am, [g.name == TOP_PROP or s in where for s in am.source.states])
+        elif isinstance(g, ADeontic):
+            bit = 1 << am.agents.index(g.agent) if g.agent in am.agents else 0
+            labels[g] = frozenset(i for i in everything if i & bit)
+        elif not isinstance(g, (Neg, Or, ANext)):
+            raise InputError(f"not a next-step formula node: {g!r}")
+        else:
+            children = (g.left, g.right) if isinstance(g, Or) else (g.child,)
+            todo = [c for c in children if c not in labels]
+            if todo:
+                stack.append(g)
+                stack.extend(todo)
+            elif isinstance(g, Or):
+                labels[g] = labels[g.left] | labels[g.right]
+            elif isinstance(g, Neg):
+                labels[g] = everything - labels[g.child]
+            else:
+                labels[g] = _copies(am, _forcing_bases(am, g.coalition, labels[g.child]))
+    return labels[f]
 
-    if isinstance(f, Prop):
-        result = am.holds_prop(state, f.name)
-    elif isinstance(f, ADeontic):
-        result = f.agent in state.allowed
-    elif isinstance(f, Neg):
-        result = not eval_atl(am, state, f.child, memo)
-    elif isinstance(f, Or):
-        result = eval_atl(am, state, f.left, memo) or eval_atl(am, state, f.right, memo)
-    elif isinstance(f, ANext):
-        players = am.players
-        unknown = f.coalition - set(players)
-        if unknown:
-            raise InputError(f"coalition mentions unknown players {sorted(unknown)}")
-        movers = [p for p in players if p in f.coalition]
-        others = [p for p in players if p not in f.coalition]
-        base_moves = am.moves[state.base]
-        result = False
-        for own in product(*(base_moves[p] for p in movers)):
-            fixed = dict(zip(movers, own))
-            if all(
-                eval_atl(am, am.transition(state.base, {**fixed, **dict(zip(others, rest))}), f.child, memo)
-                for rest in product(*(base_moves[p] for p in others))
-            ):
-                result = True
-                break
-    else:
-        raise InputError(f"not a next-step formula node: {f!r}")
 
-    memo[key] = result
-    return result
+def _copies(am: AtlModel, base_holds: list[bool]) -> frozenset[int]:
+    """All 2^|agents| copies of each base state, by position, where ``base_holds``."""
+    width = 1 << len(am.agents)
+    return frozenset(
+        i for b, holds in enumerate(base_holds) if holds for i in range(b * width, (b + 1) * width)
+    )
+
+
+def _forcing_bases(am: AtlModel, coalition: frozenset[str], body: frozenset[int]) -> list[bool]:
+    """Per base state: does some joint move of ``coalition`` land every row
+    that extends it inside ``body``? The pre-image of <<coalition>> X."""
+    players = am.players
+    unknown = coalition - set(players)
+    if unknown:
+        raise InputError(f"coalition mentions unknown players {sorted(unknown)}")
+    picks = [i for i, p in enumerate(players) if p in coalition]
+    key = itemgetter(*picks) if picks else (lambda vector: ())
+    out = []
+    for s in am.source.states:
+        rows = am.rows[s]
+        blocked = {key(vector) for vector, succ in rows if succ not in body}
+        out.append(any(key(vector) not in blocked for vector, _ in rows))
+    return out
 
 
 # --- equivalence check -------------------------------------------------------------
@@ -275,22 +282,17 @@ def verify_translation(
     """Check that evaluating the translated formula at every expanded state
     <s, D> agrees with membership of s in the directly computed truth set
     (which also establishes that the D component is irrelevant)."""
-    if modal_depth(f) > max_modal_depth:
-        raise InputError(
-            f"modal depth {modal_depth(f)} exceeds the configured bound {max_modal_depth}"
-        )
+    depth = modal_depth(f)
+    if depth > max_modal_depth:
+        raise InputError(f"modal depth {depth} exceeds the configured bound {max_modal_depth}")
     expected = model_check(m, f)
     am = expand_model(m, max_agents)
-    translated = translate_formula(f, am)
-    memo: dict[tuple[AtlState, Formula], bool] = {}
-    checked = 0
-    for st in am.states:
+    holds = eval_atl(am, translate_formula(f, am))
+    for i, st in enumerate(am.states):
         want = st.base in expected
-        got = eval_atl(am, st, translated, memo)
-        checked += 1
-        if got != want:
-            return TranslationVerdict(False, checked, st, want)
-    return TranslationVerdict(True, checked)
+        if (i in holds) != want:
+            return TranslationVerdict(False, i + 1, st, want)
+    return TranslationVerdict(True, len(am.states))
 
 
 # --- JSON export -------------------------------------------------------------------
@@ -300,19 +302,15 @@ def atl_model_to_dict(am: AtlModel) -> dict[str, Any]:
     """Serializable form of the expanded game structure. Transitions are
     listed per base state because they do not depend on the source state's
     subset tag."""
-    entries = []
-    for s in am.source.states:
-        base_moves = am.moves[s]
-        for vector in product(*(base_moves[p] for p in am.players)):
-            move_map = dict(zip(am.players, vector))
-            succ = am.transition(s, move_map)
-            entries.append(
-                {
-                    "base": s,
-                    "moves": move_map,
-                    "to": {"base": succ.base, "allowed": sorted(succ.allowed)},
-                }
-            )
+    entries = [
+        {
+            "base": s,
+            "moves": dict(zip(am.players, vector)),
+            "to": {"base": am.states[succ].base, "allowed": sorted(am.states[succ].allowed)},
+        }
+        for s in am.source.states
+        for vector, succ in am.rows[s]
+    ]
     return {
         "schema": "permitmc.atl/v1",
         "agents": list(am.agents),

@@ -196,15 +196,20 @@ def size(f: Formula) -> int:
 
 
 def modal_depth(f: Formula) -> int:
-    if isinstance(f, Prop):
-        return 0
-    if isinstance(f, Neg):
-        return modal_depth(f.child)
-    if isinstance(f, Or):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    if isinstance(f, Modal):
-        return 1 + modal_depth(f.child)
-    raise TypeError(f"not a formula node: {f!r}")
+    """Greatest number of modalities on one root-to-leaf path."""
+    stack, depth = [(f, 0)], 0
+    while stack:
+        g, d = stack.pop()
+        depth = max(depth, d)
+        if isinstance(g, Or):
+            stack += ((g.left, d), (g.right, d))
+        elif isinstance(g, Neg):
+            stack.append((g.child, d))
+        elif isinstance(g, Modal):
+            stack.append((g.child, d + 1))
+        elif not isinstance(g, Prop):
+            raise TypeError(f"not a formula node: {g!r}")
+    return depth
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
@@ -222,10 +227,6 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 
 def propositions(f: Formula) -> set[str]:
     return {g.name for g in subformulas(f) if isinstance(g, Prop)}
-
-
-def agents_of(f: Formula) -> set[str]:
-    return {g.agent for g in subformulas(f) if isinstance(g, Modal)}
 
 
 # --- parsing ---------------------------------------------------------------

@@ -1,4 +1,7 @@
+from itertools import count
+
 import pytest
+from game_oracle import GameOracle
 from hypothesis import given, settings
 from strategies import model_and_formulas
 
@@ -15,8 +18,8 @@ from permitmc.atl import (
 )
 from permitmc.checker import model_check
 from permitmc.errors import CapacityError, InputError
-from permitmc.formula import Modal, Modality, Neg, Or, Prop, and_, implies, modal_depth, parse
-from permitmc.generate import random_formula
+from permitmc.formula import TOP, Modal, Modality, Neg, Or, Prop, and_, implies, modal_depth, parse
+from permitmc.generate import GenParams, random_formula, random_model
 from permitmc.model import make_model
 
 
@@ -40,10 +43,11 @@ def test_expanded_valuation_and_deontic_atoms(fig1):
     am = expand_model(fig1)
     st = AtlState("u", frozenset({"a", "b"}))
     assert st in am.states
-    assert am.holds_prop(st, "p")
-    assert eval_atl(am, st, ADeontic("a"))
-    assert not eval_atl(am, AtlState("u", frozenset()), ADeontic("a"))
-    assert eval_atl(am, st, Prop("__top"))
+    i = am.states.index(st)
+    assert i in eval_atl(am, Prop("p"))
+    assert i in eval_atl(am, ADeontic("a"))
+    assert am.states.index(AtlState("u", frozenset())) not in eval_atl(am, ADeontic("a"))
+    assert i in eval_atl(am, Prop("__top"))
 
 
 def test_translate_shapes(fig1):
@@ -84,7 +88,7 @@ def test_translation_uses_core_and_game_nodes_only(fig1, fig3):
 def test_eval_rejects_untranslated_modal(fig1):
     am = expand_model(fig1)
     with pytest.raises(InputError):
-        eval_atl(am, am.states[0], Modal(Modality.WA, "a", Prop("p")))
+        eval_atl(am, Modal(Modality.WA, "a", Prop("p")))
 
 
 def test_source_prop_named_like_deontic_atom():
@@ -104,8 +108,8 @@ def test_source_prop_named_like_deontic_atom():
         valuation={"d_a": ["u"], "p": ["t"]},
     )
     am = expand_model(m)
-    st = AtlState("u", frozenset())
-    assert eval_atl(am, st, Prop("d_a")) and not eval_atl(am, st, ADeontic("a"))
+    i = am.states.index(AtlState("u", frozenset()))
+    assert i in eval_atl(am, Prop("d_a")) and i not in eval_atl(am, ADeontic("a"))
     for text in ("WA[a] d_a", "WE[a] !d_a", "SE[a] d_a", "SA[a] (d_a | p)", "d_a"):
         assert verify_translation(m, parse(text)).ok, text
 
@@ -120,8 +124,7 @@ def test_grand_coalition_includes_nature(fig3):
 def test_eval_grand_next_true(fig1):
     am = expand_model(fig1)
     f = ANext(am.grand_coalition(), Prop("__top"))
-    for st in am.states:
-        assert eval_atl(am, st, f)
+    assert eval_atl(am, f) == frozenset(range(len(am.states)))
 
 
 def test_eval_empty_coalition_universal():
@@ -142,24 +145,29 @@ def test_eval_empty_coalition_universal():
         valuation={"p": ["t", "u"], "q": ["t"]},
     )
     am = expand_model(m)
-    start = AtlState("s", frozenset({"a"}))
-    assert eval_atl(am, start, ANext(frozenset(), Prop("p")))
-    assert not eval_atl(am, start, ANext(frozenset(), Prop("q")))
-    assert eval_atl(am, start, ANext(frozenset({"a"}), Prop("q")))
+    start = am.states.index(AtlState("s", frozenset({"a"})))
+    assert start in eval_atl(am, ANext(frozenset(), Prop("p")))
+    assert start not in eval_atl(am, ANext(frozenset(), Prop("q")))
+    assert start in eval_atl(am, ANext(frozenset({"a"}), Prop("q")))
 
 
 def test_translated_wa_matches_direct_check_everywhere(fig1):
     am = expand_model(fig1)
     translated = translate_formula(parse("WA[a] p"), am)
     direct = model_check(fig1, parse("WA[a] p"))
-    for st in am.states:
-        assert eval_atl(am, st, translated) == (st.base in direct)
+    holds = eval_atl(am, translated)
+    for i, st in enumerate(am.states):
+        assert (i in holds) == (st.base in direct)
 
 
 def test_eval_unknown_coalition_member(fig1):
     am = expand_model(fig1)
     with pytest.raises(InputError):
-        eval_atl(am, am.states[0], ANext(frozenset({"zz"}), Prop("p")))
+        eval_atl(am, ANext(frozenset({"zz"}), Prop("p")))
+    # Every subformula is labelled, so the node fails even behind a disjunct
+    # that holds everywhere.
+    with pytest.raises(InputError, match="unknown players"):
+        eval_atl(am, Or(TOP, ANext(frozenset({"zz"}), Prop("p"))))
 
 
 def test_verify_translation_fig_fixtures(fig1, fig2, fig3, fig4):
@@ -175,6 +183,19 @@ def test_verify_translation_depth_guard(fig1):
     with pytest.raises(InputError):
         verify_translation(fig1, deep, max_modal_depth=2)
     assert verify_translation(fig1, deep, max_modal_depth=3).ok
+
+
+def test_expand_rejects_unavailable_move_vector():
+    # Unvalidated model: the profile (2) has no successor. The table is built
+    # for every move vector, so expansion fails even though WE[a] p could be
+    # decided from action 1 alone.
+    actions = {"s": {"a": ["1", "2"]}}
+    m = make_model(
+        ["a"], ["s"], actions=actions, permitted=actions,
+        transitions=[("s", {"a": "1"}, "s")], valuation={"p": ["s"]},
+    )
+    with pytest.raises(InputError, match=r"move vector \{'a': '2'\} is not available at 's'"):
+        expand_model(m)
 
 
 def test_expansion_agent_cap():
@@ -209,12 +230,9 @@ def test_subset_tag_independence(pair):
     if modal_depth(f) > 2:
         return
     am = expand_model(m)
-    translated = translate_formula(f, am)
-    memo = {}
+    holds = eval_atl(am, translate_formula(f, am))
     for base in m.states:
-        verdicts = {
-            eval_atl(am, st, translated, memo) for st in am.states if st.base == base
-        }
+        verdicts = {i in holds for i, st in enumerate(am.states) if st.base == base}
         assert len(verdicts) == 1
 
 
@@ -227,3 +245,79 @@ def test_atl_export_schema(fig1, tmp_path):
     # Deterministic source: one entry per (base, full move vector).
     assert all(set(e["moves"]) == {"a", "b"} for e in doc["transitions"])
     assert doc["valuation"] == {"p": ["u"]}
+
+
+# --- agreement with the tag-wise game oracle -------------------------------------
+
+
+def seeded_models(n, nature):
+    """The first ``n`` generated models, by seed, that need Nature (or do not)."""
+    out = []
+    for seed in count():
+        gen = GenParams(
+            seed=seed, num_agents=seed % 3 + 1, num_states=seed % 4 + 2, max_actions=2,
+            num_props=2, permitted_density=0.6, branching=2 if nature else 1,
+        )
+        m = random_model(gen)
+        if expand_model(m).has_nature == nature:
+            out.append(m)
+            if len(out) == n:
+                return out
+
+
+def coalition_nodes(am, body):
+    """<<C>> X body for the empty coalition, the grand coalition and each player."""
+    coalitions = [frozenset(), am.grand_coalition()] + [frozenset({p}) for p in am.players]
+    return [ANext(c, body) for c in coalitions]
+
+
+def assert_agrees_with_oracle(m, formulas):
+    am = expand_model(m)
+    oracle = GameOracle(m)
+    assert oracle.players == am.players
+    for f in formulas:
+        holds = eval_atl(am, f)
+        for i, st in enumerate(am.states):
+            assert (i in holds) == oracle.holds(st.base, st.allowed, f), (f, st)
+
+
+def game_formulas(m, seed):
+    am = expand_model(m)
+    props = sorted(m.valuation)
+    translated = [
+        translate_formula(random_formula(seed * 10 + k, 3, m.agents, props), am) for k in range(3)
+    ]
+    inner = ANext(frozenset({m.agents[0]}), Prop(props[-1]))
+    return translated + coalition_nodes(am, translated[0]) + coalition_nodes(am, inner)
+
+
+@pytest.mark.parametrize("nature", [False, True])
+def test_eval_matches_game_oracle_seeded(nature):
+    models = seeded_models(30, nature)
+    for seed, m in enumerate(models):
+        assert_agrees_with_oracle(m, game_formulas(m, seed))
+
+
+@given(model_and_formulas(max_states=3, max_agents=3, max_actions=2, max_leaves=6))
+@settings(max_examples=40)
+def test_eval_matches_game_oracle_random(pair):
+    m, f = pair
+    am = expand_model(m)
+    translated = translate_formula(f, am)
+    prop = Prop(sorted(m.valuation)[0]) if m.valuation else Prop("__top")
+    assert_agrees_with_oracle(
+        m, [translated, *coalition_nodes(am, translated), *coalition_nodes(am, prop)]
+    )
+
+
+def test_export_transitions_match_game_oracle(fig1, fig3):
+    for m in (fig1, fig3, *seeded_models(20, nature=True)):
+        am = expand_model(m)
+        oracle = GameOracle(m)
+        entries = atl_model_to_dict(am)["transitions"]
+        expected = [(s, v) for s in m.states for v in oracle.vectors(s)]
+        assert len(entries) == len(expected)
+        for entry, (s, vector) in zip(entries, expected):
+            assert (entry["base"], entry["moves"]) == (s, vector)
+            base, allowed = oracle.transition(s, vector)
+            assert entry["to"] == {"base": base, "allowed": sorted(allowed)}

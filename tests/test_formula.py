@@ -115,6 +115,15 @@ def test_modal_depth():
     assert modal_depth(Or(p, Modal(Modality.SA, "a", p))) == 1
 
 
+def test_modal_depth_of_deep_chain():
+    # Built node by node, not parsed: 10^4 levels alternating Neg and Modal,
+    # far past the interpreter's recursion limit.
+    f = p
+    for i in range(10**4):
+        f = Neg(f) if i % 2 else Modal(Modality.WE, "a", f)
+    assert modal_depth(Or(q, f)) == 5000
+
+
 @given(formulas())
 def test_roundtrip(f):
     assert parse(format_formula(f)) == f
