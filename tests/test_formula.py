@@ -85,6 +85,55 @@ def test_parse_trailing_input():
         parse("p q")
 
 
+_OPERAND = ("proposition", "'true'", "'false'", "'!'", "'('", "modality")
+_MODALITIES = ("SA", "SE", "WA", "WE")
+
+# (text, message, position, expected) of each malformed input, as the
+# recursive-descent parser reported them; any parser must keep them.
+PARSE_ERRORS = [
+    ("p | | q", "found '|'", 4, _OPERAND),
+    ("p q", "trailing input 'q'", 2, ("end of input",)),
+    ("(p q", "found 'q'", 3, ("')'",)),
+    ("WX[a] p", "unknown modality keyword 'WX'", 0, _MODALITIES),
+    ("WA[ ] p", "found ']'", 4, ("agent name",)),
+    ("WA[a p", "found 'p'", 5, ("']'",)),
+    ("true[a] p", "unknown modality keyword 'true'", 0, _MODALITIES),
+    ("p ->", "found None", 4, _OPERAND),
+    (")", "found ')'", 0, _OPERAND),
+    ("", "found None", 0, _OPERAND),
+    ("@", "unexpected character '@'", 0, ()),
+    ("p @ q", "unexpected character '@'", 2, ()),
+    ("(", "found None", 1, _OPERAND),
+    ("()", "found ')'", 1, _OPERAND),
+    ("p &", "found None", 3, _OPERAND),
+    ("!", "found None", 1, _OPERAND),
+    ("WA[", "found None", 3, ("agent name",)),
+    ("WA[a", "found None", 4, ("']'",)),
+    ("WA[a]", "found None", 5, _OPERAND),
+    ("false[b] q", "unknown modality keyword 'false'", 0, _MODALITIES),
+    ("p | q)", "trailing input ')'", 5, ("end of input",)),
+    ("((p)", "found None", 4, ("')'",)),
+    ("p -> -> q", "found '->'", 5, _OPERAND),
+    ("WE[a] (p | q", "found None", 12, ("')'",)),
+    ("& p", "found '&'", 0, _OPERAND),
+    ("p [a]", "unknown modality keyword 'p'", 0, _MODALITIES),
+    ("SA[a] ]", "found ']'", 6, _OPERAND),
+    ("!(p -> q) r", "trailing input 'r'", 10, ("end of input",)),
+    ("p ! q", "trailing input '!'", 2, ("end of input",)),
+]
+
+
+@pytest.mark.parametrize(("text", "message", "position", "expected"), PARSE_ERRORS)
+def test_parse_error_is_pinned(text, message, position, expected):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (str(exc.value), exc.value.position, exc.value.expected) == (
+        str(ParseError(message, position, expected)),
+        position,
+        expected,
+    )
+
+
 def test_print_examples():
     assert format_formula(Modal(Modality.WA, "a", p)) == "WA[a] p"
     assert format_formula(Or(Neg(p), q)) == "!p | q"
