@@ -53,20 +53,17 @@ from .formula import (
     Or,
     Prop,
     and_,
-    bot,
     format_formula,
     implies,
     modal_depth,
     parse,
     size,
-    top,
 )
 from .generate import GenParams, random_formula, random_model
 from .model import (
     TransitionSystem,
     TruthSet,
     is_deterministic,
-    is_valid,
     make_model,
     model_from_dict,
     model_to_dict,

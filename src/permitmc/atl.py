@@ -21,15 +21,17 @@ direct model checking at every expanded state.
 
 expand_model computes each successor once: per base state it keeps one row
 per total move vector, holding the index of the successor game state.
-eval_atl labels the game globally: each distinct subformula gets the set of
-game-state indices where it holds, children first. Propositions and d_a are
-index sets, negation and disjunction are set operations, and <<C>> X f is a
-pre-image computed per base state, holding at all its copies or at none.
+translate_formula and eval_atl run on the one ``formula.postorder`` walk, so
+neither recurses. eval_atl labels the game globally: each distinct
+subformula gets the set of game-state indices where it holds, children
+first. Propositions and d_a are index sets, negation and disjunction are set
+operations, and <<C>> X f is a pre-image computed per base state, holding at
+all its copies or at none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 from typing import Any, Mapping
@@ -45,9 +47,9 @@ from .formula import (
     Or,
     Prop,
     and_,
-    cache_hash,
     implies,
     modal_depth,
+    postorder,
 )
 from .model import TransitionSystem
 
@@ -65,27 +67,20 @@ class AtlState:
 # --- game formula nodes ------------------------------------------------------------
 
 
-@cache_hash
-@dataclass(frozen=True, slots=True)
 class ADeontic(Formula):
     """The atom d_<agent>; never equal to a source Prop, whatever its name."""
 
+    __slots__ = ("agent",)
     agent: str
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(("ADeontic", self.agent)))
+    _text = "d_{0.agent}"
 
 
-@cache_hash
-@dataclass(frozen=True, slots=True)
 class ANext(Formula):
+    __slots__ = ("coalition", "child")
     coalition: frozenset[str]
     child: Formula
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(("ANext", self.coalition, self.child._hash)))
+    _arity = 1
+    _text = "<<{0.coalition}>> X "
 
 
 # --- model expansion ---------------------------------------------------------------
@@ -131,7 +126,15 @@ def expand_model(m: TransitionSystem, max_agents: int = DEFAULT_AGENT_CAP) -> At
     for s in m.states:
         table: dict[tuple[str, ...], set[str]] = {}
         for profile, target in m.entries(s):
-            table.setdefault(tuple(profile[a] for a in m.agents), set()).add(target)
+            if target not in state_order:
+                raise InputError(f"transition from {s!r} reaches unknown state {target!r}")
+            try:
+                key = tuple(profile[a] for a in m.agents)
+            except KeyError as exc:
+                raise InputError(
+                    f"profile {dict(profile)} at state {s!r} omits agent {exc.args[0]!r}"
+                ) from None
+            table.setdefault(key, set()).add(target)
         profile_successors[s] = {
             key: sorted(targets, key=state_order.__getitem__) for key, targets in table.items()
         }
@@ -174,27 +177,27 @@ def expand_model(m: TransitionSystem, max_agents: int = DEFAULT_AGENT_CAP) -> At
 def translate_formula(f: Formula, am: AtlModel) -> Formula:
     """Structurally translate a permission formula for evaluation on ``am``."""
     grand = am.grand_coalition()
-
-    def go(g: Formula) -> Formula:
+    out: dict[Formula, Formula] = {}
+    for g in postorder(f, out):
         if isinstance(g, Prop):
-            return g
-        if isinstance(g, Neg):
-            return Neg(go(g.child))
-        if isinstance(g, Or):
-            return Or(go(g.left), go(g.right))
-        if isinstance(g, Modal):
-            body = go(g.child)
-            d = ADeontic(g.agent)
+            out[g] = g
+        elif isinstance(g, Neg):
+            out[g] = Neg(out[g.child])
+        elif isinstance(g, Or):
+            out[g] = Or(out[g.left], out[g.right])
+        elif isinstance(g, Modal):
+            body, d = out[g.child], ADeontic(g.agent)
             if g.kind is Modality.WA:
-                return ANext(grand, and_(d, body))
-            if g.kind is Modality.WE:
-                return ANext(frozenset({g.agent}), and_(d, body))
-            if g.kind is Modality.SE:
-                return Neg(ANext(frozenset({g.agent}), Neg(implies(body, d))))
-            return Neg(ANext(grand, Neg(implies(body, d))))
-        raise InputError(f"not a formula node: {g!r}")
-
-    return go(f)
+                out[g] = ANext(grand, and_(d, body))
+            elif g.kind is Modality.WE:
+                out[g] = ANext(frozenset({g.agent}), and_(d, body))
+            elif g.kind is Modality.SE:
+                out[g] = Neg(ANext(frozenset({g.agent}), Neg(implies(body, d))))
+            else:
+                out[g] = Neg(ANext(grand, Neg(implies(body, d))))
+        else:
+            raise InputError(f"not a formula node: {g!r}")
+    return out[f]
 
 
 # --- evaluation --------------------------------------------------------------------
@@ -204,36 +207,26 @@ def eval_atl(am: AtlModel, f: Formula) -> frozenset[int]:
     """Indices into ``am.states`` where the next-step formula ``f`` holds.
 
     Global labelling: each distinct subformula gets its set once, children
-    first, from an explicit stack. A coalition can force its body when some
-    joint move of the coalition makes the body hold for every completion by
-    the remaining players."""
+    first. A coalition can force its body when some joint move of the
+    coalition makes the body hold for every completion by the remaining
+    players."""
     everything = frozenset(range(len(am.states)))
     labels: dict[Formula, frozenset[int]] = {}
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in labels:
-            continue
+    for g in postorder(f, labels):
         if isinstance(g, Prop):
             where = am.source.valuation.get(g.name, frozenset())
             labels[g] = _copies(am, [g.name == TOP_PROP or s in where for s in am.source.states])
         elif isinstance(g, ADeontic):
             bit = 1 << am.agents.index(g.agent) if g.agent in am.agents else 0
             labels[g] = frozenset(i for i in everything if i & bit)
-        elif not isinstance(g, (Neg, Or, ANext)):
-            raise InputError(f"not a next-step formula node: {g!r}")
+        elif isinstance(g, Or):
+            labels[g] = labels[g.left] | labels[g.right]
+        elif isinstance(g, Neg):
+            labels[g] = everything - labels[g.child]
+        elif isinstance(g, ANext):
+            labels[g] = _copies(am, _forcing_bases(am, g.coalition, labels[g.child]))
         else:
-            children = (g.left, g.right) if isinstance(g, Or) else (g.child,)
-            todo = [c for c in children if c not in labels]
-            if todo:
-                stack.append(g)
-                stack.extend(todo)
-            elif isinstance(g, Or):
-                labels[g] = labels[g.left] | labels[g.right]
-            elif isinstance(g, Neg):
-                labels[g] = everything - labels[g.child]
-            else:
-                labels[g] = _copies(am, _forcing_bases(am, g.coalition, labels[g.child]))
+            raise InputError(f"not a next-step formula node: {g!r}")
     return labels[f]
 
 

@@ -9,8 +9,9 @@ actions, the states and the unions, one row per (state, action). One
 classifier, ``modal_image``, answers all four modalities with one C-level
 scan (``map`` and ``compress``) of one side of the agent's rows:
 O(sum over s and i of |U(s, a, i)|) set work per modal step, with no
-interpreter work per state. The global checker computes truth sets
-bottom-up with one such step per modal subformula.
+interpreter work per state. The global checker labels the distinct
+subformulas bottom-up in one ``formula.postorder`` walk, with one such step
+per modal subformula, so formula depth is bounded by memory only.
 
 The per-state oracle ``check_state_naive`` transcribes the satisfaction
 relation directly from the raw mechanism, with no sharing and no cached
@@ -25,8 +26,8 @@ from operator import not_
 from typing import Container
 
 from .errors import InputError
-from .formula import TOP_PROP, Formula, Modal, Modality, Neg, Or, Prop
-from .model import TransitionSystem, TruthSet, full_set, profiles_with_action
+from .formula import TOP_PROP, Formula, Modal, Modality, Neg, Or, Prop, postorder
+from .model import TransitionSystem, TruthSet, profiles_with_action
 
 __all__ = [
     "ensures",
@@ -60,10 +61,15 @@ def admits(
 
 
 def modal_image(m: TransitionSystem, kind: Modality, agent: str, psi: TruthSet) -> TruthSet:
-    """States where ``kind[agent]`` holds of ``psi``.
+    """States where ``kind[agent]`` holds of ``psi``."""
+    return TruthSet._unchecked(m.states, _image(m, kind, agent, psi.members))
 
-    An action ensures ``psi`` when its successor union lies inside it (the
-    test of WE and SE) and admits ``psi`` when the union meets it (WA and SA).
+
+def _image(m: TransitionSystem, kind: Modality, agent: str, inside: frozenset[str]) -> frozenset:
+    """``modal_image`` on plain sets: where ``kind[agent]`` holds of ``inside``.
+
+    An action ensures ``inside`` when its successor union lies inside it (the
+    test of WE and SE) and admits it when the union meets it (WA and SA).
     A weak modality holds where some permitted action passes the test, a
     strong one where no non-permitted action does. Either way the step is
     one scan of the agent's rows on that side, mapped and compressed in C.
@@ -73,13 +79,12 @@ def modal_image(m: TransitionSystem, kind: Modality, agent: str, psi: TruthSet) 
         raise InputError(f"unknown agent {agent!r}")
     weak = kind is Modality.WA or kind is Modality.WE
     states, unions = sides[0 if weak else 1]
-    inside = psi.members
     if kind is Modality.WE or kind is Modality.SE:
         tests = map(inside.issuperset, unions)
     else:
         tests = map(not_, map(inside.isdisjoint, unions))
     hits = frozenset(compress(states, tests))
-    return TruthSet._unchecked(m.states, hits if weak else m.state_set - hits)
+    return hits if weak else m.state_set - hits
 
 
 def truth_set_wa(m: TransitionSystem, agent: str, psi: TruthSet) -> TruthSet:
@@ -101,35 +106,34 @@ def truth_set_sa(m: TransitionSystem, agent: str, psi: TruthSet) -> TruthSet:
 class ModelChecker:
     """Global model checking context for one model, memoized per subformula.
 
-    The cache is private to the instance, so independent checkers can run
-    concurrently over the same (immutable) model.
+    ``truth_set`` labels the distinct subformulas not yet in the memo,
+    children first, in one ``postorder`` walk; the memo holds plain member
+    sets, and only the result is wrapped in a ``TruthSet``. The cache is
+    private to the instance, so independent checkers can run concurrently
+    over the same (immutable) model.
     """
 
     def __init__(self, model: TransitionSystem):
         self.model = model
-        self._memo: dict[Formula, TruthSet] = {}
+        self._memo: dict[Formula, frozenset[str]] = {}
 
     def truth_set(self, f: Formula) -> TruthSet:
-        cached = self._memo.get(f)
-        if cached is not None:
-            return cached
-        if isinstance(f, Prop):
-            if f.name == TOP_PROP:
-                result = full_set(self.model)
+        m, memo = self.model, self._memo
+        for g in postorder(f, memo):
+            if isinstance(g, Modal):
+                memo[g] = _image(m, g.kind, g.agent, memo[g.child])
+            elif isinstance(g, Or):
+                memo[g] = memo[g.left] | memo[g.right]
+            elif isinstance(g, Neg):
+                memo[g] = m.state_set - memo[g.child]
+            elif isinstance(g, Prop):
+                if g.name == TOP_PROP:
+                    memo[g] = m.state_set
+                else:
+                    memo[g] = TruthSet(m.states, m.valuation.get(g.name, frozenset())).members
             else:
-                result = TruthSet(
-                    self.model.states, self.model.valuation.get(f.name, frozenset())
-                )
-        elif isinstance(f, Neg):
-            result = self.truth_set(f.child).complement()
-        elif isinstance(f, Or):
-            result = self.truth_set(f.left).union(self.truth_set(f.right))
-        elif isinstance(f, Modal):
-            result = modal_image(self.model, f.kind, f.agent, self.truth_set(f.child))
-        else:
-            raise InputError(f"not a formula node: {f!r}")
-        self._memo[f] = result
-        return result
+                raise InputError(f"not a formula node: {g!r}")
+        return TruthSet._unchecked(m.states, memo[f])
 
 
 def model_check(m: TransitionSystem, f: Formula) -> TruthSet:
@@ -142,7 +146,9 @@ def check_state_naive(m: TransitionSystem, s: str, f: Formula) -> bool:
 
     Deliberately naive: no memoization, no truth sets, each modality expands
     into per-action quantifier scans. Serves as an independent oracle for
-    model_check.
+    model_check, so it stays recursive on purpose and shares no walk with the
+    rest of the package; it is the one function whose recursion follows
+    formula depth.
     """
     if s not in set(m.states):
         raise InputError(f"unknown state {s!r}")

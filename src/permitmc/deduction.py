@@ -7,7 +7,9 @@ rule for WA (``ir2``), an anti-monotonicity rule for SA (``ir3``), and a
 conflict-prevention rule connecting WE and SE across distinct agents
 (``ir4``). A derivation is a numbered list of steps, each carrying the
 justification that must reproduce it exactly; verification is purely
-syntactic, as in any Hilbert kernel.
+syntactic, as in any Hilbert kernel. Formulas are interned, so "reproduces
+exactly" is an identity test, and substitution and the tautology check run
+on the one ``formula.postorder`` walk.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .formula import (
     match_and,
     match_implies,
     parse,
+    postorder,
 )
 from .model import TransitionSystem
 
@@ -158,22 +161,19 @@ DERIVED_SCHEMAS: dict[str, AxiomSchema] = {
 def _substitute(
     template: Formula, agent_map: Mapping[str, str], formula_map: Mapping[Formula, Formula]
 ) -> Formula:
-    if isinstance(template, Prop):
-        return formula_map.get(template, template)
-    if isinstance(template, Neg):
-        return Neg(_substitute(template.child, agent_map, formula_map))
-    if isinstance(template, Or):
-        return Or(
-            _substitute(template.left, agent_map, formula_map),
-            _substitute(template.right, agent_map, formula_map),
-        )
-    if isinstance(template, Modal):
-        return Modal(
-            template.kind,
-            agent_map.get(template.agent, template.agent),
-            _substitute(template.child, agent_map, formula_map),
-        )
-    raise InputError(f"not a formula node: {template!r}")
+    out: dict[Formula, Formula] = {}
+    for g in postorder(template, out):
+        if isinstance(g, Prop):
+            out[g] = formula_map.get(g, g)
+        elif isinstance(g, Neg):
+            out[g] = Neg(out[g.child])
+        elif isinstance(g, Or):
+            out[g] = Or(out[g.left], out[g.right])
+        elif isinstance(g, Modal):
+            out[g] = Modal(g.kind, agent_map.get(g.agent, g.agent), out[g.child])
+        else:
+            raise InputError(f"not a formula node: {g!r}")
+    return out[template]
 
 
 def instantiate_axiom(schema: AxiomSchema, bindings: Mapping[str, Any]) -> Formula:
@@ -220,36 +220,26 @@ def check_validity(m: TransitionSystem, f: Formula) -> ValidityVerdict:
 
 def is_tautology(f: Formula, atom_cap: int = TAUTOLOGY_ATOM_CAP) -> bool:
     """Propositional tautology check treating maximal modal subformulas and
-    propositions as atoms. Rejects formulas with more than ``atom_cap`` atoms."""
-    atoms: list[Formula] = []
+    propositions as atoms. Rejects formulas with more than ``atom_cap`` atoms.
+    The walk does not enter modal atoms."""
+    order: list[Formula] = []
     seen: set[Formula] = set()
-
-    def collect(g: Formula) -> None:
-        if isinstance(g, (Prop, Modal)):
-            if g not in seen:
-                seen.add(g)
-                atoms.append(g)
-        elif isinstance(g, Neg):
-            collect(g.child)
-        elif isinstance(g, Or):
-            collect(g.left)
-            collect(g.right)
-        else:
-            raise InputError(f"not a formula node: {g!r}")
-
-    collect(f)
+    for g in postorder(f, seen, leaves=Modal):
+        seen.add(g)
+        order.append(g)
+    atoms = [g for g in order if isinstance(g, (Prop, Modal))]
     if len(atoms) > atom_cap:
         raise CapacityError(f"{len(atoms)} atoms exceed the truth-table cap of {atom_cap}")
-
-    def evaluate(g: Formula, env: dict[Formula, bool]) -> bool:
-        if isinstance(g, (Prop, Modal)):
-            return env[g]
-        if isinstance(g, Neg):
-            return not evaluate(g.child, env)
-        return evaluate(g.left, env) or evaluate(g.right, env)  # type: ignore[union-attr]
-
     for values in product((False, True), repeat=len(atoms)):
-        if not evaluate(f, dict(zip(atoms, values))):
+        value = dict(zip(atoms, values))
+        for g in order:
+            if isinstance(g, Neg):
+                value[g] = not value[g.child]
+            elif isinstance(g, Or):
+                value[g] = value[g.left] or value[g.right]
+            elif not isinstance(g, (Prop, Modal)):
+                raise InputError(f"not a formula node: {g!r}")
+        if not value[f]:
             return False
     return True
 

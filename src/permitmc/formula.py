@@ -1,4 +1,4 @@
-"""Formula AST, concrete-syntax parser, and printer for the permission language.
+"""Formula nodes, concrete-syntax parser, and printer for the permission language.
 
 The core grammar has propositions, negation, disjunction, and four unary
 modalities indexed by an agent:
@@ -12,14 +12,25 @@ Conjunction, implication, and the boolean constants are surface sugar and are
 desugared on construction; the AST only ever contains Prop/Neg/Or/Modal nodes.
 ``true`` is represented as ``__top | !__top`` over a reserved proposition that
 user valuations must not define.
+
+Nodes are interned: every constructor goes through one weak-value table keyed
+by (class, fields), so equal formulas are one object, equality is identity
+and the hash is the default identity hash. Each node lists its subformulas in
+``children``, and ``postorder`` is the one walk that the checker, the
+rewriters and the measures share: an explicit stack, children before parents,
+each distinct node once. The parser is an operator-precedence loop with
+explicit stacks, and the printer keeps its pending text on a stack, so no
+Python recursion follows formula depth: depth is bounded by memory only.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import weakref
+from _weakref import _remove_dead_weakref
 from enum import Enum
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Any, Callable, Container, Iterable, Iterator
 
 from .errors import ParseError
 
@@ -32,102 +43,120 @@ class Modality(Enum):
     SE = "SE"
     SA = "SA"
 
+    __hash__ = object.__hash__  # members are singletons; keeps node keys hashing in C
+
     def __str__(self) -> str:
         return self.value
 
 
+# (class, *fields) -> weak reference to the one live node with those fields
+_nodes: dict[tuple, _Ref] = {}
+
+
+class _Ref(weakref.ref):
+    """A weak reference to a node that remembers the node's table key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref, table: dict = _nodes, remove: Callable = _remove_dead_weakref) -> None:
+    """Drop a dead node's table entry, unless a live node has taken the key.
+    The defaults keep the callback working while the module is torn down."""
+    remove(table, ref.key)
+
+
+def _immutable(self: Formula, *args: Any) -> None:
+    raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+
 class Formula:
-    """Base class for formula nodes. Instances are immutable and hashable."""
+    """Base class for formula nodes: immutable, interned, compared by identity.
 
-    __slots__ = ()
+    A subclass names its constructor arguments in ``__slots__``; the last
+    ``_arity`` of them are its children. ``_text`` formats a leaf, or the
+    prefix of a unary node, for the printer."""
 
-    def __invert__(self) -> "Formula":
-        return Neg(self)
+    __slots__ = ("children", "__weakref__")
+    children: tuple[Formula, ...]
+    _arity = 0
 
-    def __or__(self, other: "Formula") -> "Formula":
-        return Or(self, other)
+    def __new__(cls, *args: Any) -> Any:
+        key = (cls, *args)
+        ref = _nodes.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        setters = cls._setters
+        if len(args) != len(setters):
+            raise TypeError(f"{cls.__name__} takes {len(setters)} arguments, got {len(args)}")
+        children = args[len(args) - cls._arity :]
+        for c in children:
+            if not isinstance(c, Formula):
+                raise TypeError(f"the children of {cls.__name__} must be formula nodes")
+        node = object.__new__(cls)
+        for set_field, value in zip(setters, args):
+            set_field(node, value)
+        _set_children(node, children)
+        # One atomic setdefault decides which of several concurrent builders
+        # wins; a dead entry whose removal is still pending is cleared first.
+        mine = _Ref(node, _forget)
+        mine.key = key
+        while (ref := _nodes.setdefault(key, mine)) is not mine:
+            other = ref()
+            if other is not None:
+                return other
+            _remove_dead_weakref(_nodes, key)
+        return node
 
-    def __and__(self, other: "Formula") -> "Formula":
-        return and_(self, other)
+    def __init_subclass__(cls) -> None:
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
-    def __rshift__(self, other: "Formula") -> "Formula":
-        return implies(self, other)
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {format_formula(self)}>"
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
-# Each node caches its hash at construction. Children are built first, so the
-# computation is O(1) per node and never recurses, keeping memoized model
-# checking linear in formula size and deep trees clear of the recursion limit.
-
-
-def _cached_hash(self) -> int:
-    return self._hash
-
-
-def cache_hash(node: type) -> type:
-    """Class decorator for a frozen dataclass node: hash instances by the
-    ``_hash`` field that its ``__post_init__`` computes."""
-    node.__hash__ = _cached_hash  # type: ignore[assignment]
-    return node
-
-
-@cache_hash
-@dataclass(frozen=True, slots=True)
 class Prop(Formula):
+    __slots__ = ("name",)
     name: str
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(("Prop", self.name)))
+    _text = "{0.name}"
 
 
-@cache_hash
-@dataclass(frozen=True, slots=True)
 class Neg(Formula):
+    __slots__ = ("child",)
     child: Formula
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(("Neg", self.child._hash)))
+    _arity = 1
+    _text = "!"
 
 
-@cache_hash
-@dataclass(frozen=True, slots=True)
 class Or(Formula):
+    __slots__ = ("left", "right")
     left: Formula
     right: Formula
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(("Or", self.left._hash, self.right._hash)))
+    _arity = 2
 
 
-@cache_hash
-@dataclass(frozen=True, slots=True)
 class Modal(Formula):
+    __slots__ = ("kind", "agent", "child")
     kind: Modality
     agent: str
     child: Formula
-    _hash: int = field(init=False, repr=False, compare=False)
+    _arity = 1
+    _text = "{0.kind.value}[{0.agent}] "
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_hash", hash(("Modal", self.kind, self.agent, self.child._hash))
-        )
 
+_set_children = Formula.children.__set__
 
 TOP: Formula = Or(Prop(TOP_PROP), Neg(Prop(TOP_PROP)))
 BOT: Formula = Neg(TOP)
-
-
-def top() -> Formula:
-    return TOP
-
-
-def bot() -> Formula:
-    return BOT
 
 
 def and_(left: Formula, right: Formula) -> Formula:
@@ -179,206 +208,186 @@ def match_implies(f: Formula) -> tuple[Formula, Formula] | None:
     return None
 
 
-def size(f: Formula) -> int:
-    """Node count of the (desugared) tree."""
-    stack, n = [f], 0
+def postorder(
+    f: Formula, done: Container[Formula], leaves: type | tuple[type, ...] = ()
+) -> Iterator[Formula]:
+    """Each distinct node of ``f`` not in ``done``, children before parents,
+    left to right, from an explicit stack.
+
+    The caller adds every node it is given to ``done`` (typically a dict of
+    per-node results) before asking for the next one; nodes already in
+    ``done`` are neither entered nor given. The children of nodes of the
+    ``leaves`` classes are not entered."""
+    stack: list[Formula | None] = [f]
     while stack:
         g = stack.pop()
-        n += 1
-        if isinstance(g, Neg):
-            stack.append(g.child)
-        elif isinstance(g, Or):
-            stack.append(g.left)
-            stack.append(g.right)
-        elif isinstance(g, Modal):
-            stack.append(g.child)
-    return n
+        if g is None:  # the children of the node below it are done
+            yield stack.pop()  # type: ignore[misc]
+        elif g not in done:
+            stack += (g, None)
+            if not isinstance(g, leaves):
+                stack += g.children[::-1]
+
+
+def size(f: Formula) -> int:
+    """Node count of the (desugared) tree; a shared subformula counts once
+    per occurrence."""
+    sizes: dict[Formula, int] = {}
+    for g in postorder(f, sizes):
+        sizes[g] = 1 + sum(sizes[c] for c in g.children)
+    return sizes[f]
 
 
 def modal_depth(f: Formula) -> int:
     """Greatest number of modalities on one root-to-leaf path."""
-    stack, depth = [(f, 0)], 0
-    while stack:
-        g, d = stack.pop()
-        depth = max(depth, d)
-        if isinstance(g, Or):
-            stack += ((g.left, d), (g.right, d))
-        elif isinstance(g, Neg):
-            stack.append((g.child, d))
-        elif isinstance(g, Modal):
-            stack.append((g.child, d + 1))
-        elif not isinstance(g, Prop):
-            raise TypeError(f"not a formula node: {g!r}")
-    return depth
+    depths: dict[Formula, int] = {}
+    for g in postorder(f, depths):
+        depths[g] = max([depths[c] for c in g.children], default=0) + isinstance(g, Modal)
+    return depths[f]
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    """All nodes of the tree, parents before children."""
-    stack = [f]
-    while stack:
-        g = stack.pop()
+    """Each distinct node of ``f`` once, children before parents."""
+    seen: set[Formula] = set()
+    for g in postorder(f, seen):
+        seen.add(g)
         yield g
-        if isinstance(g, Neg) or isinstance(g, Modal):
-            stack.append(g.child)
-        elif isinstance(g, Or):
-            stack.append(g.left)
-            stack.append(g.right)
-
-
-def propositions(f: Formula) -> set[str]:
-    return {g.name for g in subformulas(f) if isinstance(g, Prop)}
 
 
 # --- parsing ---------------------------------------------------------------
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TOKEN_RE = re.compile(r"->|[!&|()\[\]]|[A-Za-z_][A-Za-z0-9_]*")
+# optional whitespace, then a token or, in group 2, a character no token starts with
+_TOKEN_RE = re.compile(r"\s*(?:(->|[!&|()\[\]]|[A-Za-z_][A-Za-z0-9_]*)|(\S))")
+# the tokens that are not identifiers, and the end of input
+_SYMBOLS = frozenset(("->", "!", "&", "|", "(", ")", "[", "]", None))
+_KINDS = Modality.__members__
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens: list[tuple[str, int]] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append((m.group(), pos))
-        pos = m.end()
+def _tokenize(text: str) -> list[tuple[str | None, int]]:
+    """The tokens with their positions, then ``(None, len(text))`` for the end."""
+    tokens: list[tuple[str | None, int]] = []
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastindex == 2:
+            raise ParseError(f"unexpected character {m.group(2)!r}", m.start(2))
+        tokens.append((m.group(1), m.start(1)))
+    tokens.append((None, len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def _peek(self, k: int = 0) -> str | None:
-        j = self.i + k
-        return self.tokens[j][0] if j < len(self.tokens) else None
-
-    def _pos(self) -> int:
-        return self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
-
-    def _take(self) -> str:
-        tok = self.tokens[self.i][0]
-        self.i += 1
-        return tok
-
-    def _expect(self, tok: str) -> None:
-        if self._peek() != tok:
-            raise ParseError(f"found {self._peek()!r}", self._pos(), (repr(tok),))
-        self.i += 1
-
-    def formula(self) -> Formula:
-        left = self.disjunction()
-        if self._peek() == "->":
-            self.i += 1
-            return implies(left, self.formula())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self._peek() == "|":
-            self.i += 1
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.unary()
-        while self._peek() == "&":
-            self.i += 1
-            left = and_(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
-        tok = self._peek()
-        if tok == "!":
-            self.i += 1
-            return Neg(self.unary())
-        if tok is not None and self._peek(1) == "[" and _IDENT_RE.fullmatch(tok):
-            if tok not in Modality.__members__:
-                raise ParseError(
-                    f"unknown modality keyword {tok!r}",
-                    self._pos(),
-                    tuple(sorted(Modality.__members__)),
-                )
-            kind = Modality[self._take()]
-            self._expect("[")
-            agent = self._peek()
-            if agent is None or not _IDENT_RE.fullmatch(agent):
-                raise ParseError(f"found {agent!r}", self._pos(), ("agent name",))
-            self.i += 1
-            self._expect("]")
-            return Modal(kind, agent, self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self._peek()
-        if tok == "true":
-            self.i += 1
-            return TOP
-        if tok == "false":
-            self.i += 1
-            return BOT
-        if tok == "(":
-            self.i += 1
-            f = self.formula()
-            self._expect(")")
-            return f
-        if tok is not None and _IDENT_RE.fullmatch(tok):
-            self.i += 1
-            return Prop(tok)
-        raise ParseError(
-            f"found {tok!r}",
-            self._pos(),
-            ("proposition", "'true'", "'false'", "'!'", "'('", "modality"),
-        )
+_OPERAND = ("proposition", "'true'", "'false'", "'!'", "'('", "modality")
+_PREFIX = 4  # binding power of ! and of a modal prefix; an open parenthesis has 0
+# binary operator -> (binding power, constructor); -> is right-associative
+_BINARY = {"&": (3, and_), "|": (2, Or), "->": (1, implies)}
 
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a desugared AST.
 
     Precedence, tightest first: modal prefix and ``!``, then ``&``, ``|``,
-    and right-associative ``->``.
+    and right-associative ``->``. One operator-precedence loop over the
+    tokens, with explicit operand and operator stacks.
     """
-    p = _Parser(text)
-    f = p.formula()
-    if p.i < len(p.tokens):
-        raise ParseError(f"trailing input {p._peek()!r}", p._pos(), ("end of input",))
-    return f
+    tokens = _tokenize(text)
+    operands: list[Formula] = []
+    ops: list[tuple[int, Callable[..., Formula] | None]] = []  # (binding power, constructor)
+    depth = 0  # open parentheses
+    i = 0
+
+    def reduce(bound: int) -> None:
+        """Apply the pending operators that bind at least as tightly as ``bound``."""
+        while ops and ops[-1][0] >= bound:
+            power, build = ops.pop()
+            if power == _PREFIX:
+                operands[-1] = build(operands[-1])
+            else:
+                right = operands.pop()
+                operands[-1] = build(operands[-1], right)
+
+    while True:
+        # Operand position: prefix operators and open parentheses, then an atom.
+        tok, pos = tokens[i]
+        i += 1
+        ident = tok not in _SYMBOLS
+        if tok == "!":
+            ops.append((_PREFIX, Neg))
+            continue
+        if tok == "(":
+            ops.append((0, None))
+            depth += 1
+            continue
+        if ident and tokens[i][0] == "[":
+            kind = _KINDS.get(tok)
+            if kind is None:
+                raise ParseError(f"unknown modality keyword {tok!r}", pos, tuple(sorted(_KINDS)))
+            agent, agent_pos = tokens[i + 1]
+            if agent in _SYMBOLS:
+                raise ParseError(f"found {agent!r}", agent_pos, ("agent name",))
+            close, close_pos = tokens[i + 2]
+            if close != "]":
+                raise ParseError(f"found {close!r}", close_pos, ("']'",))
+            ops.append((_PREFIX, partial(Modal, kind, agent)))
+            i += 3
+            continue
+        if tok == "true":
+            operands.append(TOP)
+        elif tok == "false":
+            operands.append(BOT)
+        elif ident:
+            operands.append(Prop(tok))
+        else:
+            raise ParseError(f"found {tok!r}", pos, _OPERAND)
+        # Operator position: close groups, then a binary operator or the end.
+        tok, pos = tokens[i]
+        while tok == ")" and depth:
+            reduce(1)
+            ops.pop()
+            depth -= 1
+            i += 1
+            tok, pos = tokens[i]
+        if tok in _BINARY:
+            power, build = _BINARY[tok]
+            reduce(power + (tok == "->"))
+            ops.append((power, build))
+            i += 1
+        elif depth:
+            raise ParseError(f"found {tok!r}", pos, ("')'",))
+        elif tok is not None:
+            raise ParseError(f"trailing input {tok!r}", pos, ("end of input",))
+        else:
+            reduce(1)
+            return operands[0]
 
 
 # --- printing ---------------------------------------------------------------
 
 
 def format_formula(f: Formula) -> str:
-    """Minimal-parenthesis rendering; ``parse(format_formula(f)) == f``."""
-    if f == TOP:
-        return "true"
-    if f == BOT:
-        return "false"
-    if isinstance(f, Prop):
-        return f.name
-    if isinstance(f, Neg):
-        return "!" + _unary_operand(f.child)
-    if isinstance(f, Modal):
-        return f"{f.kind.value}[{f.agent}] " + _unary_operand(f.child)
-    if isinstance(f, Or):
-        # Left-nested chains print without parentheses (| parses left-associative).
-        right = format_formula(f.right)
-        if isinstance(f.right, Or) and f.right != TOP:
-            right = "(" + right + ")"
-        return format_formula(f.left) + " | " + right
-    raise TypeError(f"not a formula node: {f!r}")
+    """Minimal-parenthesis rendering; ``parse(format_formula(f)) is f``.
+
+    The text repeats a shared subformula at each occurrence, so the printer
+    walks the tree itself: a stack of pending nodes and text, left to right.
+    """
+    out: list[str] = []
+    stack: list[Formula | str] = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, str):
+            out.append(g)
+        elif g is TOP:
+            out.append("true")
+        elif g is BOT:
+            out.append("false")
+        elif isinstance(g, Or):
+            # Left-nested chains print without parentheses (| parses left-associative).
+            stack += (*_unary_operand(g.right), " | ", g.left)
+        else:
+            out.append(g._text.format(g))
+            if g.children:
+                stack += _unary_operand(g.children[0])
+    return "".join(out)
 
 
-def _unary_operand(f: Formula) -> str:
-    s = format_formula(f)
-    if isinstance(f, Or) and f != TOP:
-        return "(" + s + ")"
-    return s
+def _unary_operand(f: Formula) -> tuple[Formula | str, ...]:
+    """``f`` as the operand of a prefix or the right side of ``|``, in stack
+    order: parenthesized when it is a disjunction other than ``true``."""
+    return (")", f, "(") if isinstance(f, Or) and f is not TOP else (f,)

@@ -138,9 +138,6 @@ class TruthSet:
             return TruthSet._unchecked(self.universe, self.members | other.members)
         return TruthSet(self.universe, self.members | other.members)
 
-    def intersection(self, other: "TruthSet") -> "TruthSet":
-        return TruthSet._unchecked(self.universe, self.members & other.members)
-
     def is_full(self) -> bool:
         return self.members == frozenset(self.universe)
 
@@ -386,10 +383,6 @@ def _uncovered_profiles(m: TransitionSystem, s: str) -> Iterator[Violation]:
             yield Violation(
                 "continuity", f"profile {dict(key)} at state {s!r} has no successor", s, profile=key
             )
-
-
-def is_valid(m: TransitionSystem, cap: int | None = None) -> bool:
-    return not validate_model(m, cap)
 
 
 def is_deterministic(m: TransitionSystem) -> bool:

@@ -12,6 +12,14 @@ settings.register_profile(
 settings.load_profile("permitmc")
 
 from permitmc.fixtures import load_fixture  # noqa: E402
+from strategies import deep_chain  # noqa: E402
+
+
+@pytest.fixture(scope="session")
+def deep_formula():
+    """One seeded formula 10^5 levels deep, mixing every node kind; built
+    once, as building it costs about a second."""
+    return deep_chain(7)
 
 
 @pytest.fixture(scope="session")

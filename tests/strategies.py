@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import hypothesis.strategies as st
 
 from permitmc.formula import BOT, TOP, Modal, Modality, Neg, Or, Prop
@@ -62,3 +64,25 @@ def model_and_formulas(draw, n_formulas=1, max_leaves=6, **model_kwargs):
         for _ in range(n_formulas)
     )
     return (m, *fs)
+
+
+def deep_chain(
+    seed, depth=10**5, kinds=("neg", "modal", "left", "right"), agents="ab", props="pq"
+):
+    """A formula ``depth`` levels deep: each level wraps the one below in a
+    seeded choice of ``kinds``: a negation, a modality, or a disjunction with
+    a proposition on its left or right side."""
+    rng = random.Random(seed)
+    modalities = list(Modality)
+    f = Prop(props[0])
+    for _ in range(depth):
+        kind = rng.choice(kinds)
+        if kind == "neg":
+            f = Neg(f)
+        elif kind == "modal":
+            f = Modal(rng.choice(modalities), rng.choice(agents), f)
+        elif kind == "left":
+            f = Or(Prop(rng.choice(props)), f)
+        else:
+            f = Or(f, Prop(rng.choice(props)))
+    return f

@@ -185,6 +185,11 @@ def test_verify_translation_depth_guard(fig1):
     assert verify_translation(fig1, deep, max_modal_depth=3).ok
 
 
+def test_deep_formula_translation_agrees(fig1, deep_formula):
+    f = deep_formula
+    assert verify_translation(fig1, f, max_modal_depth=modal_depth(f)).ok
+
+
 def test_expand_rejects_unavailable_move_vector():
     # Unvalidated model: the profile (2) has no successor. The table is built
     # for every move vector, so expansion fails even though WE[a] p could be
@@ -197,6 +202,22 @@ def test_expand_rejects_unavailable_move_vector():
     with pytest.raises(InputError, match=r"move vector \{'a': '2'\} is not available at 's'"):
         expand_model(m)
 
+
+
+@pytest.mark.parametrize(
+    ("transitions", "message"),
+    [
+        ([("s", {"a": "1"}, "zz")], r"transition from 's' reaches unknown state 'zz'"),
+        ([("s", {"b": "1"}, "s")], r"profile \{'b': '1'\} at state 's' omits agent 'a'"),
+    ],
+)
+def test_expand_rejects_unvalidated_entries(transitions, message):
+    # Unvalidated models: a successor outside the state set, and a profile
+    # without the agent, are input errors, not lookup failures.
+    actions = {"s": {"a": ["1"]}}
+    m = make_model(["a"], ["s"], actions=actions, permitted=actions, transitions=transitions)
+    with pytest.raises(InputError, match=message):
+        expand_model(m)
 
 def test_expansion_agent_cap():
     agents = [f"g{i}" for i in range(7)]

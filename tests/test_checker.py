@@ -103,6 +103,13 @@ def test_model_check_fig1_goldens(fig1):
     assert members(model_check(fig1, parse("WA[a] p"))) == ["s", "u"]
 
 
+def test_model_check_deep_negation_chain(fig1):
+    # 10^5 negations of p: an even count, so the truth set of p, [[p]] = {u}.
+    f = parse("!" * 10**5 + "p")
+    assert members(model_check(fig1, f)) == ["u"]
+    assert members(model_check(fig1, Neg(f))) == ["s", "t"]
+
+
 def test_check_state_naive_fig1(fig1):
     assert check_state_naive(fig1, "u", parse("WE[a] p"))
     assert not check_state_naive(fig1, "t", parse("WA[a] p"))

@@ -298,6 +298,27 @@ def test_fixtures_export_onto_existing_file(tmp_path, capsys):
     assert target.read_text() == "keep"
 
 
+@pytest.mark.parametrize(
+    "formula",
+    [
+        "!" * 400 + "p | " + "!" * 400 + "p",
+        "!" * 10**5 + "p",
+        "(" * 50_000 + "p" + ")" * 50_000,
+    ],
+    ids=["equal-halves", "negations", "parentheses"],
+)
+def test_deep_formulas_check_in_a_fresh_interpreter(fig1_path, formula):
+    # A fresh process has the default recursion limit; each formula is
+    # [[p]] = {u} in fig1.
+    proc = subprocess.run(
+        [sys.executable, "-m", "permitmc", "check", "--model", fig1_path, "--formula", formula],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "u\n", "")
+
+
 def test_module_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "permitmc", "fixtures"],

@@ -1,11 +1,11 @@
 import random
 import re
-from itertools import permutations
+from itertools import permutations, product
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
-from strategies import JSON, models
+from strategies import JSON, deep_chain, models
 
 from permitmc.deduction import (
     AXIOMS,
@@ -35,6 +35,7 @@ from permitmc.formula import (
     and_,
     conj,
     disj,
+    format_formula,
     implies,
     parse,
 )
@@ -130,6 +131,56 @@ def test_is_tautology_atom_cap():
     ten = disj([Prop(f"x{i}") for i in range(10)])
     assert is_tautology(Or(ten, Neg(ten)))
     assert not is_tautology(ten)
+
+
+
+def _reference_tautology(f):
+    """Row-by-row truth table over the maximal Prop and Modal subformulas."""
+    atoms, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (Prop, Modal)):
+            atoms += [g] if g not in atoms else []
+        elif isinstance(g, Neg):
+            stack.append(g.child)
+        else:
+            stack += (g.left, g.right)
+
+    def value(g, row):
+        if isinstance(g, (Prop, Modal)):
+            return row[g]
+        if isinstance(g, Neg):
+            return not value(g.child, row)
+        return value(g.left, row) or value(g.right, row)
+
+    rows = product((False, True), repeat=len(atoms))
+    return all(value(f, dict(zip(atoms, bits))) for bits in rows)
+
+
+def test_is_tautology_agrees_with_row_by_row_evaluation():
+    verdicts = []
+    for seed in range(300):
+        f = random_formula(seed, 4, ["a"], ["p", "q", "r"])
+        for g in (f, Or(f, Neg(f)), implies(f, Or(f, Prop("q"))), and_(f, Prop("p"))):
+            verdicts.append(is_tautology(g))
+            assert verdicts[-1] == _reference_tautology(g), format_formula(g)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_is_tautology_of_deep_formulas(deep_formula):
+    # The walk does not enter modal atoms, however deep or wide their bodies.
+    wide = disj([Prop(f"x{i}") for i in range(25)])
+    for atom in (Modal(Modality.SA, "b", wide), Modal(Modality.WA, "a", deep_formula)):
+        assert is_tautology(implies(atom, atom)) and not is_tautology(atom)
+    chain = deep_chain(3, depth=30_000, kinds=("neg", "left", "right"))
+    assert is_tautology(Or(chain, Neg(chain))) and not is_tautology(and_(chain, Neg(chain)))
+
+
+def test_instantiate_deep_bindings(deep_formula):
+    f = deep_formula
+    got = instantiate_axiom(AXIOMS["A5"], {"a": "b", "phi": f, "psi": format_formula(f)})
+    wa = Modal(Modality.WA, "b", f)
+    assert got is implies(Modal(Modality.WA, "b", Or(f, f)), Or(wa, wa))
 
 
 # --- local rule checks --------------------------------------------------------------

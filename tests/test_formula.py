@@ -1,3 +1,8 @@
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 
@@ -11,6 +16,8 @@ from permitmc.formula import (
     Or,
     Prop,
     and_,
+    conj,
+    disj,
     format_formula,
     implies,
     modal_depth,
@@ -18,7 +25,7 @@ from permitmc.formula import (
     size,
 )
 
-from strategies import formulas
+from strategies import deep_chain, formulas
 
 p, q = Prop("p"), Prop("q")
 
@@ -120,6 +127,10 @@ PARSE_ERRORS = [
     ("SA[a] ]", "found ']'", 6, _OPERAND),
     ("!(p -> q) r", "trailing input 'r'", 10, ("end of input",)),
     ("p ! q", "trailing input '!'", 2, ("end of input",)),
+    ("p q \t", "trailing input 'q'", 2, ("end of input",)),
+    (" \n", "found None", 2, _OPERAND),
+    ("(p \n", "found None", 4, ("')'",)),
+    ("p -", "unexpected character '-'", 2, ()),
 ]
 
 
@@ -181,3 +192,73 @@ def test_roundtrip(f):
 @given(formulas(max_leaves=6))
 def test_printed_form_is_stable(f):
     assert format_formula(parse(format_formula(f))) == format_formula(f)
+
+
+@pytest.mark.parametrize(
+    ("kinds", "nodes", "depth"),
+    [
+        (("neg",), 1 + 10**5, 0),
+        (("modal",), 1 + 10**5, 10**5),
+        (("left", "right"), 1 + 2 * 10**5, 0),
+    ],
+)
+def test_deep_chain_round_trips(kinds, nodes, depth):
+    # 10^5 levels: parser, printer, identity and the measures never recurse.
+    f = deep_chain(7, kinds=kinds)
+    assert parse(format_formula(f)) is f
+    assert (size(f), modal_depth(f)) == (nodes, depth)
+
+
+def test_deep_mixed_chain_round_trips(deep_formula):
+    assert parse(format_formula(deep_formula)) is deep_formula
+
+
+@pytest.mark.parametrize("join", [conj, disj])
+def test_long_junctions_round_trip(join):
+    f = join(Prop(f"p{i}") for i in range(10**4))
+    assert parse(format_formula(f)) is f
+
+
+def test_surrounding_whitespace_is_ignored():
+    assert parse(" \tp |\nq \n") is Or(p, q)
+
+
+def test_deep_parentheses_parse():
+    assert parse("(" * 50_000 + "p" + ")" * 50_000) is p
+
+
+def test_equal_formulas_are_one_node():
+    assert Or(Neg(p), q) is parse("!p | q")
+    assert and_(p, q) is parse("p & q")
+    assert type(p).__eq__ is object.__eq__ and type(p).__hash__ is object.__hash__
+    assert Modal(Modality.WA, "a", p) is not Modal(Modality.WA, "b", p)
+    f = parse("WE[a] (p | !q) -> SA[b] false")
+    assert copy.deepcopy(f) is f and pickle.loads(pickle.dumps(f)) is f
+    with pytest.raises(AttributeError):
+        p.name = "q"
+    with pytest.raises(TypeError):
+        Neg("p")
+
+
+def test_concurrent_builders_share_one_node():
+    # Each thread builds the same fresh chain; interning must hand all of
+    # them the one node, whatever the interleaving.
+    threads, results = 8, []
+    start = threading.Barrier(threads)
+
+    def build():
+        start.wait(timeout=60)
+        results.append(deep_chain(11, depth=3000, props=("fresh_thread_prop",)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build) for _ in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(results) == threads and all(r is results[0] for r in results)
