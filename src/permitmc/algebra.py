@@ -230,7 +230,8 @@ class SearchBounds:
     max_candidates: int = 50_000
 
     def __post_init__(self) -> None:
-        if self.max_states < 1 or self.num_agents < 1 or self.max_actions < 1:
+        if min(self.max_states, self.num_agents, self.max_actions,
+               self.max_branching, self.max_candidates) < 1:
             raise InputError("search bounds must be at least 1")
 
 

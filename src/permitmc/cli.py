@@ -11,40 +11,47 @@ diff cleanly in CI. Randomized subcommands echo their seed for replay.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import pathlib
 import random
 import sys
+import types
 from typing import Any, Sequence
 
-from .algebra import SearchBounds, search_witness, verify_witness
-from .atl import atl_model_to_dict, expand_model, verify_translation
 from .checker import model_check
-from .deduction import (
-    AXIOMS,
-    DERIVED_SCHEMAS,
-    check_rule_locally,
-    check_validity,
-    derivation_from_dict,
-    instantiate_axiom,
-    verify_derivation,
-)
 from .errors import CapacityError, InputError
-from .fixtures import (
-    DERIVATION_IDS,
-    FIXTURE_IDS,
-    load_derivation_fixture,
-    load_fixture,
-    run_fixture,
-)
 from .formula import Modal, Modality, Neg, format_formula, implies, parse
-from .generate import GenParams, random_formula, random_model
 from .model import (
     TransitionSystem,
     model_from_dict,
     model_to_dict,
     validate_model,
 )
+
+
+def _lazy_submodule(name: str) -> types.ModuleType:
+    """``permitmc.<name>``, entered in ``sys.modules`` now but executed on its
+    first attribute access (``importlib.util.LazyLoader``), so that a call
+    runs only the modules its subcommand uses. Handlers reach these modules'
+    functions through the module object, looking each one up at call time."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+algebra = _lazy_submodule("algebra")
+atl = _lazy_submodule("atl")
+deduction = _lazy_submodule("deduction")
+fixtures = _lazy_submodule("fixtures")
+generate = _lazy_submodule("generate")
 
 SCHEMA = "permitmc/v1"
 
@@ -126,24 +133,32 @@ def _random_bindings(schema, rng: random.Random, m: TransitionSystem, depth: int
     for var in schema.agent_vars:
         bindings[var] = rng.choice(m.agents)
     for var in schema.formula_vars:
-        bindings[var] = random_formula(rng.getrandbits(32), depth, m.agents, props)
+        bindings[var] = generate.random_formula(rng.getrandbits(32), depth, m.agents, props)
     return bindings
 
 
+def _at_least(option: str, value: int, least: int) -> None:
+    if value < least:
+        raise InputError(f"{option} must be at least {least}, got {value}")
+
+
 def _cmd_axioms(args: argparse.Namespace) -> int:
+    _at_least("--count", args.count, 0)
     m = _load_model(args.model)
     rng = random.Random(args.seed)
     print(f"seed: {args.seed}")
-    ids = [args.axiom] if args.axiom else sorted(AXIOMS)
+    axioms = deduction.AXIOMS
+    ids = [args.axiom] if args.axiom else sorted(axioms)
     failures = 0
     rows = []
     for axiom_id in ids:
-        schema = AXIOMS.get(axiom_id)
+        schema = axioms.get(axiom_id)
         if schema is None:
-            raise InputError(f"unknown axiom {axiom_id!r}; known: {', '.join(sorted(AXIOMS))}")
+            raise InputError(f"unknown axiom {axiom_id!r}; known: {', '.join(sorted(axioms))}")
         for _ in range(args.count):
-            instance = instantiate_axiom(schema, _random_bindings(schema, rng, m, args.depth))
-            verdict = check_validity(m, instance)
+            bindings = _random_bindings(schema, rng, m, args.depth)
+            instance = deduction.instantiate_axiom(schema, bindings)
+            verdict = deduction.check_validity(m, instance)
             rows.append((axiom_id, instance, verdict))
             if not verdict.valid:
                 failures += 1
@@ -158,17 +173,17 @@ def _soundness_round(m: TransitionSystem, rng: random.Random, depth: int) -> lis
     returns descriptions of any counterexamples."""
     problems: list[str] = []
     props = sorted(m.valuation) or ["p0"]
-    for schema in list(AXIOMS.values()) + list(DERIVED_SCHEMAS.values()):
-        instance = instantiate_axiom(schema, _random_bindings(schema, rng, m, depth))
-        verdict = check_validity(m, instance)
+    for schema in list(deduction.AXIOMS.values()) + list(deduction.DERIVED_SCHEMAS.values()):
+        instance = deduction.instantiate_axiom(schema, _random_bindings(schema, rng, m, depth))
+        verdict = deduction.check_validity(m, instance)
         if not verdict.valid:
             problems.append(
                 f"{schema.id} fails at {verdict.counterexample}: {format_formula(instance)}"
             )
-    phi = random_formula(rng.getrandbits(32), depth, m.agents, props)
-    psi = random_formula(rng.getrandbits(32), depth, m.agents, props)
+    phi = generate.random_formula(rng.getrandbits(32), depth, m.agents, props)
+    psi = generate.random_formula(rng.getrandbits(32), depth, m.agents, props)
     agent = rng.choice(m.agents)
-    ir2 = check_rule_locally(
+    ir2 = deduction.check_rule_locally(
         m,
         "ir2",
         implies(phi, psi),
@@ -176,7 +191,7 @@ def _soundness_round(m: TransitionSystem, rng: random.Random, depth: int) -> lis
     )
     if not ir2.valid:
         problems.append(f"ir2 fails at {ir2.counterexample}")
-    ir3 = check_rule_locally(
+    ir3 = deduction.check_rule_locally(
         m,
         "ir3",
         implies(phi, psi),
@@ -186,7 +201,7 @@ def _soundness_round(m: TransitionSystem, rng: random.Random, depth: int) -> lis
         problems.append(f"ir3 fails at {ir3.counterexample}")
     if len(m.agents) >= 2:
         a, b = rng.sample(list(m.agents), 2)
-        ir4 = check_rule_locally(
+        ir4 = deduction.check_rule_locally(
             m,
             "ir4",
             implies(phi, Neg(psi)),
@@ -198,11 +213,14 @@ def _soundness_round(m: TransitionSystem, rng: random.Random, depth: int) -> lis
 
 
 def _cmd_soundness(args: argparse.Namespace) -> int:
+    _at_least("--count", args.count, 0)
+    _at_least("--max-states", args.max_states, 1)
+    _at_least("--max-agents", args.max_agents, 1)
     rng = random.Random(args.seed)
     print(f"seed: {args.seed}")
     counterexamples = 0
     for k in range(args.count):
-        params = GenParams(
+        params = generate.GenParams(
             seed=rng.getrandbits(32),
             num_agents=rng.randint(1, args.max_agents),
             num_states=rng.randint(1, args.max_states),
@@ -211,22 +229,22 @@ def _cmd_soundness(args: argparse.Namespace) -> int:
             permitted_density=rng.choice((0.4, 0.7, 1.0)),
             branching=args.branching,
         )
-        m = random_model(params)
+        m = generate.random_model(params)
         problems = _soundness_round(m, rng, args.depth)
         for p in problems:
             counterexamples += 1
             print(f"model {k} (gen seed {params.seed}): {p}")
-    checks = args.count * (len(AXIOMS) + len(DERIVED_SCHEMAS) + 3)
+    checks = args.count * (len(deduction.AXIOMS) + len(deduction.DERIVED_SCHEMAS) + 3)
     print(f"models: {args.count}  checks: ~{checks}  counterexamples: {counterexamples}")
     return EXIT_SEMANTIC if counterexamples else EXIT_OK
 
 
 def _cmd_prove(args: argparse.Namespace) -> int:
     if args.builtin:
-        derivation = load_derivation_fixture(args.builtin)
+        derivation = fixtures.load_derivation_fixture(args.builtin)
     else:
-        derivation = derivation_from_dict(_read_json(args.derivation))
-    verdict = verify_derivation(derivation)
+        derivation = deduction.derivation_from_dict(_read_json(args.derivation))
+    verdict = deduction.verify_derivation(derivation)
     if args.json:
         _emit_json(
             {
@@ -246,7 +264,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 def _cmd_witness(args: argparse.Namespace) -> int:
     target = Modality(args.target)
     if args.search:
-        bounds = SearchBounds(
+        bounds = algebra.SearchBounds(
             max_states=args.max_states,
             num_agents=args.agents,
             max_actions=args.max_actions,
@@ -254,7 +272,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             max_candidates=args.max_candidates,
         )
         print(f"seed: {args.seed}")
-        result = search_witness(target, bounds, args.seed)
+        result = algebra.search_witness(target, bounds, args.seed)
         if result.found:
             assert result.model is not None and result.report is not None
             _emit_json(
@@ -271,21 +289,21 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     if not args.model:
         raise InputError("witness needs --model unless --search is given")
     m = _load_model(args.model)
-    report = verify_witness(m, target, args.prop)
+    report = algebra.verify_witness(m, target, args.prop)
     _emit_json({"report": report.to_dict()})
     return EXIT_OK if report.ok else EXIT_SEMANTIC
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
     m = _load_model(args.model)
-    am = expand_model(m)
-    _write_json(args.out, atl_model_to_dict(am))
+    am = atl.expand_model(m)
+    _write_json(args.out, atl.atl_model_to_dict(am))
     print(f"wrote {args.out} ({len(am.states)} expanded states"
           f"{', with the bookkeeping agent' if am.has_nature else ''})")
     if args.verify:
         if not args.formula:
             raise InputError("--verify needs --formula")
-        verdict = verify_translation(m, parse(args.formula), max_modal_depth=args.max_depth)
+        verdict = atl.verify_translation(m, parse(args.formula), max_modal_depth=args.max_depth)
         if verdict.ok:
             print(f"translation agrees at all {verdict.checked} expanded states")
             return EXIT_OK
@@ -300,7 +318,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    params = GenParams(
+    params = generate.GenParams(
         seed=args.seed,
         num_agents=args.agents,
         num_states=args.states,
@@ -311,7 +329,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         deterministic=args.deterministic,
     )
     print(f"seed: {args.seed}")
-    m = random_model(params)
+    m = generate.random_model(params)
     payload = model_to_dict(m)
     if args.out:
         _write_json(args.out, payload)
@@ -328,8 +346,8 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise InputError(f"cannot write {out_dir}: {exc}") from exc
-        for fid in FIXTURE_IDS:
-            fx = load_fixture(fid)
+        for fid in fixtures.FIXTURE_IDS:
+            fx = fixtures.load_fixture(fid)
             for variant, model in fx.models.items():
                 name = fid if len(fx.models) == 1 else f"{fid}.{variant}"
                 path = out_dir / f"{name}.json"
@@ -337,21 +355,21 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
                 print(f"wrote {path}")
         return EXIT_OK
     if not args.run:
-        for fid in FIXTURE_IDS:
-            fx = load_fixture(fid)
+        for fid in fixtures.FIXTURE_IDS:
+            fx = fixtures.load_fixture(fid)
             variants = ", ".join(sorted(fx.models))
             print(f"{fid}: variants [{variants}], {len(fx.expectations)} expectations")
-        for name in DERIVATION_IDS:
+        for name in fixtures.DERIVATION_IDS:
             print(f"derivation {name}")
         return EXIT_OK
     failures = 0
-    for fid in FIXTURE_IDS:
-        for result in run_fixture(load_fixture(fid)):
+    for fid in fixtures.FIXTURE_IDS:
+        for result in fixtures.run_fixture(fixtures.load_fixture(fid)):
             if not result.ok:
                 failures += 1
             print(result.describe())
-    for name in DERIVATION_IDS:
-        verdict = verify_derivation(load_derivation_fixture(name))
+    for name in fixtures.DERIVATION_IDS:
+        verdict = deduction.verify_derivation(fixtures.load_derivation_fixture(name))
         status = "ok" if verdict.accepted else "FAIL"
         if not verdict.accepted:
             failures += 1
@@ -400,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="verify a derivation")
     p.add_argument("--derivation", help="path to a derivation JSON file")
-    p.add_argument("--builtin", choices=DERIVATION_IDS, help="verify a shipped derivation")
+    p.add_argument("--builtin", choices=fixtures.DERIVATION_IDS, help="verify a shipped derivation")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_prove)
 

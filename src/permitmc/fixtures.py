@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from importlib import resources
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
-from .algebra import verify_witness
 from .checker import model_check
-from .deduction import Derivation, derivation_from_dict
 from .errors import InputError
 from .formula import Modality, parse
 from .model import TransitionSystem, model_from_dict
+
+if TYPE_CHECKING:
+    from .deduction import Derivation
 
 FIXTURE_IDS = (
     "fig1-wa",
@@ -78,6 +78,8 @@ class Fixture:
 
 
 def _read_data(*parts: str) -> Any:
+    from importlib import resources  # pulls in zipfile and pathlib; only a read needs it
+
     ref = resources.files("permitmc").joinpath("data")
     for part in parts:
         ref = ref.joinpath(part)
@@ -122,6 +124,10 @@ def load_fixture(fixture_id: str) -> Fixture:
 
 
 def load_derivation_fixture(name: str) -> Derivation:
+    # Imported here, like verify_witness in run_fixture, so that reading the
+    # catalog (the CLI's parser lists DERIVATION_IDS) runs neither module.
+    from .deduction import derivation_from_dict
+
     if name not in DERIVATION_IDS:
         raise InputError(
             f"unknown derivation fixture {name!r}; catalog: {', '.join(DERIVATION_IDS)}"
@@ -150,6 +156,8 @@ class ExpectationResult:
 
 def run_fixture(fixture: Fixture) -> list[ExpectationResult]:
     """Replay every golden expectation; all results must come back ok."""
+    from .algebra import verify_witness
+
     results: list[ExpectationResult] = []
     for e in fixture.expectations:
         model = fixture.models.get(e.variant)

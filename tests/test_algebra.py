@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from strategies import models
 
@@ -12,6 +13,7 @@ from permitmc.algebra import (
     verify_witness,
 )
 from permitmc.checker import model_check
+from permitmc.errors import InputError
 from permitmc.formula import Modality, Prop
 from permitmc.model import make_model, truth_set
 
@@ -148,6 +150,15 @@ def test_search_finds_sa_witness_with_nonpermitted_actions():
                           allow_nonpermitted=True, max_candidates=20000)
     result = search_witness(Modality.SA, bounds, seed=7)
     assert result.found and result.report is not None and result.report.ok
+
+
+@pytest.mark.parametrize(
+    "field", ["max_states", "num_agents", "max_actions", "max_branching", "max_candidates"]
+)
+@pytest.mark.parametrize("value", [0, -1])
+def test_search_bounds_reject_counts_below_one(field, value):
+    with pytest.raises(InputError, match="^search bounds must be at least 1$"):
+        SearchBounds(**{field: value})
 
 
 def test_search_is_deterministic():

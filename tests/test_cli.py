@@ -159,6 +159,60 @@ def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["soundness", "--max-states", "0"], "--max-states must be at least 1, got 0"),
+        (["soundness", "--max-agents", "0"], "--max-agents must be at least 1, got 0"),
+        (["soundness", "--count", "-2"], "--count must be at least 0, got -2"),
+        (["axioms", "--model", "FIG1", "--count", "-1"], "--count must be at least 0, got -1"),
+        (["witness", "--target", "WE", "--search", "--max-candidates", "0"],
+         "search bounds must be at least 1"),
+        (["witness", "--target", "WE", "--search", "--max-candidates", "-1"],
+         "search bounds must be at least 1"),
+    ],
+    ids=[
+        "soundness-max-states-0",
+        "soundness-max-agents-0",
+        "soundness-count-negative",
+        "axioms-count-negative",
+        "witness-max-candidates-0",
+        "witness-max-candidates-negative",
+    ],
+)
+def test_count_out_of_range_is_usage_error(fig1_path, capsys, argv, message):
+    argv = [fig1_path if a == "FIG1" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_check_runs_only_the_modules_it_uses(fig1_path):
+    # A module whose body ran has the plain module type; one the CLI
+    # registered lazily and never touched is still a LazyLoader stand-in.
+    script = (
+        "import sys, types\n"
+        "from permitmc.cli import main\n"
+        f"code = main(['check', '--model', {fig1_path!r}, '--formula', 'WA[a] p'])\n"
+        "ran = [n for n, m in sys.modules.items()"
+        " if n.startswith('permitmc.') and type(m) is types.ModuleType]\n"
+        "print(code, *sorted(ran))\n"
+        "import permitmc\n"
+        "lazy = ('algebra', 'atl', 'deduction', 'fixtures', 'generate')\n"
+        "print(all(getattr(permitmc, n) is sys.modules['permitmc.' + n] for n in lazy))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    *_, line, bound = proc.stdout.splitlines()
+    assert bound == "True"  # each lazily registered module is an attribute of the package
+    code, *ran = line.split()
+    assert code == "0"
+    assert {"permitmc.checker", "permitmc.formula", "permitmc.model"} <= set(ran)
+    unused = {"permitmc.algebra", "permitmc.atl", "permitmc.deduction", "permitmc.generate"}
+    assert unused.isdisjoint(ran)
+
+
 def test_validate_ok_and_failing(fig1_path, broken_model_path, capsys):
     assert run_cli(capsys, "validate", "--model", fig1_path)[0] == 0
     code, out, _ = run_cli(capsys, "validate", "--model", broken_model_path, "--json")
