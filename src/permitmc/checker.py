@@ -7,9 +7,13 @@ mechanism entries where ``a`` plays ``i``. Each model caches these unions
 use, as flat rows per agent: for its permitted and for its other available
 actions, the states and the unions, one row per (state, action). One
 classifier, ``modal_image``, answers all four modalities with one C-level
-scan (``map`` and ``compress``) of one side of the agent's rows:
-O(sum over s and i of |U(s, a, i)|) set work per modal step, with no
-interpreter work per state. The global checker labels the distinct
+scan (``map`` and ``compress``) of one side of the agent's rows, asking of
+each union U one question, ``X.isdisjoint(U)``: X is the truth set for the
+admit modalities and its complement for the ensure modalities. The test
+probes the smaller of X and U and stops at the first common state, so a
+modal step costs O(sum over s and i of min(|X|, |U(s, a, i)|)) at most, with
+no interpreter work per state, whether the truth set is nearly empty or
+nearly full. The global checker labels the distinct
 subformulas bottom-up in one ``formula.postorder`` walk, with one such step
 per modal subformula, so formula depth is bounded by memory only.
 
@@ -68,22 +72,30 @@ def modal_image(m: TransitionSystem, kind: Modality, agent: str, psi: TruthSet) 
 def _image(m: TransitionSystem, kind: Modality, agent: str, inside: frozenset[str]) -> frozenset:
     """``modal_image`` on plain sets: where ``kind[agent]`` holds of ``inside``.
 
-    An action ensures ``inside`` when its successor union lies inside it (the
-    test of WE and SE) and admits it when the union meets it (WA and SA).
-    A weak modality holds where some permitted action passes the test, a
-    strong one where no non-permitted action does. Either way the step is
-    one scan of the agent's rows on that side, mapped and compressed in C.
+    Every action is put one question, ``X.isdisjoint(U)`` for its successor
+    union U. For the admit modalities (WA, SA) X is ``inside``, and an action
+    passes when X meets U. For the ensure modalities (WE, SE) X is the
+    complement of ``inside`` in ``successor_universe``, which holds every
+    successor, and an action passes when X misses U, that is when U lies
+    inside. ``isdisjoint`` probes the smaller set's members in the larger and
+    stops at the first common one, so a step costs O(sum of min(|X|, |U|))
+    at most, and a nearly full ``inside`` costs about as little as a nearly
+    empty one.
+
+    A weak modality holds where some permitted action passes, a strong one
+    where no non-permitted action does. Either way the step is one scan of
+    the agent's rows on that side, mapped and compressed in C.
     """
     sides = m.successor_unions.get(agent)
     if sides is None:
         raise InputError(f"unknown agent {agent!r}")
     weak = kind is Modality.WA or kind is Modality.WE
+    admit = kind is Modality.WA or kind is Modality.SA
     states, unions = sides[0 if weak else 1]
-    if kind is Modality.WE or kind is Modality.SE:
-        tests = map(inside.issuperset, unions)
-    else:
-        tests = map(not_, map(inside.isdisjoint, unions))
-    hits = frozenset(compress(states, tests))
+    x = inside if admit else m.successor_universe - inside
+    disjoint = map(x.isdisjoint, unions)
+    passes = map(not_, disjoint) if admit else disjoint
+    hits = frozenset(compress(states, passes))
     return hits if weak else m.state_set - hits
 
 

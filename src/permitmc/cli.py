@@ -144,6 +144,7 @@ def _at_least(option: str, value: int, least: int) -> None:
 
 def _cmd_axioms(args: argparse.Namespace) -> int:
     _at_least("--count", args.count, 0)
+    _at_least("--depth", args.depth, 0)
     m = _load_model(args.model)
     rng = random.Random(args.seed)
     print(f"seed: {args.seed}")
@@ -216,6 +217,10 @@ def _cmd_soundness(args: argparse.Namespace) -> int:
     _at_least("--count", args.count, 0)
     _at_least("--max-states", args.max_states, 1)
     _at_least("--max-agents", args.max_agents, 1)
+    _at_least("--max-actions", args.max_actions, 1)
+    _at_least("--props", args.props, 1)
+    _at_least("--branching", args.branching, 1)
+    _at_least("--depth", args.depth, 0)
     rng = random.Random(args.seed)
     print(f"seed: {args.seed}")
     counterexamples = 0

@@ -18,7 +18,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -71,7 +71,9 @@ class TransitionSystem:
         profile misses the agent or gives it an unavailable action count for
         none of its actions. Permitted actions that are not available have no
         row. With flat rows a modal step is one C-level scan of one side of
-        the agent's rows, O(sum over s and i of |U(s, a, i)|) set work with no
+        the agent's rows, one early-exit ``X.isdisjoint(U)`` test per row (X
+        a truth set or its complement in ``successor_universe``), so at most
+        O(sum over s and i of min(|X|, |U(s, a, i)|)) set work with no
         interpreter work per state. Built once per model in
         O(|Delta| * |Ag|); models are immutable.
         """
@@ -94,6 +96,18 @@ class TransitionSystem:
             a: tuple((tuple(states), tuple(unions)) for states, unions in sides)
             for a, sides in rows.items()
         }
+
+    @cached_property
+    def successor_universe(self) -> frozenset[str]:
+        """``state_set`` together with every successor the mechanism names.
+
+        It equals ``state_set`` in a valid model. In an unvalidated one it
+        also holds the successors outside ``states``, so that a complement
+        taken in it keeps every member of a successor union that lies outside
+        a truth set.
+        """
+        targets = map(itemgetter(1), chain.from_iterable(self.mechanism.values()))
+        return self.state_set.union(targets)
 
 
 @dataclass(frozen=True)
@@ -167,20 +181,36 @@ def make_model(
 ) -> TransitionSystem:
     """Normalize plain containers into a TransitionSystem.
 
+    State names are shared as one object: every state the model stores as a
+    mechanism source or target, a key of ``actions`` or ``permitted``, or a
+    valuation member is the string object in ``states``, so set probes on
+    state names succeed on identity without comparing characters. A name
+    that is not in ``states`` stays as given.
+
     No invariant checking happens here; run validate_model to get a report.
     """
+    states = tuple(states)
+    shared = {s: s for s in states}.get
     mechanism: dict[str, list[TransitionEntry]] = {}
     for source, profile, target in transitions:
-        mechanism.setdefault(source, []).append((dict(profile), target))
+        mechanism.setdefault(shared(source, source), []).append(
+            (dict(profile), shared(target, target))
+        )
     return TransitionSystem(
         agents=tuple(agents),
-        states=tuple(states),
-        actions={s: {a: tuple(acts) for a, acts in per.items()} for s, per in actions.items()},
+        states=states,
+        actions={
+            shared(s, s): {a: tuple(acts) for a, acts in per.items()}
+            for s, per in actions.items()
+        },
         permitted={
-            s: {a: frozenset(acts) for a, acts in per.items()} for s, per in permitted.items()
+            shared(s, s): {a: frozenset(acts) for a, acts in per.items()}
+            for s, per in permitted.items()
         },
         mechanism={s: tuple(entries) for s, entries in mechanism.items()},
-        valuation={p: frozenset(sts) for p, sts in (valuation or {}).items()},
+        valuation={
+            p: frozenset([shared(s, s) for s in sts]) for p, sts in (valuation or {}).items()
+        },
     )
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from strategies import formulas, model_and_formulas, models
@@ -7,6 +9,7 @@ from permitmc.checker import (
     admits,
     check_state_naive,
     ensures,
+    modal_image,
     model_check,
     truth_set_sa,
     truth_set_se,
@@ -15,7 +18,8 @@ from permitmc.checker import (
 )
 from permitmc.errors import InputError
 from permitmc.formula import Modal, Modality, Neg, Or, Prop, and_, parse
-from permitmc.model import empty_set, full_set, truth_set
+from permitmc.generate import GenParams, random_model
+from permitmc.model import empty_set, full_set, make_model, model_from_dict, model_to_dict, truth_set
 
 P = Prop("p0")
 Q = Prop("p1")
@@ -142,6 +146,63 @@ def test_unknown_agent_is_an_input_error(fig1):
     for call in calls:
         with pytest.raises(InputError, match="unknown agent 'zz'"):
             call()
+
+
+def _density_ladder(states, rng):
+    """psi = empty, one state, about half of S, S minus one state, and S."""
+    one = rng.choice(states)
+    half = [s for s in states if rng.random() < 0.5]
+    return [[], [one], half, [s for s in states if s != one], list(states)]
+
+
+def test_modal_image_matches_oracle_from_empty_to_full_psi():
+    rng = random.Random(21)
+    images = 0
+    for _ in range(40):
+        params = GenParams(
+            seed=rng.getrandbits(32), num_agents=rng.randint(1, 3), num_states=rng.randint(2, 7),
+            max_actions=rng.randint(1, 3), permitted_density=rng.choice((0.4, 0.7, 1.0)),
+            branching=rng.choice((1, 2, 3)),
+        )
+        doc = model_to_dict(random_model(params))
+        ladder = _density_ladder(doc["states"], rng)
+        doc["valuation"] = {f"q{k}": members for k, members in enumerate(ladder)}
+        m = model_from_dict(doc)
+        for k, members in enumerate(ladder):
+            psi = truth_set(m, members)
+            for a in m.agents:
+                for kind in Modality:
+                    f = Modal(kind, a, Prop(f"q{k}"))
+                    want = {s for s in m.states if check_state_naive(m, s, f)}
+                    assert modal_image(m, kind, a, psi).members == want
+                    images += 1
+    assert images > 1000
+
+
+# An unvalidated model whose action 1 at s, and half of action 2, lead to zz,
+# a state outside ``states`` that lies in no truth set. The truth sets are
+# those of the checker before the ensure test became a disjointness test;
+# complementing a truth set in the states alone, without zz, would put s
+# into WE[a] p and WE[a] true and take it out of SE[a] p and SE[a] true.
+STRAY_SUCCESSOR_TRUTH_SETS = {
+    "WE[a] p": ["t"], "SE[a] p": ["s", "t"], "WA[a] p": ["t"], "SA[a] p": ["t"],
+    "WE[a] !p": [], "SE[a] !p": ["s", "t"], "WA[a] !p": [], "SA[a] !p": ["s", "t"],
+    "WE[a] true": ["t"], "SE[a] true": ["s", "t"], "WA[a] true": ["t"], "SA[a] true": ["t"],
+}
+
+
+def test_successor_outside_the_states_keeps_its_truth_sets():
+    m = make_model(
+        ["a"],
+        ["s", "t"],
+        actions={"s": {"a": ["1", "2"]}, "t": {"a": ["1"]}},
+        permitted={"s": {"a": ["1"]}, "t": {"a": ["1"]}},
+        transitions=[("s", {"a": "1"}, "zz"), ("s", {"a": "2"}, "zz"), ("s", {"a": "2"}, "t"),
+                     ("t", {"a": "1"}, "t")],
+        valuation={"p": ["t"]},
+    )
+    for text, want in STRAY_SUCCESSOR_TRUTH_SETS.items():
+        assert members(model_check(m, parse(text))) == want
 
 
 @given(models(max_states=3, max_actions=2))

@@ -166,6 +166,11 @@ def test_usage_error_exit_code(capsys):
         (["soundness", "--max-agents", "0"], "--max-agents must be at least 1, got 0"),
         (["soundness", "--count", "-2"], "--count must be at least 0, got -2"),
         (["axioms", "--model", "FIG1", "--count", "-1"], "--count must be at least 0, got -1"),
+        (["axioms", "--model", "FIG1", "--depth", "-1"], "--depth must be at least 0, got -1"),
+        (["soundness", "--props", "0"], "--props must be at least 1, got 0"),
+        (["soundness", "--branching", "0"], "--branching must be at least 1, got 0"),
+        (["soundness", "--max-actions", "0"], "--max-actions must be at least 1, got 0"),
+        (["soundness", "--depth", "-1"], "--depth must be at least 0, got -1"),
         (["witness", "--target", "WE", "--search", "--max-candidates", "0"],
          "search bounds must be at least 1"),
         (["witness", "--target", "WE", "--search", "--max-candidates", "-1"],
@@ -176,6 +181,11 @@ def test_usage_error_exit_code(capsys):
         "soundness-max-agents-0",
         "soundness-count-negative",
         "axioms-count-negative",
+        "axioms-depth-negative",
+        "soundness-props-0",
+        "soundness-branching-0",
+        "soundness-max-actions-0",
+        "soundness-depth-negative",
         "witness-max-candidates-0",
         "witness-max-candidates-negative",
     ],

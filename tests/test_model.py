@@ -281,6 +281,41 @@ def test_model_owns_its_containers(fig1):
     assert m == fig1
 
 
+def _state_references(m):
+    """Every state name the model stores outside ``states``."""
+    yield from m.mechanism
+    yield from (target for entries in m.mechanism.values() for _, target in entries)
+    yield from m.actions
+    yield from m.permitted
+    yield from (s for members in m.valuation.values() for s in members)
+
+
+def _fresh_names_model(n):
+    """make_model on names that are equal to the states but other objects."""
+    states = [f"s{i}" for i in range(n)]
+    per = {f"s{i}": {"a": ["1", "2"]} for i in range(n)}
+    transitions = [(f"s{i}", {"a": act}, f"s{(i + int(act)) % n}") for i in range(n) for act in "12"]
+    return make_model(["a"], states, per, per, transitions, {"p": [f"s{i}" for i in range(0, n, 2)]})
+
+
+def test_state_names_are_shared_as_one_object():
+    rng = random.Random(12)
+    decoded = [
+        model_from_dict(json.loads(json.dumps(model_to_dict(random_model(GenParams(
+            seed=rng.getrandbits(32), num_agents=rng.randint(1, 3), num_states=rng.randint(2, 12),
+            max_actions=rng.randint(1, 3), num_props=2, permitted_density=0.6, branching=2,
+        ))))))
+        for _ in range(30)
+    ]
+    for m in decoded + [_fresh_names_model(7)]:
+        names = {id(s) for s in m.states}
+        refs = list(_state_references(m))
+        assert refs and all(id(s) in names for s in refs)
+    # the decoded inputs did hold copies: a name decoded twice is two objects
+    doc = json.loads('{"states": ["s0"], "to": "s0"}')
+    assert doc["to"] is not doc["states"][0]
+
+
 # --- validation on a seeded corpus of broken models ---------------------------
 
 
