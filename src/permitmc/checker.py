@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import not_
-from typing import Container
+from typing import Container, Iterator
 
 from .errors import InputError
 from .formula import TOP_PROP, Formula, Modal, Modality, Neg, Or, Prop, postorder
@@ -160,51 +160,61 @@ def check_state_naive(m: TransitionSystem, s: str, f: Formula) -> bool:
     into per-action quantifier scans. Serves as an independent oracle for
     model_check, so it stays recursive on purpose and shares no walk with the
     rest of the package; it is the one function whose recursion follows
-    formula depth.
+    formula depth. A successor outside the states satisfies no formula, as
+    in the checker.
     """
-    if s not in set(m.states):
+    states = set(m.states)
+    if s not in states:
         raise InputError(f"unknown state {s!r}")
-    return _naive(m, s, f)
+    return _naive(m, states, s, f)
 
 
-def _naive(m: TransitionSystem, s: str, f: Formula) -> bool:
+def _naive(m: TransitionSystem, states: set[str], s: str, f: Formula) -> bool:
     if isinstance(f, Prop):
         if f.name == TOP_PROP:
             return True
         return s in m.valuation.get(f.name, frozenset())
     if isinstance(f, Neg):
-        return not _naive(m, s, f.child)
+        return not _naive(m, states, s, f.child)
     if isinstance(f, Or):
-        return _naive(m, s, f.left) or _naive(m, s, f.right)
+        return _naive(m, states, s, f.left) or _naive(m, states, s, f.right)
     if isinstance(f, Modal):
         agent = f.agent
         if agent not in m.agents:
             raise InputError(f"formula mentions unknown agent {agent!r}")
         if f.kind is Modality.WA:
             return any(
-                not _ensures_naive(m, s, agent, i, Neg(f.child))
+                any(_outcomes_naive(m, states, s, agent, i, f.child))
                 for i in m.permitted_set(s, agent)
             )
         if f.kind is Modality.WE:
             return any(
-                _ensures_naive(m, s, agent, i, f.child) for i in m.permitted_set(s, agent)
+                all(_outcomes_naive(m, states, s, agent, i, f.child))
+                for i in m.permitted_set(s, agent)
             )
         if f.kind is Modality.SE:
             return all(
                 i in m.permitted_set(s, agent)
                 for i in m.action_set(s, agent)
-                if _ensures_naive(m, s, agent, i, f.child)
+                if all(_outcomes_naive(m, states, s, agent, i, f.child))
             )
         if f.kind is Modality.SA:
             return all(
                 i in m.permitted_set(s, agent)
                 for i in m.action_set(s, agent)
-                if not _ensures_naive(m, s, agent, i, Neg(f.child))
+                if any(_outcomes_naive(m, states, s, agent, i, f.child))
             )
     raise InputError(f"not a formula node: {f!r}")
 
 
-def _ensures_naive(m: TransitionSystem, s: str, agent: str, action: str, f: Formula) -> bool:
-    return all(
-        _naive(m, t, f) for profile, t in m.entries(s) if profile.get(agent) == action
+def _outcomes_naive(
+    m: TransitionSystem, states: set[str], s: str, agent: str, action: str, f: Formula
+) -> Iterator[bool]:
+    """Whether ``f`` holds at each successor reached while ``agent`` plays
+    ``action`` at ``s``: the action ensures ``f`` when all do and admits it
+    when any does."""
+    return (
+        t in states and _naive(m, states, t, f)
+        for profile, t in m.entries(s)
+        if profile.get(agent) == action
     )

@@ -21,7 +21,7 @@ from typing import Any, Sequence
 
 from .checker import model_check
 from .errors import CapacityError, InputError
-from .formula import Modal, Modality, Neg, format_formula, implies, parse
+from .formula import Modality, Neg, format_formula, implies, parse
 from .model import (
     TransitionSystem,
     model_from_dict,
@@ -145,17 +145,17 @@ def _at_least(option: str, value: int, least: int) -> None:
 def _cmd_axioms(args: argparse.Namespace) -> int:
     _at_least("--count", args.count, 0)
     _at_least("--depth", args.depth, 0)
+    axioms = deduction.AXIOMS
+    if args.axiom is not None and args.axiom not in axioms:
+        raise InputError(f"unknown axiom {args.axiom!r}; known: {', '.join(sorted(axioms))}")
     m = _load_model(args.model)
     rng = random.Random(args.seed)
     print(f"seed: {args.seed}")
-    axioms = deduction.AXIOMS
-    ids = [args.axiom] if args.axiom else sorted(axioms)
+    ids = [args.axiom] if args.axiom is not None else sorted(axioms)
     failures = 0
     rows = []
     for axiom_id in ids:
-        schema = axioms.get(axiom_id)
-        if schema is None:
-            raise InputError(f"unknown axiom {axiom_id!r}; known: {', '.join(sorted(axioms))}")
+        schema = axioms[axiom_id]
         for _ in range(args.count):
             bindings = _random_bindings(schema, rng, m, args.depth)
             instance = deduction.instantiate_axiom(schema, bindings)
@@ -184,32 +184,15 @@ def _soundness_round(m: TransitionSystem, rng: random.Random, depth: int) -> lis
     phi = generate.random_formula(rng.getrandbits(32), depth, m.agents, props)
     psi = generate.random_formula(rng.getrandbits(32), depth, m.agents, props)
     agent = rng.choice(m.agents)
-    ir2 = deduction.check_rule_locally(
-        m,
-        "ir2",
-        implies(phi, psi),
-        implies(Modal(Modality.WA, agent, phi), Modal(Modality.WA, agent, psi)),
-    )
-    if not ir2.valid:
-        problems.append(f"ir2 fails at {ir2.counterexample}")
-    ir3 = deduction.check_rule_locally(
-        m,
-        "ir3",
-        implies(phi, psi),
-        implies(Modal(Modality.SA, agent, psi), Modal(Modality.SA, agent, phi)),
-    )
-    if not ir3.valid:
-        problems.append(f"ir3 fails at {ir3.counterexample}")
+    rules = [("ir2", implies(phi, psi), (agent,), ()), ("ir3", implies(phi, psi), (agent,), ())]
     if len(m.agents) >= 2:
         a, b = rng.sample(list(m.agents), 2)
-        ir4 = deduction.check_rule_locally(
-            m,
-            "ir4",
-            implies(phi, Neg(psi)),
-            implies(Modal(Modality.WE, a, phi), Modal(Modality.SE, b, psi)),
-        )
-        if not ir4.valid:
-            problems.append(f"ir4 fails at {ir4.counterexample}")
+        rules.append(("ir4", implies(phi, Neg(psi)), (a,), (b,)))
+    for rule, premise, agents, se_agents in rules:
+        conclusion = deduction.rule_conclusion(rule, premise, agents, se_agents)
+        verdict = deduction.check_rule_locally(m, rule, premise, conclusion)
+        if not verdict.valid:
+            problems.append(f"{rule} fails at {verdict.counterexample}")
     return problems
 
 
@@ -245,7 +228,7 @@ def _cmd_soundness(args: argparse.Namespace) -> int:
 
 
 def _cmd_prove(args: argparse.Namespace) -> int:
-    if args.builtin:
+    if args.builtin is not None:
         derivation = fixtures.load_derivation_fixture(args.builtin)
     else:
         derivation = deduction.derivation_from_dict(_read_json(args.derivation))
@@ -422,8 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_soundness)
 
     p = sub.add_parser("prove", help="verify a derivation")
-    p.add_argument("--derivation", help="path to a derivation JSON file")
-    p.add_argument("--builtin", choices=fixtures.DERIVATION_IDS, help="verify a shipped derivation")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--derivation", help="path to a derivation JSON file")
+    source.add_argument(
+        "--builtin", metavar="NAME", help="verify a shipped derivation, as listed by 'fixtures'"
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_prove)
 

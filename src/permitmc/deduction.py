@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .checker import model_check
 from .errors import CapacityError, InputError
@@ -244,86 +244,75 @@ def is_tautology(f: Formula, atom_cap: int = TAUTOLOGY_ATOM_CAP) -> bool:
     return True
 
 
-# --- inference-rule shapes ---------------------------------------------------------
+# --- inference rules ---------------------------------------------------------------
+
+RULES = ("ir2", "ir3", "ir4")
+
+# Reads a formula as the first part of a right-nested chain and the rest.
+Splitter = Callable[[Formula], tuple[Formula, Formula] | None]
 
 
-def _unfold_conj(f: Formula, n: int) -> list[Formula] | None:
-    """Read ``f`` as a right-nested conjunction of exactly ``n`` parts."""
+def _split_or(f: Formula) -> tuple[Formula, Formula] | None:
+    """The two sides of ``f`` read as a disjunction; ``true``, which desugars
+    to one, is not read as one."""
+    return (f.left, f.right) if isinstance(f, Or) and f != TOP else None
+
+
+def _unfold(f: Formula, n: int, split: Splitter, empty: Formula) -> list[Formula] | None:
+    """Read ``f`` as a right-nested chain of exactly ``n`` parts, cut by
+    ``split``; the empty chain is ``empty``."""
     if n == 0:
-        return [] if f == TOP else None
+        return [] if f == empty else None
     parts: list[Formula] = []
-    node = f
     for _ in range(n - 1):
-        pair = match_and(node)
+        pair = split(f)
         if pair is None:
             return None
         parts.append(pair[0])
-        node = pair[1]
-    parts.append(node)
+        f = pair[1]
+    parts.append(f)
     return parts
 
 
-def _unfold_disj(f: Formula, n: int) -> list[Formula] | None:
-    if n == 0:
-        return [] if f == BOT else None
-    parts: list[Formula] = []
-    node = f
-    for _ in range(n - 1):
-        if not isinstance(node, Or) or node == TOP:
-            return None
-        parts.append(node.left)
-        node = node.right
-    parts.append(node)
-    return parts
+def rule_conclusion(
+    rule: str, premise: Formula, agents: tuple[str, ...], se_agents: tuple[str, ...] = ()
+) -> Formula:
+    """The formula that ``rule`` infers from ``premise``.
 
+    - ir2, one agent a: from phi -> psi infer WA[a] phi -> WA[a] psi.
+    - ir3, one agent a: from phi -> psi infer SA[a] psi -> SA[a] phi.
+    - ir4, WE agents a1..an (``agents``) and SE agents b1..bm (``se_agents``),
+      all distinct: from phi1 & .. & phin -> !psi1 | .. | !psim infer
+      WE[a1] phi1 & .. & WE[an] phin -> SE[b1] psi1 | .. | SE[bm] psim, an
+      empty conjunction reading as true and an empty disjunction as false.
 
-def check_monotone_shape(
-    premise: Formula, conclusion: Formula, agent: str, kind: Modality
-) -> str | None:
-    """None when ``conclusion`` follows from the implication ``premise`` by
-    ir2 (``kind`` WA: phi -> psi gives WA phi -> WA psi) or ir3 (``kind`` SA:
-    it gives SA psi -> SA phi) for ``agent``; otherwise the reason it does not."""
-    pair = match_implies(premise)
-    if pair is None:
-        return "premise is not an implication"
-    phi, psi = pair if kind is Modality.WA else pair[::-1]
-    expected = implies(Modal(kind, agent, phi), Modal(kind, agent, psi))
-    if conclusion != expected:
-        return f"conclusion is not {format_formula(expected)!r}"
-    return None
-
-
-def check_ir4_shape(
-    premise: Formula,
-    conclusion: Formula,
-    we_agents: tuple[str, ...],
-    se_agents: tuple[str, ...],
-) -> str | None:
-    all_agents = tuple(we_agents) + tuple(se_agents)
+    Raises ``InputError`` with the reason when the rule, the agents or the
+    premise do not fit."""
+    if rule not in RULES:
+        raise InputError(f"unknown rule {rule!r}")
+    if rule != "ir4" and (len(agents) != 1 or se_agents):
+        raise InputError(f"{rule} takes exactly one agent")
+    all_agents = (*agents, *se_agents)
     if len(set(all_agents)) != len(all_agents):
-        return "agents of the rule must be distinct"
+        raise InputError("agents of the rule must be distinct")
     pair = match_implies(premise)
     if pair is None:
-        return "premise is not an implication"
-    antecedent, consequent = pair
-    phis = _unfold_conj(antecedent, len(we_agents))
+        raise InputError("premise is not an implication")
+    if rule != "ir4":
+        kind, (phi, psi) = (Modality.WA, pair) if rule == "ir2" else (Modality.SA, pair[::-1])
+        return implies(Modal(kind, agents[0], phi), Modal(kind, agents[0], psi))
+    phis = _unfold(pair[0], len(agents), match_and, TOP)
     if phis is None:
-        return f"premise antecedent is not a conjunction of {len(we_agents)} parts"
-    neg_psis = _unfold_disj(consequent, len(se_agents))
+        raise InputError(f"premise antecedent is not a conjunction of {len(agents)} parts")
+    neg_psis = _unfold(pair[1], len(se_agents), _split_or, BOT)
     if neg_psis is None:
-        return f"premise consequent is not a disjunction of {len(se_agents)} parts"
-    psis: list[Formula] = []
-    for part in neg_psis:
-        if not isinstance(part, Neg):
-            return "premise consequent parts must be negations"
-        psis.append(part.child)
-    expected = implies(
-        conj([Modal(Modality.WE, a, phi) for a, phi in zip(we_agents, phis)]),
-        disj([Modal(Modality.SE, b, psi) for b, psi in zip(se_agents, psis)]),
+        raise InputError(f"premise consequent is not a disjunction of {len(se_agents)} parts")
+    if not all(isinstance(part, Neg) for part in neg_psis):
+        raise InputError("premise consequent parts must be negations")
+    return implies(
+        conj([Modal(Modality.WE, a, phi) for a, phi in zip(agents, phis)]),
+        disj([Modal(Modality.SE, b, part.child) for b, part in zip(se_agents, neg_psis)]),
     )
-    if conclusion != expected:
-        return f"conclusion is not {format_formula(expected)!r}"
-    return None
 
 
 @dataclass(frozen=True)
@@ -333,18 +322,17 @@ class RuleVerdict:
     counterexample: str | None = None
 
 
-def _chain_agents(node: Formula, kind: Modality, conjunctive: bool) -> tuple[str, ...] | None:
+def _chain_agents(
+    node: Formula, kind: Modality, split: Splitter, empty: Formula
+) -> tuple[str, ...] | None:
     """Agents of one side of an ir4 conclusion read as a right-nested chain of
-    ``kind`` modal formulas joined by & (``conjunctive``) or |; greedy, which
-    is unambiguous because chains nest to the right."""
+    ``kind`` modal formulas cut by ``split``, the empty chain being ``empty``;
+    greedy, which is unambiguous because chains nest to the right."""
     agents: list[str] = []
-    while node != (TOP if conjunctive else BOT):
+    while node != empty:
         if isinstance(node, Modal) and node.kind is kind:
             return (*agents, node.agent)
-        if conjunctive:
-            pair = match_and(node)
-        else:
-            pair = (node.left, node.right) if isinstance(node, Or) and node != TOP else None
+        pair = split(node)
         if pair is None or not (isinstance(pair[0], Modal) and pair[0].kind is kind):
             return None
         agents.append(pair[0].agent)
@@ -356,27 +344,27 @@ def check_rule_locally(
     m: TransitionSystem, rule: str, premise: Formula, conclusion: Formula
 ) -> RuleVerdict:
     """Per-model soundness check of one rule application: when the premise is
-    valid in ``m``, the conclusion must be too. The premise/conclusion pair
-    must syntactically be an instance of the named rule."""
+    valid in ``m``, the conclusion must be too. The conclusion must be the one
+    ``rule_conclusion`` infers from the premise for the agents it names."""
     rule = rule.lower()
     pair = match_implies(conclusion)
-    if rule in ("ir2", "ir3"):
-        if pair is None or not isinstance(pair[0], Modal):
-            raise InputError("conclusion is not an implication from a modal formula")
-        kind = Modality.WA if rule == "ir2" else Modality.SA
-        reason = check_monotone_shape(premise, conclusion, pair[0].agent, kind)
-    elif rule == "ir4":
+    agents: tuple[str, ...] = ()
+    se_agents: tuple[str, ...] = ()
+    if rule == "ir4":
         if pair is None:
             raise InputError("conclusion is not an implication")
-        we_agents = _chain_agents(pair[0], Modality.WE, conjunctive=True)
-        se_agents = _chain_agents(pair[1], Modality.SE, conjunctive=False)
-        if we_agents is None or se_agents is None:
+        we = _chain_agents(pair[0], Modality.WE, match_and, TOP)
+        se = _chain_agents(pair[1], Modality.SE, _split_or, BOT)
+        if we is None or se is None:
             raise InputError("conclusion does not have the WE.../SE... shape")
-        reason = check_ir4_shape(premise, conclusion, we_agents, se_agents)
-    else:
-        raise InputError(f"unknown rule {rule!r}")
-    if reason is not None:
-        raise InputError(reason)
+        agents, se_agents = we, se
+    elif rule in RULES:
+        if pair is None or not isinstance(pair[0], Modal):
+            raise InputError("conclusion is not an implication from a modal formula")
+        agents = (pair[0].agent,)
+    expected = rule_conclusion(rule, premise, agents, se_agents)
+    if conclusion != expected:
+        raise InputError(f"conclusion is not {format_formula(expected)!r}")
 
     premise_check = check_validity(m, premise)
     if not premise_check.valid:
@@ -410,25 +398,17 @@ class JMP:
 
 
 @dataclass(frozen=True)
-class JIR2:
+class JRule:
+    """A step that ``rule`` (ir2, ir3 or ir4) infers from step ``premise``
+    for the agents that ``rule_conclusion`` takes."""
+
+    rule: str
     premise: int
-    agent: str
+    agents: tuple[str, ...]
+    se_agents: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class JIR3:
-    premise: int
-    agent: str
-
-
-@dataclass(frozen=True)
-class JIR4:
-    premise: int
-    we_agents: tuple[str, ...]
-    se_agents: tuple[str, ...]
-
-
-Justification = JAxiom | JTaut | JMP | JIR2 | JIR3 | JIR4
+Justification = JAxiom | JTaut | JMP | JRule
 
 
 @dataclass(frozen=True)
@@ -454,9 +434,9 @@ def verify_derivation(d: Derivation) -> DerivationVerdict:
 
     Axiom steps must equal the instantiated schema; taut steps must pass the
     truth-table check; mp steps require the cited implication step to be
-    literally ``antecedent -> current``; rule steps require the cited premise
-    and the current formula to match the rule's shapes (including the
-    distinct-agents side condition of ir4)."""
+    literally ``antecedent -> current``; rule steps require the current formula
+    to be the one ``rule_conclusion`` infers from the cited premise (which
+    includes the distinct-agents side condition of ir4)."""
 
     def reject(k: int, reason: str) -> DerivationVerdict:
         return DerivationVerdict(False, k, reason)
@@ -488,19 +468,14 @@ def verify_derivation(d: Derivation) -> DerivationVerdict:
                     k,
                     f"step {j.implication} is not literally step {j.antecedent} -> this formula",
                 )
-        elif isinstance(j, (JIR2, JIR3)):
-            kind = Modality.WA if isinstance(j, JIR2) else Modality.SA
-            reason = check_monotone_shape(
-                d.steps[j.premise - 1].formula, step.formula, j.agent, kind
-            )
-            if reason is not None:
-                return reject(k, reason)
-        elif isinstance(j, JIR4):
-            reason = check_ir4_shape(
-                d.steps[j.premise - 1].formula, step.formula, j.we_agents, j.se_agents
-            )
-            if reason is not None:
-                return reject(k, reason)
+        elif isinstance(j, JRule):
+            premise = d.steps[j.premise - 1].formula
+            try:
+                expected = rule_conclusion(j.rule, premise, j.agents, j.se_agents)
+            except InputError as exc:
+                return reject(k, str(exc))
+            if step.formula != expected:
+                return reject(k, f"conclusion is not {format_formula(expected)!r}")
         else:
             return reject(k, f"unknown justification {j!r}")
     return DerivationVerdict(True)
@@ -509,7 +484,7 @@ def verify_derivation(d: Derivation) -> DerivationVerdict:
 def _references(j: Justification) -> tuple[int, ...]:
     if isinstance(j, JMP):
         return (j.antecedent, j.implication)
-    if isinstance(j, (JIR2, JIR3, JIR4)):
+    if isinstance(j, JRule):
         return (j.premise,)
     return ()
 
@@ -548,7 +523,7 @@ def derivation_from_dict(data: Any) -> Derivation:
             if not isinstance(agent, str):
                 raise InputError(f"step {i}: {kind} needs an 'agent' field")
             (ref,) = _int_args(arg, 1, i)
-            steps.append(DerivationStep(f, (JIR2 if kind == "ir2" else JIR3)(ref, agent)))
+            steps.append(DerivationStep(f, JRule(kind, ref, (agent,))))
         elif kind == "ir4":
             (ref,) = _int_args(arg, 1, i)
             we = raw.get("as", [])
@@ -558,7 +533,7 @@ def derivation_from_dict(data: Any) -> Derivation:
                 for names in (we, se)
             ):
                 raise InputError(f"step {i}: 'as' and 'bs' must be lists of agent names")
-            steps.append(DerivationStep(f, JIR4(ref, tuple(we), tuple(se))))
+            steps.append(DerivationStep(f, JRule(kind, ref, tuple(we), tuple(se))))
         else:
             raise InputError(f"step {i}: unknown justification kind {kind!r}")
     return Derivation(tuple(steps))
@@ -573,29 +548,3 @@ def _int_args(arg: str, n: int, step: int) -> tuple[int, ...]:
     if len(values) != n:
         raise InputError(f"step {step}: expected {n} step reference(s)")
     return values
-
-
-def derivation_to_dict(d: Derivation) -> dict[str, Any]:
-    steps = []
-    for step in d.steps:
-        j = step.justification
-        entry: dict[str, Any] = {"formula": format_formula(step.formula)}
-        if isinstance(j, JAxiom):
-            entry["by"] = f"axiom:{j.axiom_id}"
-            entry["bind"] = dict(j.bindings)
-        elif isinstance(j, JTaut):
-            entry["by"] = "taut"
-        elif isinstance(j, JMP):
-            entry["by"] = f"mp:{j.antecedent},{j.implication}"
-        elif isinstance(j, JIR2):
-            entry["by"] = f"ir2:{j.premise}"
-            entry["agent"] = j.agent
-        elif isinstance(j, JIR3):
-            entry["by"] = f"ir3:{j.premise}"
-            entry["agent"] = j.agent
-        elif isinstance(j, JIR4):
-            entry["by"] = f"ir4:{j.premise}"
-            entry["as"] = list(j.we_agents)
-            entry["bs"] = list(j.se_agents)
-        steps.append(entry)
-    return {"steps": steps}

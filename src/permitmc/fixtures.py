@@ -124,8 +124,8 @@ def load_fixture(fixture_id: str) -> Fixture:
 
 
 def load_derivation_fixture(name: str) -> Derivation:
-    # Imported here, like verify_witness in run_fixture, so that reading the
-    # catalog (the CLI's parser lists DERIVATION_IDS) runs neither module.
+    # Imported here, like verify_witness in run_fixture, so that listing or
+    # exporting the catalog runs neither module.
     from .deduction import derivation_from_dict
 
     if name not in DERIVATION_IDS:

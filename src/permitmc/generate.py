@@ -29,7 +29,6 @@ class GenParams:
     permitted_density: float = 1.0
     branching: int = 1
     deterministic: bool = False
-    single_agent: bool = False
 
     def __post_init__(self) -> None:
         if min(self.num_agents, self.num_states, self.max_actions, self.num_props) < 1:
@@ -38,8 +37,6 @@ class GenParams:
             raise InputError("permitted_density must lie in (0, 1]")
         if self.branching < 1:
             raise InputError("branching must be at least 1")
-        if self.single_agent and self.num_agents != 1:
-            raise InputError("single_agent requires num_agents == 1")
 
 
 def agent_names(count: int) -> list[str]:

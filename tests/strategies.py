@@ -49,7 +49,6 @@ def models(draw, max_states=4, max_agents=2, max_actions=2, branching=2,
         permitted_density=density if density is not None else draw(st.sampled_from((0.5, 1.0))),
         branching=branching,
         deterministic=deterministic,
-        single_agent=single_agent,
     )
     return random_model(params)
 

@@ -158,7 +158,6 @@ def test_criterion_4_single_agent_deterministic_collapse():
                     num_props=2,
                     permitted_density=(0.5, 1.0)[k % 2],
                     deterministic=True,
-                    single_agent=True,
                 )
             )
             for _ in range(50):

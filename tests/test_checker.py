@@ -184,10 +184,12 @@ def test_modal_image_matches_oracle_from_empty_to_full_psi():
 # those of the checker before the ensure test became a disjointness test;
 # complementing a truth set in the states alone, without zz, would put s
 # into WE[a] p and WE[a] true and take it out of SE[a] p and SE[a] true.
+# The oracle must agree at every state.
 STRAY_SUCCESSOR_TRUTH_SETS = {
     "WE[a] p": ["t"], "SE[a] p": ["s", "t"], "WA[a] p": ["t"], "SA[a] p": ["t"],
     "WE[a] !p": [], "SE[a] !p": ["s", "t"], "WA[a] !p": [], "SA[a] !p": ["s", "t"],
     "WE[a] true": ["t"], "SE[a] true": ["s", "t"], "WA[a] true": ["t"], "SA[a] true": ["t"],
+    "WE[a] false": [], "SE[a] false": ["s", "t"], "WA[a] false": [], "SA[a] false": ["s", "t"],
 }
 
 
@@ -202,7 +204,10 @@ def test_successor_outside_the_states_keeps_its_truth_sets():
         valuation={"p": ["t"]},
     )
     for text, want in STRAY_SUCCESSOR_TRUTH_SETS.items():
-        assert members(model_check(m, parse(text))) == want
+        ts = model_check(m, parse(text))
+        assert members(ts) == want
+        for s in m.states:
+            assert (s in ts) == check_state_naive(m, s, parse(text)), (text, s)
 
 
 @given(models(max_states=3, max_actions=2))

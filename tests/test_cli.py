@@ -175,6 +175,10 @@ def test_usage_error_exit_code(capsys):
          "search bounds must be at least 1"),
         (["witness", "--target", "WE", "--search", "--max-candidates", "-1"],
          "search bounds must be at least 1"),
+        (["axioms", "--model", "FIG1", "--axiom", "A99"],
+         "unknown axiom 'A99'; known: A1, A2, A3, A4, A5, A6, A7, A8, A9"),
+        (["axioms", "--model", "FIG1", "--axiom", ""],
+         "unknown axiom ''; known: A1, A2, A3, A4, A5, A6, A7, A8, A9"),
     ],
     ids=[
         "soundness-max-states-0",
@@ -188,6 +192,8 @@ def test_usage_error_exit_code(capsys):
         "soundness-depth-negative",
         "witness-max-candidates-0",
         "witness-max-candidates-negative",
+        "axioms-unknown-id",
+        "axioms-empty-id",
     ],
 )
 def test_count_out_of_range_is_usage_error(fig1_path, capsys, argv, message):
@@ -219,7 +225,10 @@ def test_check_runs_only_the_modules_it_uses(fig1_path):
     code, *ran = line.split()
     assert code == "0"
     assert {"permitmc.checker", "permitmc.formula", "permitmc.model"} <= set(ran)
-    unused = {"permitmc.algebra", "permitmc.atl", "permitmc.deduction", "permitmc.generate"}
+    unused = {
+        "permitmc.algebra", "permitmc.atl", "permitmc.deduction", "permitmc.fixtures",
+        "permitmc.generate",
+    }
     assert unused.isdisjoint(ran)
 
 
@@ -275,6 +284,22 @@ def test_prove_bad_derivation_field_is_usage_error(tmp_path, capsys, step):
     code, out, err = run_cli(capsys, "prove", "--derivation", str(bad))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--builtin", "we-monotonicity", "--derivation", "proof.json"],
+        ["--builtin", "nope"],
+        ["--builtin", ""],
+    ],
+    ids=["no-source", "both-sources", "unknown-builtin", "empty-builtin"],
+)
+def test_prove_needs_exactly_one_known_source(capsys, argv):
+    code, out, err = run_cli(capsys, "prove", *argv)
+    assert (code, out) == (2, "")
+    assert sum("error:" in line for line in err.splitlines()) == 1
 
 
 def test_witness_verify_and_refute(fig1_path, capsys):

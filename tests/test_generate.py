@@ -62,8 +62,6 @@ def test_param_validation():
         GenParams(seed=0, num_states=0)
     with pytest.raises(InputError):
         GenParams(seed=0, permitted_density=0.0)
-    with pytest.raises(InputError):
-        GenParams(seed=0, single_agent=True, num_agents=2)
 
 
 def test_random_formula_depth_zero_is_leaf():
