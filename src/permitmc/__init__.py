@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "algebra": (
-        "SearchBounds", "SearchResult", "TruthFamily", "WitnessReport", "closure_step",
+        "SearchBounds", "SearchResult", "WitnessReport", "closure_step",
         "default_family", "family_of", "search_witness", "verify_closure", "verify_witness",
     ),
     "atl": (
@@ -24,8 +24,8 @@ _EXPORTS = {
         "verify_translation",
     ),
     "checker": (
-        "ModelChecker", "admits", "check_state_naive", "ensures", "modal_image", "model_check",
-        "truth_set_sa", "truth_set_se", "truth_set_wa", "truth_set_we",
+        "ModelChecker", "check_state_naive", "modal_image", "model_check", "truth_set_sa",
+        "truth_set_se", "truth_set_wa", "truth_set_we",
     ),
     "deduction": (
         "AXIOMS", "AxiomSchema", "Derivation", "check_rule_locally", "check_validity",
@@ -39,8 +39,8 @@ _EXPORTS = {
     ),
     "generate": ("GenParams", "random_formula", "random_model"),
     "model": (
-        "TransitionSystem", "TruthSet", "is_deterministic", "make_model", "model_from_dict",
-        "model_to_dict", "profiles_with_action", "successors", "validate_model",
+        "TransitionSystem", "TruthSet", "make_model", "model_from_dict", "model_to_dict",
+        "validate_model",
     ),
 }
 

@@ -14,50 +14,38 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from .checker import modal_image, model_check
 from .errors import InputError
 from .formula import Formula, Modal, Modality, Neg, Or, Prop, format_formula
-from .model import TransitionSystem, TruthSet, make_model, truth_set
+from .model import TransitionSystem, make_model
+
+# A family of pairwise distinct truth sets, in canonical order: by their
+# sorted members.
+Family = tuple[frozenset[str], ...]
 
 
-@dataclass(frozen=True)
-class TruthFamily:
-    """A canonically ordered family of pairwise distinct truth sets."""
-
-    members: tuple[TruthSet, ...]
-
-    def __contains__(self, ts: TruthSet) -> bool:
-        return any(ts.members == member.members for member in self.members)
-
-    def __iter__(self) -> Iterator[TruthSet]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def family_of(model: TransitionSystem, sets: Iterable[Iterable[str]]) -> TruthFamily:
-    distinct: dict[frozenset[str], TruthSet] = {}
+def family_of(model: TransitionSystem, sets: Iterable[Iterable[str]]) -> Family:
+    distinct: set[frozenset[str]] = set()
     for s in sets:
-        ts = truth_set(model, s)
-        distinct.setdefault(ts.members, ts)
-    ordered = sorted(distinct.values(), key=lambda ts: ts.sorted_members())
-    return TruthFamily(tuple(ordered))
+        members = frozenset(s)
+        if not members <= model.state_set:
+            extra = sorted(members - model.state_set)
+            raise InputError(f"truth set members outside the state universe: {extra}")
+        distinct.add(members)
+    return tuple(sorted(distinct, key=sorted))
 
 
-def default_family(model: TransitionSystem, prop: str) -> TruthFamily:
+def default_family(model: TransitionSystem, prop: str) -> Family:
     """The family {truth(p), truth(!p), all states, no states}."""
     p = model_check(model, Prop(prop))
-    return family_of(
-        model, [p.members, p.complement().members, model.states, ()]
-    )
+    return family_of(model, [p, model.state_set - p, model.states, ()])
 
 
 def closure_step(
-    m: TransitionSystem, family: TruthFamily, modality: Modality, agent: str
-) -> dict[TruthSet, TruthSet]:
+    m: TransitionSystem, family: Family, modality: Modality, agent: str
+) -> dict[frozenset[str], frozenset[str]]:
     """Image of every family member under one modality/agent pair."""
     return {member: modal_image(m, modality, agent, member) for member in family}
 
@@ -65,14 +53,14 @@ def closure_step(
 @dataclass(frozen=True)
 class ClosureViolation:
     kind: str  # "complement" | "union" | "modality"
-    image: TruthSet
-    sources: tuple[TruthSet, ...]
+    image: frozenset[str]
+    sources: tuple[frozenset[str], ...]
     modality: Modality | None = None
     agent: str | None = None
 
     def describe(self) -> str:
-        srcs = " and ".join("{" + ", ".join(s.sorted_members()) + "}" for s in self.sources)
-        img = "{" + ", ".join(self.image.sorted_members()) + "}"
+        srcs = " and ".join("{" + ", ".join(sorted(s)) + "}" for s in self.sources)
+        img = "{" + ", ".join(sorted(self.image)) + "}"
         if self.kind == "modality":
             return f"{self.modality}[{self.agent}] maps {srcs} to {img}, outside the family"
         return f"{self.kind} of {srcs} is {img}, outside the family"
@@ -86,7 +74,7 @@ class ClosureReport:
 
 def verify_closure(
     m: TransitionSystem,
-    family: TruthFamily,
+    family: Family,
     modalities: Iterable[Modality],
     agents: Iterable[str] | None = None,
 ) -> ClosureReport:
@@ -95,11 +83,11 @@ def verify_closure(
     agents = tuple(agents) if agents is not None else m.agents
     violations: list[ClosureViolation] = []
     for member in family:
-        image = member.complement()
+        image = m.state_set - member
         if image not in family:
             violations.append(ClosureViolation("complement", image, (member,)))
     for x, y in combinations(family, 2):
-        image = x.union(y)
+        image = x | y
         if image not in family:
             violations.append(ClosureViolation("union", image, (x, y)))
     for modality in modalities:
@@ -119,10 +107,10 @@ class WitnessReport:
     target: Modality
     proposition: str
     agent: str
-    family: TruthFamily
+    family: Family
     closed_under: tuple[tuple[Modality, str], ...]
     escape_formula: Formula
-    escape_set: TruthSet
+    escape_set: frozenset[str]
     failures: tuple[str, ...]
 
     def to_dict(self) -> dict[str, Any]:
@@ -131,11 +119,11 @@ class WitnessReport:
             "target": self.target.value,
             "prop": self.proposition,
             "agent": self.agent,
-            "family": [ts.sorted_members() for ts in self.family],
+            "family": [sorted(ts) for ts in self.family],
             "closed_under": [[mod.value, agent] for mod, agent in self.closed_under],
             "escape": {
                 "formula": format_formula(self.escape_formula),
-                "states": self.escape_set.sorted_members(),
+                "states": sorted(self.escape_set),
             },
             "failures": list(self.failures),
         }
@@ -145,7 +133,7 @@ def verify_witness(
     m: TransitionSystem,
     target: Modality,
     prop: str,
-    family: TruthFamily | None = None,
+    family: Family | None = None,
     closed_modalities: Iterable[Modality] | None = None,
     agents: Iterable[str] | None = None,
     escape_agent: str | None = None,
@@ -172,7 +160,7 @@ def verify_witness(
     if escape_set in family:
         failures.append(
             f"{format_formula(escape_formula)} has truth set "
-            f"{{{', '.join(escape_set.sorted_members())}}}, which stays in the family"
+            f"{{{', '.join(sorted(escape_set))}}}, which stays in the family"
         )
 
     closed_under = tuple((mod, agent) for mod in closed for agent in agents)
@@ -245,10 +233,10 @@ class SearchResult:
     report: WitnessReport | None = None
 
 
-_AGENT_NAMES = "abcdefghij"
-
-
 def _random_candidate(rng: random.Random, bounds: SearchBounds) -> TransitionSystem:
+    # Imported here, so that verifying a given witness never runs the generator.
+    from .generate import agent_names
+
     # Escapes need the powerset to outgrow the four-member family, so fewer
     # than three states can never witness; sample from three up when allowed.
     if bounds.max_states <= 3:
@@ -256,7 +244,7 @@ def _random_candidate(rng: random.Random, bounds: SearchBounds) -> TransitionSys
     else:
         n_states = rng.randint(3, bounds.max_states)
     states = [f"s{i}" for i in range(n_states)]
-    agents = list(_AGENT_NAMES[: bounds.num_agents])
+    agents = agent_names(bounds.num_agents)
     actions: dict[str, dict[str, list[str]]] = {}
     permitted: dict[str, dict[str, list[str]]] = {}
     for s in states:

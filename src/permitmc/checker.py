@@ -27,15 +27,13 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import not_
-from typing import Container, Iterator
+from typing import Iterator
 
 from .errors import InputError
 from .formula import TOP_PROP, Formula, Modal, Modality, Neg, Or, Prop, postorder
-from .model import TransitionSystem, TruthSet, profiles_with_action
+from .model import TransitionSystem, TruthSet
 
 __all__ = [
-    "ensures",
-    "admits",
     "modal_image",
     "truth_set_wa",
     "truth_set_we",
@@ -47,39 +45,17 @@ __all__ = [
 ]
 
 
-def ensures(
-    m: TransitionSystem, s: str, agent: str, action: str, target: Container[str]
-) -> bool:
-    """True when every successor reachable while ``agent`` plays ``action``
-    lies in ``target``. Vacuously true if the action occurs in no mechanism
-    entry, which cannot happen in valid models."""
-    return all(t in target for _, t in profiles_with_action(m, s, agent, action))
-
-
-def admits(
-    m: TransitionSystem, s: str, agent: str, action: str, target: Container[str]
-) -> bool:
-    """True when some successor reachable while ``agent`` plays ``action``
-    lies in ``target``; the dual of ensuring the complement."""
-    return any(t in target for _, t in profiles_with_action(m, s, agent, action))
-
-
-def modal_image(m: TransitionSystem, kind: Modality, agent: str, psi: TruthSet) -> TruthSet:
-    """States where ``kind[agent]`` holds of ``psi``."""
-    return TruthSet._unchecked(m.states, _image(m, kind, agent, psi.members))
-
-
-def _image(m: TransitionSystem, kind: Modality, agent: str, inside: frozenset[str]) -> frozenset:
-    """``modal_image`` on plain sets: where ``kind[agent]`` holds of ``inside``.
+def modal_image(m: TransitionSystem, kind: Modality, agent: str, psi: frozenset) -> frozenset:
+    """States where ``kind[agent]`` holds of the truth set ``psi``.
 
     Every action is put one question, ``X.isdisjoint(U)`` for its successor
-    union U. For the admit modalities (WA, SA) X is ``inside``, and an action
+    union U. For the admit modalities (WA, SA) X is ``psi``, and an action
     passes when X meets U. For the ensure modalities (WE, SE) X is the
-    complement of ``inside`` in ``successor_universe``, which holds every
+    complement of ``psi`` in ``successor_universe``, which holds every
     successor, and an action passes when X misses U, that is when U lies
     inside. ``isdisjoint`` probes the smaller set's members in the larger and
     stops at the first common one, so a step costs O(sum of min(|X|, |U|))
-    at most, and a nearly full ``inside`` costs about as little as a nearly
+    at most, and a nearly full ``psi`` costs about as little as a nearly
     empty one.
 
     A weak modality holds where some permitted action passes, a strong one
@@ -92,26 +68,26 @@ def _image(m: TransitionSystem, kind: Modality, agent: str, inside: frozenset[st
     weak = kind is Modality.WA or kind is Modality.WE
     admit = kind is Modality.WA or kind is Modality.SA
     states, unions = sides[0 if weak else 1]
-    x = inside if admit else m.successor_universe - inside
+    x = psi if admit else m.successor_universe - psi
     disjoint = map(x.isdisjoint, unions)
     passes = map(not_, disjoint) if admit else disjoint
     hits = frozenset(compress(states, passes))
     return hits if weak else m.state_set - hits
 
 
-def truth_set_wa(m: TransitionSystem, agent: str, psi: TruthSet) -> TruthSet:
+def truth_set_wa(m: TransitionSystem, agent: str, psi: frozenset) -> frozenset:
     return modal_image(m, Modality.WA, agent, psi)
 
 
-def truth_set_we(m: TransitionSystem, agent: str, psi: TruthSet) -> TruthSet:
+def truth_set_we(m: TransitionSystem, agent: str, psi: frozenset) -> frozenset:
     return modal_image(m, Modality.WE, agent, psi)
 
 
-def truth_set_se(m: TransitionSystem, agent: str, psi: TruthSet) -> TruthSet:
+def truth_set_se(m: TransitionSystem, agent: str, psi: frozenset) -> frozenset:
     return modal_image(m, Modality.SE, agent, psi)
 
 
-def truth_set_sa(m: TransitionSystem, agent: str, psi: TruthSet) -> TruthSet:
+def truth_set_sa(m: TransitionSystem, agent: str, psi: frozenset) -> frozenset:
     return modal_image(m, Modality.SA, agent, psi)
 
 
@@ -119,8 +95,8 @@ class ModelChecker:
     """Global model checking context for one model, memoized per subformula.
 
     ``truth_set`` labels the distinct subformulas not yet in the memo,
-    children first, in one ``postorder`` walk; the memo holds plain member
-    sets, and only the result is wrapped in a ``TruthSet``. The cache is
+    children first, in one ``postorder`` walk; the memo holds frozensets,
+    and only the result is copied into a ``TruthSet``. The cache is
     private to the instance, so independent checkers can run concurrently
     over the same (immutable) model.
     """
@@ -133,7 +109,7 @@ class ModelChecker:
         m, memo = self.model, self._memo
         for g in postorder(f, memo):
             if isinstance(g, Modal):
-                memo[g] = _image(m, g.kind, g.agent, memo[g.child])
+                memo[g] = modal_image(m, g.kind, g.agent, memo[g.child])
             elif isinstance(g, Or):
                 memo[g] = memo[g.left] | memo[g.right]
             elif isinstance(g, Neg):
@@ -142,10 +118,14 @@ class ModelChecker:
                 if g.name == TOP_PROP:
                     memo[g] = m.state_set
                 else:
-                    memo[g] = TruthSet(m.states, m.valuation.get(g.name, frozenset())).members
+                    members = m.valuation.get(g.name, frozenset())
+                    if not members <= m.state_set:
+                        extra = sorted(members - m.state_set)
+                        raise InputError(f"truth set members outside the state universe: {extra}")
+                    memo[g] = members
             else:
                 raise InputError(f"not a formula node: {g!r}")
-        return TruthSet._unchecked(m.states, memo[f])
+        return TruthSet(memo[f])
 
 
 def model_check(m: TransitionSystem, f: Formula) -> TruthSet:

@@ -3,9 +3,11 @@
 Exit codes are disjoint across all subcommands: 0 on success, 1 on a semantic
 failure (counterexample, rejected derivation, failed witness, translation
 mismatch, fixture regression), 2 on usage or input errors, 3 on an internal
-error (any other exception, reported on one stderr line). Sets print in
-sorted state order and ``--json`` payloads carry a schema tag, so outputs
-diff cleanly in CI. Randomized subcommands echo their seed for replay.
+error (any other exception, reported on one stderr line), and 141 (128 +
+SIGPIPE), with nothing on stderr, when stdout closes before the output is
+written, as under ``| head``. Sets print in sorted state order and
+``--json`` payloads carry a schema tag, so outputs diff cleanly in CI.
+Randomized subcommands echo their seed for replay.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
 import pathlib
 import random
 import sys
@@ -59,6 +62,7 @@ EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 
 def _read_json(path: str) -> Any:
@@ -101,9 +105,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     f = parse(args.formula)
     ts = model_check(m, f)
     if args.json:
-        _emit_json({"formula": format_formula(f), "states": ts.sorted_members()})
+        _emit_json({"formula": format_formula(f), "states": sorted(ts)})
     else:
-        print(" ".join(ts.sorted_members()))
+        print(" ".join(sorted(ts)))
     return EXIT_OK
 
 
@@ -284,25 +288,27 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 def _cmd_translate(args: argparse.Namespace) -> int:
     m = _load_model(args.model)
+    verdict = None
+    if args.verify:  # checked before --out is written, so a usage error writes nothing
+        if not args.formula:
+            raise InputError("--verify needs --formula")
+        verdict = atl.verify_translation(m, parse(args.formula), max_modal_depth=args.max_depth)
     am = atl.expand_model(m)
     _write_json(args.out, atl.atl_model_to_dict(am))
     print(f"wrote {args.out} ({len(am.states)} expanded states"
           f"{', with the bookkeeping agent' if am.has_nature else ''})")
-    if args.verify:
-        if not args.formula:
-            raise InputError("--verify needs --formula")
-        verdict = atl.verify_translation(m, parse(args.formula), max_modal_depth=args.max_depth)
-        if verdict.ok:
-            print(f"translation agrees at all {verdict.checked} expanded states")
-            return EXIT_OK
-        st = verdict.mismatch_state
-        assert st is not None
-        print(
-            f"mismatch at <{st.base}, {{{', '.join(sorted(st.allowed))}}}>: "
-            f"direct check says {verdict.expected}"
-        )
-        return EXIT_SEMANTIC
-    return EXIT_OK
+    if verdict is None:
+        return EXIT_OK
+    if verdict.ok:
+        print(f"translation agrees at all {verdict.checked} expanded states")
+        return EXIT_OK
+    st = verdict.mismatch_state
+    assert st is not None
+    print(
+        f"mismatch at <{st.base}, {{{', '.join(sorted(st.allowed))}}}>: "
+        f"direct check says {verdict.expected}"
+    )
+    return EXIT_SEMANTIC
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -461,7 +467,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so that the flush at interpreter exit, which
+        # would meet the same closed pipe, stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except (InputError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

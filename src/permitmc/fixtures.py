@@ -165,15 +165,16 @@ def run_fixture(fixture: Fixture) -> list[ExpectationResult]:
             results.append(ExpectationResult(fixture.id, e, False, f"no variant {e.variant!r}"))
             continue
         if isinstance(e, TruthSetExpectation):
-            got = model_check(model, parse(e.formula)).sorted_members()
+            got = sorted(model_check(model, parse(e.formula)))
             results.append(
                 ExpectationResult(fixture.id, e, got == sorted(e.states), " ".join(got))
             )
         elif isinstance(e, WitnessExpectation):
             report = verify_witness(model, e.target, e.prop, closed_modalities=e.closed)
-            escape_ok = report.escape_set.sorted_members() == sorted(e.escape)
+            escape = sorted(report.escape_set)
+            escape_ok = escape == sorted(e.escape)
             got = (
-                f"ok={report.ok} escape={' '.join(report.escape_set.sorted_members())}"
+                f"ok={report.ok} escape={' '.join(escape)}"
                 if report.ok
                 else "; ".join(report.failures)
             )

@@ -9,7 +9,9 @@ A transition system bundles, per state:
   * a valuation assigning each proposition the set of states where it holds.
 
 Models are treated as immutable after construction; nothing in this package
-mutates them, so they are safe to share across threads.
+mutates them, so they are safe to share across threads. A truth set is a
+``frozenset`` of state names; ``TruthSet`` is the frozenset that
+``ModelChecker.truth_set`` returns.
 """
 
 from __future__ import annotations
@@ -110,65 +112,18 @@ class TransitionSystem:
         return self.state_set.union(targets)
 
 
-@dataclass(frozen=True)
-class TruthSet:
-    """A set of states of one model, carrying the state universe so that
-    complements are well-defined."""
+class TruthSet(frozenset):
+    """A truth set as ``ModelChecker.truth_set`` returns it: a frozenset of
+    state names, with two read accessors."""
 
-    universe: tuple[str, ...]
-    members: frozenset[str]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        extra = self.members - set(self.universe)
-        if extra:
-            raise InputError(f"truth set members outside the state universe: {sorted(extra)}")
-
-    def __contains__(self, state: str) -> bool:
-        return state in self.members
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.sorted_members())
-
-    def __len__(self) -> int:
-        return len(self.members)
+    @property
+    def members(self) -> frozenset[str]:
+        return self
 
     def sorted_members(self) -> list[str]:
-        return sorted(self.members)
-
-    @classmethod
-    def _unchecked(cls, universe: tuple[str, ...], members: frozenset[str]) -> "TruthSet":
-        """A truth set whose members lie in ``universe`` by construction,
-        built without the O(|universe|) membership check."""
-        ts = object.__new__(cls)
-        object.__setattr__(ts, "universe", universe)
-        object.__setattr__(ts, "members", members)
-        return ts
-
-    def complement(self) -> "TruthSet":
-        return TruthSet._unchecked(self.universe, frozenset(self.universe) - self.members)
-
-    def union(self, other: "TruthSet") -> "TruthSet":
-        if other.universe is self.universe:
-            return TruthSet._unchecked(self.universe, self.members | other.members)
-        return TruthSet(self.universe, self.members | other.members)
-
-    def is_full(self) -> bool:
-        return self.members == frozenset(self.universe)
-
-    def is_empty(self) -> bool:
-        return not self.members
-
-
-def truth_set(model: TransitionSystem, members: Iterable[str]) -> TruthSet:
-    return TruthSet(model.states, frozenset(members))
-
-
-def full_set(model: TransitionSystem) -> TruthSet:
-    return TruthSet(model.states, frozenset(model.states))
-
-
-def empty_set(model: TransitionSystem) -> TruthSet:
-    return TruthSet(model.states, frozenset())
+        return sorted(self)
 
 
 def make_model(
@@ -413,53 +368,6 @@ def _uncovered_profiles(m: TransitionSystem, s: str) -> Iterator[Violation]:
             yield Violation(
                 "continuity", f"profile {dict(key)} at state {s!r} has no successor", s, profile=key
             )
-
-
-def is_deterministic(m: TransitionSystem) -> bool:
-    """True when every action profile has exactly one successor."""
-    for s in m.states:
-        seen: dict[tuple[tuple[str, str], ...], set[str]] = {}
-        for profile, target in m.entries(s):
-            seen.setdefault(_profile_key(profile), set()).add(target)
-        if any(len(ts) != 1 for ts in seen.values()):
-            return False
-    return True
-
-
-# --- queries -------------------------------------------------------------------
-
-
-def _require_profile(m: TransitionSystem, s: str, profile: Profile) -> dict[str, str]:
-    if s not in m.states:
-        raise InputError(f"unknown state {s!r}")
-    profile = dict(profile)
-    if set(profile) != set(m.agents):
-        raise InputError(f"profile {profile} does not cover exactly the agent set")
-    for a in m.agents:
-        if profile[a] not in m.action_set(s, a):
-            raise InputError(f"action {profile[a]!r} of agent {a!r} unavailable at state {s!r}")
-    return profile
-
-
-def successors(m: TransitionSystem, s: str, profile: Profile) -> frozenset[str]:
-    """All successors of ``s`` under ``profile``; nonempty for valid models."""
-    profile = _require_profile(m, s, profile)
-    return frozenset(t for entry, t in m.entries(s) if entry == profile)
-
-
-def profiles_with_action(
-    m: TransitionSystem, s: str, agent: str, action: str
-) -> Iterator[TransitionEntry]:
-    """Mechanism entries at ``s`` whose profile assigns ``action`` to ``agent``."""
-    if s not in m.states:
-        raise InputError(f"unknown state {s!r}")
-    if agent not in m.agents:
-        raise InputError(f"unknown agent {agent!r}")
-    if action not in m.action_set(s, agent):
-        raise InputError(f"action {action!r} of agent {agent!r} unavailable at state {s!r}")
-    for profile, target in m.entries(s):
-        if profile.get(agent) == action:
-            yield profile, target
 
 
 # --- JSON format ----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the property tests."""
+"""Hypothesis strategies and a model reader shared by the property tests."""
 
 from __future__ import annotations
 
@@ -85,3 +85,15 @@ def deep_chain(
         else:
             f = Or(f, Prop(rng.choice(props)))
     return f
+
+
+def action_unions(m, s, agent):
+    """action -> its successor union at ``s``, read off
+    ``m.successor_unions``, whose rows list each state's actions on a side
+    in their ``action_set`` order."""
+    permitted = m.permitted_set(s, agent)
+    out = {}
+    for side, (states, unions) in enumerate(m.successor_unions[agent]):
+        actions = [i for i in m.action_set(s, agent) if (i not in permitted) == side]
+        out.update(zip(actions, [u for t, u in zip(states, unions) if t == s]))
+    return out

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from strategies import models
 
 from permitmc.algebra import (
     SearchBounds,
+    _random_candidate,
     closure_step,
     default_family,
     enumerate_formulas,
@@ -15,7 +18,7 @@ from permitmc.algebra import (
 from permitmc.checker import model_check
 from permitmc.errors import InputError
 from permitmc.formula import Modality, Prop
-from permitmc.model import make_model, truth_set
+from permitmc.model import make_model, validate_model
 
 
 def all_permitted_pair():
@@ -37,16 +40,15 @@ def all_permitted_pair():
 def test_family_canonicalization(fig1):
     fam = family_of(fig1, [["u"], ["s", "t"], ["s", "t", "u"], [], ["u"]])
     assert len(fam) == 4
-    assert [ts.sorted_members() for ts in fam] == [[], ["s", "t"], ["s", "t", "u"], ["u"]]
-    assert truth_set(fig1, {"u"}) in fam
-    assert truth_set(fig1, {"s"}) not in fam
+    assert [sorted(ts) for ts in fam] == [[], ["s", "t"], ["s", "t", "u"], ["u"]]
+    assert frozenset({"u"}) in fam
+    assert frozenset({"s"}) not in fam
 
 
 def test_closure_step_fig1_we(fig1):
     fam = default_family(fig1, "p")
     images = closure_step(fig1, fam, Modality.WE, "a")
-    p_member = truth_set(fig1, {"u"})
-    assert images[p_member].sorted_members() == ["u"]
+    assert sorted(images[frozenset({"u"})]) == ["u"]
     assert all(image in fam for image in images.values())
 
 
@@ -55,9 +57,9 @@ def test_closure_step_constant_family():
     fam = family_of(m, [[], ["s", "t"]])
     for modality in Modality:
         images = closure_step(m, fam, modality, "a")
-        empty, full = truth_set(m, set()), truth_set(m, {"s", "t"})
-        assert images[full].is_full()
-        assert images[empty].members in (frozenset(), frozenset({"s", "t"}))
+        empty, full = frozenset(), m.state_set
+        assert images[full] == full
+        assert images[empty] in (empty, full)
         assert all(image in fam for image in images.values())
 
 
@@ -76,8 +78,8 @@ def test_verify_closure_fig1(fig1):
     assert not with_wa.closed
     v = with_wa.violations[0]
     assert v.kind == "modality" and v.modality is Modality.WA and v.agent == "a"
-    assert v.image.sorted_members() == ["s", "u"]
-    assert v.sources[0].sorted_members() == ["u"]
+    assert sorted(v.image) == ["s", "u"]
+    assert sorted(v.sources[0]) == ["u"]
 
 
 def test_powerset_family_closed_under_everything():
@@ -90,7 +92,7 @@ def test_powerset_family_closed_under_everything():
 def test_verify_witness_fig1(fig1):
     report = verify_witness(fig1, Modality.WA, "p")
     assert report.ok
-    assert report.escape_set.sorted_members() == ["s", "u"]
+    assert sorted(report.escape_set) == ["s", "u"]
     assert (Modality.WE, "a") in report.closed_under
     assert report.to_dict()["escape"]["formula"] == "WA[a] p"
 
@@ -177,3 +179,12 @@ def test_se_sa_trivial_when_everything_permitted(m):
     fam = default_family(m, "p0")
     report = verify_closure(m, fam, [Modality.SE, Modality.SA], m.agents)
     assert report.closed
+
+
+def test_search_candidates_have_the_requested_agents():
+    rng = random.Random(0)
+    ten = _random_candidate(rng, SearchBounds(num_agents=10, max_actions=1))
+    assert ten.agents == tuple("abcdefghij")
+    eleven = _random_candidate(rng, SearchBounds(num_agents=11, max_actions=1))
+    assert eleven.agents == tuple("abcdefghijk")
+    assert validate_model(eleven) == []

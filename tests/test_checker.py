@@ -2,13 +2,11 @@ import random
 
 import pytest
 from hypothesis import given
-from strategies import formulas, model_and_formulas, models
+from strategies import action_unions, formulas, model_and_formulas, models
 
 from permitmc.algebra import closure_step, default_family, verify_closure
 from permitmc.checker import (
-    admits,
     check_state_naive,
-    ensures,
     modal_image,
     model_check,
     truth_set_sa,
@@ -19,99 +17,98 @@ from permitmc.checker import (
 from permitmc.errors import InputError
 from permitmc.formula import Modal, Modality, Neg, Or, Prop, and_, parse
 from permitmc.generate import GenParams, random_model
-from permitmc.model import empty_set, full_set, make_model, model_from_dict, model_to_dict, truth_set
+from permitmc.model import make_model, model_from_dict, model_to_dict
 
 P = Prop("p0")
 Q = Prop("p1")
-
-
-def members(ts):
-    return ts.sorted_members()
+EMPTY = frozenset()
 
 
 # --- ensures / admits -------------------------------------------------------------
+# An action ensures a truth set when its successor union lies inside it, and
+# admits it when the union meets it.
 
 
 def test_ensures_fig1_examples(fig1):
-    p = truth_set(fig1, {"u"})
-    assert ensures(fig1, "u", "a", "1", p)
-    assert not ensures(fig1, "s", "a", "2", p)
+    assert action_unions(fig1, "u", "a")["1"] <= {"u"}
+    assert not action_unions(fig1, "s", "a")["2"] <= {"u"}
     for s in fig1.states:
-        for i in fig1.action_set(s, "a"):
-            assert ensures(fig1, s, "a", i, full_set(fig1))
+        for union in action_unions(fig1, s, "a").values():
+            assert union <= fig1.state_set
 
 
 def test_admits_fig1_examples(fig1):
-    assert admits(fig1, "s", "a", "2", truth_set(fig1, {"t"}))
+    assert action_unions(fig1, "s", "a")["2"] & {"t"}
     for s in fig1.states:
-        for i in fig1.action_set(s, "a"):
-            assert not admits(fig1, s, "a", i, empty_set(fig1))
-
-
-def test_ensures_invalid_locus(fig1):
-    with pytest.raises(InputError):
-        ensures(fig1, "zz", "a", "1", empty_set(fig1))
-    with pytest.raises(InputError):
-        admits(fig1, "s", "a", "9", empty_set(fig1))
+        unions = action_unions(fig1, s, "a")
+        assert list(unions) == list(fig1.action_set(s, "a"))
+        assert all(unions.values())  # so no action admits the empty set
 
 
 @given(models(max_states=3, max_actions=2))
 def test_admits_is_dual_of_ensures(m):
-    target = truth_set(m, [s for i, s in enumerate(m.states) if i % 2 == 0])
-    for s in m.states:
-        for a in m.agents:
-            for i in m.action_set(s, a):
-                assert admits(m, s, a, i, target) == (
-                    not ensures(m, s, a, i, target.complement())
-                )
+    # An action admits psi exactly when it does not ensure the complement, so
+    # where the agent has one permitted action WA[a] psi = !WE[a] !psi, and
+    # where it has one other action SA[a] psi = !SE[a] !psi.
+    psi = frozenset(s for i, s in enumerate(m.states) if i % 2 == 0)
+    rest = m.state_set - psi
+    for a in m.agents:
+        wa, we = modal_image(m, Modality.WA, a, psi), modal_image(m, Modality.WE, a, rest)
+        sa, se = modal_image(m, Modality.SA, a, psi), modal_image(m, Modality.SE, a, rest)
+        for s in m.states:
+            others = len(m.action_set(s, a)) - len(m.permitted_set(s, a))
+            if len(m.permitted_set(s, a)) == 1:
+                assert (s in wa) == (s not in we)
+            if others == 1:
+                assert (s in sa) == (s not in se)
 
 
 # --- the four truth-set operations -------------------------------------------------
 
 
 def test_truth_set_wa_fig1(fig1):
-    assert members(truth_set_wa(fig1, "a", truth_set(fig1, {"u"}))) == ["s", "u"]
-    assert truth_set_wa(fig1, "a", empty_set(fig1)).is_empty()
-    assert truth_set_wa(fig1, "a", full_set(fig1)).is_full()
+    assert sorted(truth_set_wa(fig1, "a", frozenset({"u"}))) == ["s", "u"]
+    assert truth_set_wa(fig1, "a", EMPTY) == EMPTY
+    assert truth_set_wa(fig1, "a", fig1.state_set) == fig1.state_set
 
 
 def test_truth_set_we_fig1(fig1):
-    assert members(truth_set_we(fig1, "a", truth_set(fig1, {"u"}))) == ["u"]
-    assert truth_set_we(fig1, "a", full_set(fig1)).is_full()
-    assert truth_set_we(fig1, "a", empty_set(fig1)).is_empty()
+    assert sorted(truth_set_we(fig1, "a", frozenset({"u"}))) == ["u"]
+    assert truth_set_we(fig1, "a", fig1.state_set) == fig1.state_set
+    assert truth_set_we(fig1, "a", EMPTY) == EMPTY
 
 
 def test_truth_set_se_vacuous_and_all_permitted(fig1, fig3):
-    assert truth_set_se(fig1, "a", empty_set(fig1)).is_full()
+    assert truth_set_se(fig1, "a", EMPTY) == fig1.state_set
     # All actions permitted in fig1, so the subset test always passes.
     for member in ({"u"}, {"s", "t"}, set(fig1.states), set()):
-        assert truth_set_se(fig1, "a", truth_set(fig1, member)).is_full()
+        assert truth_set_se(fig1, "a", frozenset(member)) == fig1.state_set
     # fig3: the non-permitted forcing action at s breaks the subset condition.
-    assert members(truth_set_se(fig3, "a", truth_set(fig3, {"u"}))) == ["t", "u"]
+    assert sorted(truth_set_se(fig3, "a", frozenset({"u"}))) == ["t", "u"]
 
 
 def test_truth_set_sa_examples(fig1, fig4):
-    assert truth_set_sa(fig1, "a", empty_set(fig1)).is_full()
+    assert truth_set_sa(fig1, "a", EMPTY) == fig1.state_set
     for member in ({"u"}, {"s", "t"}, set(fig1.states)):
-        assert truth_set_sa(fig1, "a", truth_set(fig1, member)).is_full()
+        assert truth_set_sa(fig1, "a", frozenset(member)) == fig1.state_set
     # fig4: states whose non-permitted actions can reach the p-state drop out.
-    assert members(truth_set_sa(fig4, "a", truth_set(fig4, {"u"}))) == ["t"]
+    assert sorted(truth_set_sa(fig4, "a", frozenset({"u"}))) == ["t"]
 
 
 # --- model_check and the naive oracle ----------------------------------------------
 
 
 def test_model_check_fig1_goldens(fig1):
-    assert members(model_check(fig1, parse("p"))) == ["u"]
-    assert members(model_check(fig1, parse("!p"))) == ["s", "t"]
-    assert members(model_check(fig1, parse("WA[a] p"))) == ["s", "u"]
+    assert sorted(model_check(fig1, parse("p"))) == ["u"]
+    assert sorted(model_check(fig1, parse("!p"))) == ["s", "t"]
+    assert sorted(model_check(fig1, parse("WA[a] p"))) == ["s", "u"]
 
 
 def test_model_check_deep_negation_chain(fig1):
     # 10^5 negations of p: an even count, so the truth set of p, [[p]] = {u}.
     f = parse("!" * 10**5 + "p")
-    assert members(model_check(fig1, f)) == ["u"]
-    assert members(model_check(fig1, Neg(f))) == ["s", "t"]
+    assert sorted(model_check(fig1, f)) == ["u"]
+    assert sorted(model_check(fig1, Neg(f))) == ["s", "t"]
 
 
 def test_check_state_naive_fig1(fig1):
@@ -136,10 +133,10 @@ def test_unknown_agent_is_an_input_error(fig1):
     calls = [
         lambda: model_check(fig1, parse("WA[zz] p")),
         lambda: check_state_naive(fig1, "s", parse("WA[zz] p")),
-        lambda: truth_set_wa(fig1, "zz", full_set(fig1)),
-        lambda: truth_set_we(fig1, "zz", full_set(fig1)),
-        lambda: truth_set_se(fig1, "zz", full_set(fig1)),
-        lambda: truth_set_sa(fig1, "zz", full_set(fig1)),
+        lambda: truth_set_wa(fig1, "zz", fig1.state_set),
+        lambda: truth_set_we(fig1, "zz", fig1.state_set),
+        lambda: truth_set_se(fig1, "zz", fig1.state_set),
+        lambda: truth_set_sa(fig1, "zz", fig1.state_set),
         lambda: closure_step(fig1, family, Modality.SE, "zz"),
         lambda: verify_closure(fig1, family, [Modality.WA], ["zz"]),
     ]
@@ -169,12 +166,12 @@ def test_modal_image_matches_oracle_from_empty_to_full_psi():
         doc["valuation"] = {f"q{k}": members for k, members in enumerate(ladder)}
         m = model_from_dict(doc)
         for k, members in enumerate(ladder):
-            psi = truth_set(m, members)
+            psi = frozenset(members)
             for a in m.agents:
                 for kind in Modality:
                     f = Modal(kind, a, Prop(f"q{k}"))
                     want = {s for s in m.states if check_state_naive(m, s, f)}
-                    assert modal_image(m, kind, a, psi).members == want
+                    assert modal_image(m, kind, a, psi) == want
                     images += 1
     assert images > 1000
 
@@ -205,7 +202,7 @@ def test_successor_outside_the_states_keeps_its_truth_sets():
     )
     for text, want in STRAY_SUCCESSOR_TRUTH_SETS.items():
         ts = model_check(m, parse(text))
-        assert members(ts) == want
+        assert sorted(ts) == want
         for s in m.states:
             assert (s in ts) == check_state_naive(m, s, parse(text)), (text, s)
 
@@ -236,23 +233,23 @@ def test_single_agent_deterministic_collapse(m, f):
     we = model_check(m, Modal(Modality.WE, "a", f))
     sa = model_check(m, Modal(Modality.SA, "a", f))
     se = model_check(m, Modal(Modality.SE, "a", f))
-    assert wa.members == we.members
-    assert sa.members == se.members
+    assert wa == we
+    assert sa == se
 
 
 @given(models(max_states=4))
 def test_monotonicity_and_antimonotonicity(m):
     narrow = and_(P, Q)
     wide = P
-    assert model_check(m, narrow).members <= model_check(m, wide).members
+    assert model_check(m, narrow) <= model_check(m, wide)
     for a in m.agents:
         assert (
-            model_check(m, Modal(Modality.WA, a, narrow)).members
-            <= model_check(m, Modal(Modality.WA, a, wide)).members
+            model_check(m, Modal(Modality.WA, a, narrow))
+            <= model_check(m, Modal(Modality.WA, a, wide))
         )
         assert (
-            model_check(m, Modal(Modality.SA, a, wide)).members
-            <= model_check(m, Modal(Modality.SA, a, narrow)).members
+            model_check(m, Modal(Modality.SA, a, wide))
+            <= model_check(m, Modal(Modality.SA, a, narrow))
         )
 
 
@@ -261,31 +258,31 @@ def test_wa_distributes_over_disjunction(triple):
     m, f, g = triple
     for a in m.agents:
         assert (
-            model_check(m, Modal(Modality.WA, a, Or(f, g))).members
-            == model_check(m, Modal(Modality.WA, a, f)).members
-            | model_check(m, Modal(Modality.WA, a, g)).members
+            model_check(m, Modal(Modality.WA, a, Or(f, g)))
+            == model_check(m, Modal(Modality.WA, a, f))
+            | model_check(m, Modal(Modality.WA, a, g))
         )
 
 
 @given(models(max_states=4))
 def test_constant_laws(m):
     for a in m.agents:
-        assert model_check(m, parse(f"WA[{a}] false")).is_empty()
-        assert model_check(m, parse(f"WE[{a}] true")).is_full()
-        assert model_check(m, parse(f"SA[{a}] false")).is_full()
+        assert model_check(m, parse(f"WA[{a}] false")) == EMPTY
+        assert model_check(m, parse(f"WE[{a}] true")) == m.state_set
+        assert model_check(m, parse(f"SA[{a}] false")) == m.state_set
         assert (
-            model_check(m, parse(f"SE[{a}] true")).members
-            <= model_check(m, parse(f"SA[{a}] true")).members
+            model_check(m, parse(f"SE[{a}] true"))
+            <= model_check(m, parse(f"SA[{a}] true"))
         )
 
 
 def test_neg_and_or_follow_set_algebra(fig1):
     f, g = parse("WA[a] p"), parse("WE[b] !p")
-    assert model_check(fig1, Neg(f)).members == model_check(fig1, f).complement().members
+    assert model_check(fig1, Neg(f)) == fig1.state_set - model_check(fig1, f)
     assert (
-        model_check(fig1, Or(f, g)).members
-        == model_check(fig1, f).members | model_check(fig1, g).members
+        model_check(fig1, Or(f, g))
+        == model_check(fig1, f) | model_check(fig1, g)
     )
-    assert model_check(fig1, and_(f, g)).members == (
-        model_check(fig1, f).members & model_check(fig1, g).members
+    assert model_check(fig1, and_(f, g)) == (
+        model_check(fig1, f) & model_check(fig1, g)
     )

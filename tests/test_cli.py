@@ -347,6 +347,25 @@ def test_translate_and_verify(fig1_path, tmp_path, capsys):
     assert len(doc["states"]) == 12
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ((), "--verify needs --formula"),
+        (("--formula", "WA[a] WA[a] WA[a] p"), "modal depth 3 exceeds the configured bound 2"),
+        (("--formula", "WA[a"), None),
+    ],
+    ids=["no-formula", "too-deep", "unparsable"],
+)
+def test_translate_usage_error_writes_nothing(fig1_path, tmp_path, capsys, extra, message):
+    out_path = tmp_path / "atl.json"
+    code, out, err = run_cli(
+        capsys, "translate", "--model", fig1_path, "--out", str(out_path), "--verify", *extra
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and (message is None or err == f"error: {message}\n")
+    assert not out_path.exists()
+
+
 def test_gen_deterministic_output(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -417,3 +436,17 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert "fig1-wa" in proc.stdout
+
+
+def test_closed_stdout_exits_141_silently():
+    # The model is megabytes long, so the writes after the first line meet
+    # the closed pipe.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "permitmc", "gen", "--seed", "1", "--states", "3000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"seed: 1\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")

@@ -4,7 +4,7 @@ from permitmc.checker import model_check
 from permitmc.errors import CapacityError, InputError
 from permitmc.formula import BOT, TOP, Modal, Modality, Neg, Or, Prop, subformulas
 from permitmc.generate import GenParams, random_formula, random_model
-from permitmc.model import is_deterministic, validate_model
+from permitmc.model import validate_model
 
 
 def test_same_seed_same_model():
@@ -34,7 +34,6 @@ def test_all_generated_models_validate():
 
 def test_deterministic_flag():
     m = random_model(GenParams(seed=9, num_states=4, branching=3, deterministic=True))
-    assert is_deterministic(m)
     for s in m.states:
         profiles = {tuple(sorted(p.items())) for p, _ in m.entries(s)}
         assert len(m.entries(s)) == len(profiles)
@@ -48,7 +47,7 @@ def test_full_density_means_everything_permitted():
     # With everything permitted, strong permission to admit holds everywhere.
     for seed in range(5):
         f = random_formula(seed, 2, m.agents, ["p0"])
-        assert model_check(m, Modal(Modality.SA, "a", f)).is_full()
+        assert model_check(m, Modal(Modality.SA, "a", f)) == m.state_set
 
 
 def test_capacity_error_on_infeasible_params():

@@ -7,22 +7,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from permitmc.algebra import family_of
 from permitmc.checker import modal_image, model_check
 from permitmc.errors import CapacityError, InputError
 from permitmc.formula import Modality, parse
 from permitmc.generate import GenParams, random_model
-from permitmc.model import (
-    TruthSet,
-    is_deterministic,
-    make_model,
-    model_from_dict,
-    model_to_dict,
-    profiles_with_action,
-    successors,
-    validate_model,
-)
+from permitmc.model import TruthSet, make_model, model_from_dict, model_to_dict, validate_model
 
-from strategies import JSON, formulas, model_and_formulas, models
+from strategies import JSON, action_unions, formulas, model_and_formulas, models
 
 
 def two_agent_square(transitions, permitted=None):
@@ -95,7 +87,7 @@ def test_reserved_proposition_rejected():
 def test_empty_state_set_is_valid():
     m = make_model(["a"], [], actions={}, permitted={}, transitions=[], valuation={})
     assert validate_model(m) == []
-    assert model_check(m, parse("WA[a] p")).members == frozenset()
+    assert model_check(m, parse("WA[a] p")) == frozenset()
 
 
 def test_profile_cap_guard():
@@ -122,58 +114,9 @@ def test_profile_cap_env_override(monkeypatch):
     assert any(v.code == "continuity" for v in validate_model(m))
 
 
-def test_successors_fig1(fig1):
-    assert "t" in successors(fig1, "s", {"a": "2", "b": "1"})
-    assert successors(fig1, "u", {"a": "1", "b": "1"}) == frozenset({"u"})
-
-
-def test_successors_deterministic_model_singletons():
-    from permitmc.generate import GenParams, random_model
-
-    m = random_model(GenParams(seed=11, num_states=4, num_agents=2, max_actions=2,
-                               deterministic=True))
-    assert is_deterministic(m)
-    for s in m.states:
-        seen = set()
-        for profile, _ in m.entries(s):
-            key = tuple(sorted(profile.items()))
-            if key in seen:
-                continue
-            seen.add(key)
-            assert len(successors(m, s, profile)) == 1
-
-
-def test_successors_input_errors(fig1):
-    with pytest.raises(InputError):
-        successors(fig1, "zz", {"a": "1", "b": "1"})
-    with pytest.raises(InputError):
-        successors(fig1, "s", {"a": "1"})
-    with pytest.raises(InputError):
-        successors(fig1, "s", {"a": "7", "b": "1"})
-
-
-def test_profiles_with_action_fig1(fig1):
-    entries = list(profiles_with_action(fig1, "s", "a", "2"))
-    assert ({"a": "2", "b": "1"}, "t") in [(dict(p), t) for p, t in entries]
-
-
-def test_profiles_with_action_single_agent():
-    m = make_model(
-        ["a"],
-        ["s"],
-        actions={"s": {"a": ["1", "2"]}},
-        permitted={"s": {"a": ["1", "2"]}},
-        transitions=[("s", {"a": "1"}, "s"), ("s", {"a": "2"}, "s")],
-        valuation={},
-    )
-    for i in ("1", "2"):
-        got = list(profiles_with_action(m, "s", "a", i))
-        assert got == [e for e in m.entries("s") if e[0]["a"] == i]
-
-
-def test_profiles_with_action_count_matches_enumeration():
+def test_successor_union_spans_every_counter_action():
     # k entries per profile and n counter-actions of b give k*n entries for a
-    # fixed action of a.
+    # fixed action of a, which share k successors.
     k, n = 3, 4
     states = [f"t{j}" for j in range(k)] + ["s"]
     actions = {s: {"a": ["1"], "b": ["1"]} for s in states}
@@ -186,43 +129,31 @@ def test_profiles_with_action_count_matches_enumeration():
         transitions.append((f"t{j}", {"a": "1", "b": "1"}, f"t{j}"))
     m = make_model(["a", "b"], states, actions, actions, transitions, {})
     assert validate_model(m) == []
-    assert len(list(profiles_with_action(m, "s", "a", "i"))) == k * n
+    assert action_unions(m, "s", "a") == {"i": {f"t{j}" for j in range(k)}}
+    assert action_unions(m, "s", "b") == {str(j): {f"t{j}" for j in range(k)} for j in range(n)}
 
 
-def test_profiles_with_action_input_error(fig1):
-    with pytest.raises(InputError):
-        list(profiles_with_action(fig1, "s", "a", "9"))
-
-
-def test_truth_set_operations():
-    ts = TruthSet(("s", "t", "u"), frozenset({"u"}))
-    assert ts.complement().members == {"s", "t"}
-    assert ts.union(ts.complement()).is_full()
-    assert "u" in ts and "s" not in ts
-    assert list(ts) == ["u"]
-    with pytest.raises(InputError):
-        TruthSet(("s",), frozenset({"zz"}))
-
-
-def test_truth_set_union_checks_members_across_universes():
-    small = TruthSet(("s",), frozenset({"s"}))
-    wide = TruthSet(("s", "zz"), frozenset({"zz"}))
+def test_truth_set_operations(fig1):
+    ts = model_check(fig1, parse("p"))
+    assert isinstance(ts, TruthSet) and ts == {"u"}
+    assert ts.members == {"u"} and ts.sorted_members() == ["u"]
+    assert fig1.state_set - ts == {"s", "t"}
+    assert ts | (fig1.state_set - ts) == fig1.state_set
     with pytest.raises(InputError, match=re.escape("outside the state universe: ['zz']")):
-        small.union(wide)
-    assert wide.union(small).members == {"s", "zz"}
+        family_of(fig1, [["u"], ["s", "zz"]])
 
 
 @given(models())
 def test_generated_models_have_successors_everywhere(m):
     assert validate_model(m) == []
     for s in m.states:
-        from itertools import product
-
+        covered = {tuple(sorted(profile.items())) for profile, _ in m.entries(s)}
         for combo in product(*(m.action_set(s, a) for a in m.agents)):
-            profile = dict(zip(m.agents, combo))
-            assert successors(m, s, profile)
-            for a in m.agents:
-                assert list(profiles_with_action(m, s, a, profile[a]))
+            assert tuple(sorted(zip(m.agents, combo))) in covered
+        for a in m.agents:
+            unions = action_unions(m, s, a)
+            assert set(unions) == set(m.action_set(s, a))
+            assert all(unions.values())
 
 
 @given(model_and_formulas(max_states=3, max_leaves=5))
@@ -231,7 +162,7 @@ def test_structural_equality_gives_identical_truth_sets(pair):
     clone = model_from_dict(model_to_dict(m))
     assert clone == m
     assert validate_model(clone) == validate_model(m)
-    assert model_check(clone, f).members == model_check(m, f).members
+    assert model_check(clone, f) == model_check(m, f)
 
 
 def test_json_roundtrip(fig1):
@@ -424,7 +355,7 @@ def _modal_by_brute_force(m, kind, agent, psi):
         weak_side, strong_side = [], []
         for i in m.action_set(s, agent):
             union = {t for profile, t in m.entries(s) if profile.get(agent) == i}
-            passes = union <= psi.members if ensure else bool(union & psi.members)
+            passes = union <= psi if ensure else bool(union & psi)
             (weak_side if i in permitted else strong_side).append(passes)
         if kind in (Modality.WA, Modality.WE):
             holds = any(weak_side)
@@ -441,12 +372,12 @@ def test_modal_image_matches_brute_force_on_mutated_corpus():
     for m in mutated_models(seed=4, count=200, kinds=TABLE_MUTATIONS):
         invalid += bool(validate_model(m))
         for _ in range(3):
-            psi = TruthSet(m.states, frozenset(s for s in m.states if rng.random() < 0.5))
+            psi = frozenset(s for s in m.states if rng.random() < 0.5)
             for agent in m.agents:
                 for kind in Modality:
                     got = modal_image(m, kind, agent, psi)
-                    assert got.universe == m.states
-                    assert got.members == _modal_by_brute_force(m, kind, agent, psi)
+                    assert got <= m.state_set
+                    assert got == _modal_by_brute_force(m, kind, agent, psi)
                     images += 1
         with pytest.raises(InputError, match="^unknown agent 'zz'$"):
             modal_image(m, Modality.SA, "zz", psi)
