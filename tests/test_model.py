@@ -114,6 +114,22 @@ def test_profile_cap_env_override(monkeypatch):
     assert any(v.code == "continuity" for v in validate_model(m))
 
 
+def test_successors_deterministic_model_singletons():
+    m = random_model(GenParams(seed=11, num_states=4, num_agents=2, max_actions=2,
+                               deterministic=True))
+    for s in m.states:
+        targets = {}
+        for profile, t in m.entries(s):
+            targets.setdefault(tuple(sorted(profile.items())), set()).add(t)
+        assert all(len(ts) == 1 for ts in targets.values())
+
+
+def test_profiles_with_action_fig1(fig1):
+    entries = [(dict(p), t) for p, t in fig1.entries("s") if p["a"] == "2"]
+    assert ({"a": "2", "b": "1"}, "t") in entries
+    assert "t" in action_unions(fig1, "s", "a")["2"]
+
+
 def test_successor_union_spans_every_counter_action():
     # k entries per profile and n counter-actions of b give k*n entries for a
     # fixed action of a, which share k successors.
