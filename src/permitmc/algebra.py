@@ -133,26 +133,24 @@ def verify_witness(
     m: TransitionSystem,
     target: Modality,
     prop: str,
-    family: Family | None = None,
     closed_modalities: Iterable[Modality] | None = None,
-    agents: Iterable[str] | None = None,
-    escape_agent: str | None = None,
 ) -> WitnessReport:
-    """Check a model witnesses the undefinability of ``target``: the family is
-    closed under the other modalities (default: the remaining three) for all
-    agents, while ``target[agent] prop`` produces a truth set outside it."""
-    if family is None:
-        family = default_family(m, prop)
+    """Check a model witnesses the undefinability of ``target``: the default
+    family of ``prop`` is closed under the other modalities (default: the
+    remaining three) for all agents, while ``target[agent] prop``, for the
+    model's first agent, produces a truth set outside it."""
+    if not m.agents:
+        raise InputError("a witness needs an agent for its escape formula; the model has none")
+    family = default_family(m, prop)
     closed = (
         tuple(closed_modalities)
         if closed_modalities is not None
         else tuple(mod for mod in Modality if mod is not target)
     )
-    agents = tuple(agents) if agents is not None else m.agents
-    escape_agent = escape_agent if escape_agent is not None else agents[0]
+    escape_agent = m.agents[0]
 
     failures: list[str] = []
-    closure = verify_closure(m, family, closed, agents)
+    closure = verify_closure(m, family, closed)
     failures.extend(v.describe() for v in closure.violations)
 
     escape_formula = Modal(target, escape_agent, Prop(prop))
@@ -163,7 +161,7 @@ def verify_witness(
             f"{{{', '.join(sorted(escape_set))}}}, which stays in the family"
         )
 
-    closed_under = tuple((mod, agent) for mod in closed for agent in agents)
+    closed_under = tuple((mod, agent) for mod in closed for agent in m.agents)
     return WitnessReport(
         ok=not failures,
         target=target,
@@ -207,19 +205,20 @@ def enumerate_formulas(
 
 # --- witness search --------------------------------------------------------------
 
+# Successors per (state, profile) of a candidate are drawn from 1 up to this.
+MAX_BRANCHING = 2
+
 
 @dataclass(frozen=True)
 class SearchBounds:
     max_states: int = 3
     num_agents: int = 2
     max_actions: int = 2
-    max_branching: int = 2
     allow_nonpermitted: bool = True
     max_candidates: int = 50_000
 
     def __post_init__(self) -> None:
-        if min(self.max_states, self.num_agents, self.max_actions,
-               self.max_branching, self.max_candidates) < 1:
+        if min(self.max_states, self.num_agents, self.max_actions, self.max_candidates) < 1:
             raise InputError("search bounds must be at least 1")
 
 
@@ -263,7 +262,7 @@ def _random_candidate(rng: random.Random, bounds: SearchBounds) -> TransitionSys
     for s in states:
         for combo in product(*(actions[s][a] for a in agents)):
             profile = dict(zip(agents, combo))
-            k = rng.randint(1, min(bounds.max_branching, n_states))
+            k = rng.randint(1, min(MAX_BRANCHING, n_states))
             for target in rng.sample(states, k):
                 transitions.append((s, profile, target))
     # A proposition with a nonempty proper truth set keeps the family at the

@@ -55,7 +55,7 @@ from .model import TransitionSystem
 
 NATURE = "__nature"
 
-DEFAULT_AGENT_CAP = 6
+AGENT_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -109,16 +109,17 @@ class AtlModel:
         return frozenset(self.players)
 
 
-def expand_model(m: TransitionSystem, max_agents: int = DEFAULT_AGENT_CAP) -> AtlModel:
+def expand_model(m: TransitionSystem) -> AtlModel:
     """Expand a transition system into the deterministic game structure.
 
     Produces 2^|agents| expanded states per source state, so the agent count
-    is capped. Nature joins only when some profile has several successors;
-    its moves at a state index successor choices (out-of-range moves wrap).
-    The successor of each (base state, move vector) is computed here once;
-    it does not depend on the allowed set of the state moved from."""
-    if len(m.agents) > max_agents:
-        raise CapacityError(f"{len(m.agents)} agents exceed the expansion cap of {max_agents}")
+    is capped at ``AGENT_CAP``. Nature joins only when some profile has
+    several successors; its moves at a state index successor choices
+    (out-of-range moves wrap). The successor of each (base state, move
+    vector) is computed here once; it does not depend on the allowed set of
+    the state moved from."""
+    if len(m.agents) > AGENT_CAP:
+        raise CapacityError(f"{len(m.agents)} agents exceed the expansion cap of {AGENT_CAP}")
 
     state_order = {s: i for i, s in enumerate(m.states)}
     # base state -> agent-ordered profile -> successors sorted by state order
@@ -262,6 +263,7 @@ def _forcing_bases(am: AtlModel, coalition: frozenset[str], body: frozenset[int]
 class TranslationVerdict:
     ok: bool
     checked: int
+    game: AtlModel  # the expansion the check ran on
     mismatch_state: AtlState | None = None
     expected: bool | None = None
 
@@ -270,7 +272,6 @@ def verify_translation(
     m: TransitionSystem,
     f: Formula,
     max_modal_depth: int = 2,
-    max_agents: int = DEFAULT_AGENT_CAP,
 ) -> TranslationVerdict:
     """Check that evaluating the translated formula at every expanded state
     <s, D> agrees with membership of s in the directly computed truth set
@@ -279,13 +280,13 @@ def verify_translation(
     if depth > max_modal_depth:
         raise InputError(f"modal depth {depth} exceeds the configured bound {max_modal_depth}")
     expected = model_check(m, f)
-    am = expand_model(m, max_agents)
+    am = expand_model(m)
     holds = eval_atl(am, translate_formula(f, am))
     for i, st in enumerate(am.states):
         want = st.base in expected
         if (i in holds) != want:
-            return TranslationVerdict(False, i + 1, st, want)
-    return TranslationVerdict(True, len(am.states))
+            return TranslationVerdict(False, i + 1, am, st, want)
+    return TranslationVerdict(True, len(am.states), am)
 
 
 # --- JSON export -------------------------------------------------------------------

@@ -153,6 +153,8 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
     if args.axiom is not None and args.axiom not in axioms:
         raise InputError(f"unknown axiom {args.axiom!r}; known: {', '.join(sorted(axioms))}")
     m = _load_model(args.model)
+    if not m.agents:  # every schema has an agent variable
+        raise InputError(f"{args.model} has no agents to bind the axioms' agent variables to")
     rng = random.Random(args.seed)
     print(f"seed: {args.seed}")
     ids = [args.axiom] if args.axiom is not None else sorted(axioms)
@@ -293,7 +295,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         if not args.formula:
             raise InputError("--verify needs --formula")
         verdict = atl.verify_translation(m, parse(args.formula), max_modal_depth=args.max_depth)
-    am = atl.expand_model(m)
+    am = verdict.game if verdict is not None else atl.expand_model(m)
     _write_json(args.out, atl.atl_model_to_dict(am))
     print(f"wrote {args.out} ({len(am.states)} expanded states"
           f"{', with the bookkeeping agent' if am.has_nature else ''})")

@@ -5,7 +5,10 @@ The system has nine axiom schemas (A1..A9) over agents and formulas, plus
 four inference rules: modus ponens (encoded as ``mp`` steps), a monotonicity
 rule for WA (``ir2``), an anti-monotonicity rule for SA (``ir3``), and a
 conflict-prevention rule connecting WE and SE across distinct agents
-(``ir4``). A derivation is a numbered list of steps, each carrying the
+(``ir4``). Each schema, like the three derived theorems kept for fuzzing, is
+written as formula text in the concrete syntax. Its metavariables are plain
+names: the agents and propositions the text names, which instantiation
+replaces by name. A derivation is a numbered list of steps, each carrying the
 justification that must reproduce it exactly; verification is purely
 syntactic, as in any Hilbert kernel. Formulas are interned, so "reproduces
 exactly" is an identity test, and substitution and the tautology check run
@@ -23,13 +26,13 @@ from .errors import CapacityError, InputError
 from .formula import (
     BOT,
     TOP,
+    TOP_PROP,
     Formula,
     Modal,
     Modality,
     Neg,
     Or,
     Prop,
-    and_,
     conj,
     disj,
     format_formula,
@@ -38,17 +41,11 @@ from .formula import (
     match_implies,
     parse,
     postorder,
+    subformulas,
 )
 from .model import TransitionSystem
 
 TAUTOLOGY_ATOM_CAP = 20
-
-# Metavariable markers; these never appear in parsed formulas because "?" is
-# not part of the concrete syntax.
-_AGENT_A = "?a"
-_AGENT_B = "?b"
-_PHI = Prop("?phi")
-_PSI = Prop("?psi")
 
 
 @dataclass(frozen=True)
@@ -59,141 +56,72 @@ class AxiomSchema:
     template: Formula
 
 
-AXIOMS: dict[str, AxiomSchema] = {
-    schema.id: schema
-    for schema in (
-        AxiomSchema("A1", ("a",), (), Neg(Modal(Modality.WA, _AGENT_A, BOT))),
-        AxiomSchema("A2", ("a",), (), Modal(Modality.WE, _AGENT_A, TOP)),
-        AxiomSchema("A3", ("a",), (), Modal(Modality.SA, _AGENT_A, BOT)),
-        AxiomSchema(
-            "A4",
-            ("a",),
-            (),
-            implies(Modal(Modality.SE, _AGENT_A, TOP), Modal(Modality.SA, _AGENT_A, TOP)),
-        ),
-        AxiomSchema(
-            "A5",
-            ("a",),
-            ("phi", "psi"),
-            implies(
-                Modal(Modality.WA, _AGENT_A, Or(_PHI, _PSI)),
-                Or(Modal(Modality.WA, _AGENT_A, _PHI), Modal(Modality.WA, _AGENT_A, _PSI)),
-            ),
-        ),
-        AxiomSchema(
-            "A6",
-            ("a",),
-            ("phi", "psi"),
-            implies(
-                and_(Modal(Modality.SA, _AGENT_A, _PHI), Modal(Modality.SA, _AGENT_A, _PSI)),
-                Modal(Modality.SA, _AGENT_A, Or(_PHI, _PSI)),
-            ),
-        ),
-        AxiomSchema(
-            "A7",
-            ("a",),
-            ("phi", "psi"),
-            implies(
-                and_(Modal(Modality.WE, _AGENT_A, _PHI), Neg(Modal(Modality.WE, _AGENT_A, _PSI))),
-                Modal(Modality.WA, _AGENT_A, and_(_PHI, Neg(_PSI))),
-            ),
-        ),
-        AxiomSchema(
-            "A8",
-            ("a",),
-            ("phi", "psi"),
-            implies(
-                and_(Neg(Modal(Modality.SE, _AGENT_A, _PHI)), Modal(Modality.SE, _AGENT_A, _PSI)),
-                Neg(Modal(Modality.SA, _AGENT_A, and_(_PHI, Neg(_PSI)))),
-            ),
-        ),
-        AxiomSchema(
-            "A9",
-            ("a", "b"),
-            ("phi", "psi"),
-            implies(
-                and_(Neg(Modal(Modality.WA, _AGENT_A, _PHI)), Modal(Modality.SA, _AGENT_A, _PSI)),
-                and_(
-                    Neg(Modal(Modality.WA, _AGENT_B, and_(_PHI, _PSI))),
-                    Modal(Modality.SA, _AGENT_B, and_(_PHI, _PSI)),
-                ),
-            ),
-        ),
-    )
-}
+def _schemas(*rows: tuple[str, str]) -> dict[str, AxiomSchema]:
+    """Schemas by id, each parsed from its template text. The metavariables
+    are plain names: the template's agents are its agent variables and its
+    propositions other than the reserved ``__top`` its formula variables,
+    each sorted."""
+    schemas: dict[str, AxiomSchema] = {}
+    for schema_id, text in rows:
+        template = parse(text)
+        nodes = list(subformulas(template))
+        agents = sorted({g.agent for g in nodes if isinstance(g, Modal)})
+        props = sorted({g.name for g in nodes if isinstance(g, Prop) and g.name != TOP_PROP})
+        schemas[schema_id] = AxiomSchema(schema_id, tuple(agents), tuple(props), template)
+    return schemas
+
+
+AXIOMS = _schemas(
+    ("A1", "!WA[a] false"),
+    ("A2", "WE[a] true"),
+    ("A3", "SA[a] false"),
+    ("A4", "SE[a] true -> SA[a] true"),
+    ("A5", "WA[a] (phi | psi) -> WA[a] phi | WA[a] psi"),
+    ("A6", "SA[a] phi & SA[a] psi -> SA[a] (phi | psi)"),
+    ("A7", "WE[a] phi & !WE[a] psi -> WA[a] (phi & !psi)"),
+    ("A8", "!SE[a] phi & SE[a] psi -> !SA[a] (phi & !psi)"),
+    ("A9", "!WA[a] phi & SA[a] psi -> !WA[b] (phi & psi) & SA[b] (phi & psi)"),
+)
 
 # Theorems derivable in the system, kept as semantic validity fixtures for
 # fuzzing alongside the axioms. Each is a schema instantiated the same way.
-DERIVED_SCHEMAS: dict[str, AxiomSchema] = {
-    schema.id: schema
-    for schema in (
-        AxiomSchema(
-            "WE-refinement",
-            ("a",),
-            ("phi", "psi"),
-            implies(
-                and_(Modal(Modality.WE, _AGENT_A, _PHI), Neg(Modal(Modality.WA, _AGENT_A, _PSI))),
-                Modal(Modality.WE, _AGENT_A, and_(_PHI, Neg(_PSI))),
-            ),
-        ),
-        AxiomSchema(
-            "SE-refinement",
-            ("a",),
-            ("phi", "psi"),
-            implies(
-                and_(Neg(Modal(Modality.SE, _AGENT_A, _PHI)), Modal(Modality.SA, _AGENT_A, _PSI)),
-                Neg(Modal(Modality.SE, _AGENT_A, and_(_PHI, Neg(_PSI)))),
-            ),
-        ),
-        AxiomSchema(
-            "WA-transfer",
-            ("a", "b"),
-            ("phi",),
-            implies(
-                and_(Neg(Modal(Modality.WA, _AGENT_A, _PHI)), Modal(Modality.SA, _AGENT_A, TOP)),
-                and_(Neg(Modal(Modality.WA, _AGENT_B, _PHI)), Modal(Modality.SA, _AGENT_B, _PHI)),
-            ),
-        ),
-    )
-}
-
-
-def _substitute(
-    template: Formula, agent_map: Mapping[str, str], formula_map: Mapping[Formula, Formula]
-) -> Formula:
-    out: dict[Formula, Formula] = {}
-    for g in postorder(template, out):
-        if isinstance(g, Prop):
-            out[g] = formula_map.get(g, g)
-        elif isinstance(g, Neg):
-            out[g] = Neg(out[g.child])
-        elif isinstance(g, Or):
-            out[g] = Or(out[g.left], out[g.right])
-        elif isinstance(g, Modal):
-            out[g] = Modal(g.kind, agent_map.get(g.agent, g.agent), out[g.child])
-        else:
-            raise InputError(f"not a formula node: {g!r}")
-    return out[template]
+DERIVED_SCHEMAS = _schemas(
+    ("WE-refinement", "WE[a] phi & !WA[a] psi -> WE[a] (phi & !psi)"),
+    ("SE-refinement", "!SE[a] phi & SA[a] psi -> !SE[a] (phi & !psi)"),
+    ("WA-transfer", "!WA[a] phi & SA[a] true -> !WA[b] phi & SA[b] phi"),
+)
 
 
 def instantiate_axiom(schema: AxiomSchema, bindings: Mapping[str, Any]) -> Formula:
     """Fill a schema's metavariables. Agent variables bind to agent names,
     formula variables to formulas (or concrete syntax to be parsed)."""
-    agent_map: dict[str, str] = {}
-    for var, marker in zip(schema.agent_vars, (_AGENT_A, _AGENT_B)):
+    agents: dict[str, str] = {}
+    for var in schema.agent_vars:
         if var not in bindings:
             raise InputError(f"missing binding for agent variable {var!r} of {schema.id}")
         value = bindings[var]
         if not isinstance(value, str):
             raise InputError(f"agent variable {var!r} must bind to an agent name")
-        agent_map[marker] = value
-    formula_map: dict[Formula, Formula] = {}
-    for var, marker in zip(schema.formula_vars, (_PHI, _PSI)):
+        agents[var] = value
+    formulas: dict[str, Formula] = {}
+    for var in schema.formula_vars:
         if var not in bindings:
             raise InputError(f"missing binding for formula variable {var!r} of {schema.id}")
         value = bindings[var]
-        formula_map[marker] = parse(value) if isinstance(value, str) else value
-    return _substitute(schema.template, agent_map, formula_map)
+        formulas[var] = parse(value) if isinstance(value, str) else value
+    # One simultaneous substitution over the template, which as parsed text
+    # holds only Prop, Neg, Or and Modal nodes.
+    out: dict[Formula, Formula] = {}
+    for g in postorder(schema.template, out):
+        if isinstance(g, Prop):
+            out[g] = formulas.get(g.name, g)
+        elif isinstance(g, Neg):
+            out[g] = Neg(out[g.child])
+        elif isinstance(g, Or):
+            out[g] = Or(out[g.left], out[g.right])
+        else:
+            out[g] = Modal(g.kind, agents[g.agent], out[g.child])
+    return out[schema.template]
 
 
 # --- semantic validity -----------------------------------------------------------
@@ -218,9 +146,10 @@ def check_validity(m: TransitionSystem, f: Formula) -> ValidityVerdict:
 # --- tautologies ------------------------------------------------------------------
 
 
-def is_tautology(f: Formula, atom_cap: int = TAUTOLOGY_ATOM_CAP) -> bool:
+def is_tautology(f: Formula) -> bool:
     """Propositional tautology check treating maximal modal subformulas and
-    propositions as atoms. Rejects formulas with more than ``atom_cap`` atoms.
+    propositions as atoms. Rejects formulas with more than
+    ``TAUTOLOGY_ATOM_CAP`` atoms.
     The walk does not enter modal atoms."""
     order: list[Formula] = []
     seen: set[Formula] = set()
@@ -228,8 +157,10 @@ def is_tautology(f: Formula, atom_cap: int = TAUTOLOGY_ATOM_CAP) -> bool:
         seen.add(g)
         order.append(g)
     atoms = [g for g in order if isinstance(g, (Prop, Modal))]
-    if len(atoms) > atom_cap:
-        raise CapacityError(f"{len(atoms)} atoms exceed the truth-table cap of {atom_cap}")
+    if len(atoms) > TAUTOLOGY_ATOM_CAP:
+        raise CapacityError(
+            f"{len(atoms)} atoms exceed the truth-table cap of {TAUTOLOGY_ATOM_CAP}"
+        )
     for values in product((False, True), repeat=len(atoms)):
         value = dict(zip(atoms, values))
         for g in order:

@@ -3,8 +3,10 @@
 Fixtures ship as JSON under ``permitmc/data``; a fixture bundles one or more
 model variants (the factory scenario varies only its permitted sets, the
 single-agent pair has two systems) together with golden expectations that
-``run_fixture`` replays against the checker and witness verifier. Derivation
-fixtures live under ``permitmc/data/derivations``.
+``run_fixture`` replays against the checker and witness verifier. An
+expectation stays the JSON object it is stored as; one table gives each kind
+(``truth_set``, ``witness``, ``permitted_set``) its description format and its
+replay function. Derivation fixtures live under ``permitmc/data/derivations``.
 
 Regenerate the data files with ``scripts/build_fixture_data.py``.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from .checker import model_check
 from .errors import InputError
@@ -36,38 +38,11 @@ DERIVATION_IDS = ("we-monotonicity", "se-antimonotonicity")
 
 
 @dataclass(frozen=True)
-class TruthSetExpectation:
-    variant: str
-    formula: str
-    states: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class WitnessExpectation:
-    variant: str
-    target: Modality
-    prop: str
-    closed: tuple[Modality, ...]
-    escape: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class PermittedSetExpectation:
-    variant: str
-    state: str
-    agent: str
-    actions: tuple[str, ...]
-
-
-Expectation = TruthSetExpectation | WitnessExpectation | PermittedSetExpectation
-
-
-@dataclass(frozen=True)
 class Fixture:
     id: str
     description: str
     models: Mapping[str, TransitionSystem]
-    expectations: tuple[Expectation, ...]
+    expectations: tuple[Mapping[str, Any], ...]  # the JSON objects, each with a known kind
 
     @property
     def model(self) -> TransitionSystem:
@@ -89,27 +64,6 @@ def _read_data(*parts: str) -> Any:
         raise InputError(f"no packaged data file {'/'.join(parts)!r}") from exc
 
 
-def _decode_expectation(raw: Any, where: str) -> Expectation:
-    if not isinstance(raw, dict) or "kind" not in raw or "variant" not in raw:
-        raise InputError(f"{where}: expectation entries need 'kind' and 'variant'")
-    kind = raw["kind"]
-    if kind == "truth_set":
-        return TruthSetExpectation(raw["variant"], raw["formula"], tuple(raw["states"]))
-    if kind == "witness":
-        return WitnessExpectation(
-            raw["variant"],
-            Modality(raw["target"]),
-            raw["prop"],
-            tuple(Modality(x) for x in raw["closed"]),
-            tuple(raw["escape"]),
-        )
-    if kind == "permitted_set":
-        return PermittedSetExpectation(
-            raw["variant"], raw["state"], raw["agent"], tuple(raw["actions"])
-        )
-    raise InputError(f"{where}: unknown expectation kind {kind!r}")
-
-
 def load_fixture(fixture_id: str) -> Fixture:
     if fixture_id not in FIXTURE_IDS:
         raise InputError(f"unknown fixture {fixture_id!r}; catalog: {', '.join(FIXTURE_IDS)}")
@@ -117,14 +71,17 @@ def load_fixture(fixture_id: str) -> Fixture:
     models = {
         variant: model_from_dict(raw) for variant, raw in doc.get("models", {}).items()
     }
-    expectations = tuple(
-        _decode_expectation(raw, fixture_id) for raw in doc.get("expectations", [])
-    )
+    expectations = tuple(doc.get("expectations", []))
+    for raw in expectations:
+        if not isinstance(raw, dict) or "kind" not in raw or "variant" not in raw:
+            raise InputError(f"{fixture_id}: expectation entries need 'kind' and 'variant'")
+        if raw["kind"] not in _KINDS:
+            raise InputError(f"{fixture_id}: unknown expectation kind {raw['kind']!r}")
     return Fixture(doc["id"], doc.get("description", ""), models, expectations)
 
 
 def load_derivation_fixture(name: str) -> Derivation:
-    # Imported here, like verify_witness in run_fixture, so that listing or
+    # Imported here, like verify_witness in _witness, so that listing or
     # exporting the catalog runs neither module.
     from .deduction import derivation_from_dict
 
@@ -135,53 +92,59 @@ def load_derivation_fixture(name: str) -> Derivation:
     return derivation_from_dict(_read_data("derivations", f"{name}.json"))
 
 
+def _truth_set(model: TransitionSystem, e: Mapping[str, Any]) -> tuple[bool, str]:
+    got = sorted(model_check(model, parse(e["formula"])))
+    return got == sorted(e["states"]), " ".join(got)
+
+
+def _witness(model: TransitionSystem, e: Mapping[str, Any]) -> tuple[bool, str]:
+    from .algebra import verify_witness
+
+    closed = [Modality(x) for x in e["closed"]]
+    report = verify_witness(model, Modality(e["target"]), e["prop"], closed_modalities=closed)
+    if not report.ok:
+        return False, "; ".join(report.failures)
+    escape = sorted(report.escape_set)
+    return escape == sorted(e["escape"]), f"ok=True escape={' '.join(escape)}"
+
+
+def _permitted_set(model: TransitionSystem, e: Mapping[str, Any]) -> tuple[bool, str]:
+    got = sorted(model.permitted_set(e["state"], e["agent"]))
+    return got == sorted(e["actions"]), " ".join(got)
+
+
+# Replays one expectation on the model of its variant: (ok, what came out).
+Replay = Callable[[TransitionSystem, Mapping[str, Any]], tuple[bool, str]]
+
+# expectation kind -> (description format over the expectation's fields, replay)
+_KINDS: dict[str, tuple[str, Replay]] = {
+    "truth_set": ("[[{formula}]] on {variant}", _truth_set),
+    "witness": ("witness {target} on {variant}", _witness),
+    "permitted_set": ("permitted({state!r}, {agent!r}) on {variant}", _permitted_set),
+}
+
+
 @dataclass(frozen=True)
 class ExpectationResult:
     fixture_id: str
-    expectation: Expectation
+    expectation: Mapping[str, Any]
     ok: bool
     got: str
 
     def describe(self) -> str:
-        e = self.expectation
         status = "ok" if self.ok else "FAIL"
-        if isinstance(e, TruthSetExpectation):
-            what = f"[[{e.formula}]] on {e.variant}"
-        elif isinstance(e, WitnessExpectation):
-            what = f"witness {e.target.value} on {e.variant}"
-        else:
-            what = f"permitted({e.state!r}, {e.agent!r}) on {e.variant}"
+        what = _KINDS[self.expectation["kind"]][0].format(**self.expectation)
         return f"[{status}] {self.fixture_id}: {what} -> {self.got}"
 
 
 def run_fixture(fixture: Fixture) -> list[ExpectationResult]:
     """Replay every golden expectation; all results must come back ok."""
-    from .algebra import verify_witness
-
     results: list[ExpectationResult] = []
     for e in fixture.expectations:
-        model = fixture.models.get(e.variant)
+        model = fixture.models.get(e["variant"])
         if model is None:
-            results.append(ExpectationResult(fixture.id, e, False, f"no variant {e.variant!r}"))
-            continue
-        if isinstance(e, TruthSetExpectation):
-            got = sorted(model_check(model, parse(e.formula)))
-            results.append(
-                ExpectationResult(fixture.id, e, got == sorted(e.states), " ".join(got))
-            )
-        elif isinstance(e, WitnessExpectation):
-            report = verify_witness(model, e.target, e.prop, closed_modalities=e.closed)
-            escape = sorted(report.escape_set)
-            escape_ok = escape == sorted(e.escape)
-            got = (
-                f"ok={report.ok} escape={' '.join(escape)}"
-                if report.ok
-                else "; ".join(report.failures)
-            )
-            results.append(ExpectationResult(fixture.id, e, report.ok and escape_ok, got))
+            ok, got = False, f"no variant {e['variant']!r}"
         else:
-            got = sorted(model.permitted_set(e.state, e.agent))
-            results.append(
-                ExpectationResult(fixture.id, e, got == sorted(e.actions), " ".join(got))
-            )
+            ok, got = _KINDS[e["kind"]][1](model, e)
+        results.append(ExpectationResult(fixture.id, e, ok, got))
     return results

@@ -154,9 +154,7 @@ def test_search_finds_sa_witness_with_nonpermitted_actions():
     assert result.found and result.report is not None and result.report.ok
 
 
-@pytest.mark.parametrize(
-    "field", ["max_states", "num_agents", "max_actions", "max_branching", "max_candidates"]
-)
+@pytest.mark.parametrize("field", ["max_states", "num_agents", "max_actions", "max_candidates"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_search_bounds_reject_counts_below_one(field, value):
     with pytest.raises(InputError, match="^search bounds must be at least 1$"):

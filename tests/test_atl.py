@@ -232,7 +232,6 @@ def test_expansion_agent_cap():
     )
     with pytest.raises(CapacityError):
         expand_model(m)
-    assert len(expand_model(m, max_agents=7).states) == 2**7
 
 
 @given(model_and_formulas(max_states=3, max_agents=2, max_actions=2, max_leaves=4))

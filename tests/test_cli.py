@@ -333,6 +333,60 @@ def test_witness_requires_model_or_search(capsys):
     assert run_cli(capsys, "witness", "--target", "WA")[0] == 2
 
 
+@pytest.fixture()
+def agentless_path(tmp_path):
+    path = tmp_path / "agentless.json"
+    path.write_text(json.dumps({
+        "agents": [],
+        "states": ["s"],
+        "actions": {},
+        "permitted": {},
+        "transitions": [{"from": "s", "profile": {}, "to": "s"}],
+        "valuation": {"p": ["s"]},
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["axioms"], ["witness", "--target", "WA"]],
+    ids=["axioms", "witness"],
+)
+def test_agentless_model_is_usage_error(agentless_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--model", agentless_path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_agentless_model_checks_validates_and_translates(agentless_path, tmp_path, capsys):
+    path = agentless_path
+    assert run_cli(capsys, "check", "--model", path, "--formula", "p") == (0, "s\n", "")
+    assert run_cli(capsys, "validate", "--model", path) == (0, "valid\n", "")
+    out_path = tmp_path / "atl.json"
+    code, out, _ = run_cli(
+        capsys, "translate", "--model", path, "--out", str(out_path), "--verify", "--formula", "p"
+    )
+    assert code == 0
+    assert out.splitlines()[1] == "translation agrees at all 1 expanded states"
+
+
+def test_translate_verify_expands_once(fig1_path, tmp_path, capsys, monkeypatch):
+    from permitmc import atl
+
+    calls = []
+    expand = atl.expand_model
+    monkeypatch.setattr(atl, "expand_model", lambda *args: calls.append(args) or expand(*args))
+    out_path = tmp_path / "atl.json"
+    code, _, _ = run_cli(
+        capsys,
+        "translate", "--model", fig1_path, "--out", str(out_path),
+        "--verify", "--formula", "WA[a] p",
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert len(json.loads(out_path.read_text())["states"]) == 12
+
+
 def test_translate_and_verify(fig1_path, tmp_path, capsys):
     out_path = tmp_path / "atl.json"
     code, out, _ = run_cli(

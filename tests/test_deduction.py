@@ -46,17 +46,52 @@ P, Q = Prop("p"), Prop("q")
 # --- axiom instantiation -----------------------------------------------------------
 
 
-def test_instantiate_a1():
-    assert instantiate_axiom(AXIOMS["A1"], {"a": "a"}) == parse("!WA[a] false")
+# format_formula of each schema's instance under bindings whose agent names
+# differ from the agent variables. The printer shows the desugared tree, so
+# any change to a schema's shape shows here.
+SCHEMA_INSTANCES = {
+    "A1": "!WA[x] false",
+    "A2": "WE[x] true",
+    "A3": "SA[x] false",
+    "A4": "!SE[x] true | SA[x] true",
+    "A5": "!WA[x] (p | (q | r)) | (WA[x] p | WA[x] (q | r))",
+    "A6": "!!(!SA[x] p | !SA[x] (q | r)) | SA[x] (p | (q | r))",
+    "A7": "!!(!WE[x] p | !!WE[x] (q | r)) | WA[x] !(!p | !!(q | r))",
+    "A8": "!!(!!SE[x] p | !SE[x] (q | r)) | !SA[x] !(!p | !!(q | r))",
+    "A9": "!!(!!WA[x] p | !SA[x] (q | r)) | !(!!WA[y] !(!p | !(q | r)) | !SA[y] !(!p | !(q | r)))",
+    "WE-refinement": "!!(!WE[x] p | !!WA[x] (q | r)) | WE[x] !(!p | !!(q | r))",
+    "SE-refinement": "!!(!!SE[x] p | !SA[x] (q | r)) | !SE[x] !(!p | !!(q | r))",
+    "WA-transfer": "!!(!!WA[x] p | !SA[x] true) | !(!!WA[y] p | !SA[y] p)",
+}
 
 
-def test_instantiate_a4():
-    assert instantiate_axiom(AXIOMS["A4"], {"a": "a"}) == parse("SE[a] true -> SA[a] true")
+@pytest.mark.parametrize("schema_id", SCHEMA_INSTANCES)
+def test_instantiate_schema(schema_id):
+    schema = {**AXIOMS, **DERIVED_SCHEMAS}[schema_id]
+    got = instantiate_axiom(schema, {"a": "x", "b": "y", "phi": "p", "psi": "q | r"})
+    assert format_formula(got) == SCHEMA_INSTANCES[schema_id]
 
 
-def test_instantiate_a7():
-    got = instantiate_axiom(AXIOMS["A7"], {"a": "a", "phi": "p", "psi": "q"})
-    assert got == parse("WE[a]p & !WE[a]q -> WA[a](p & !q)")
+def test_schema_variables_and_order():
+    # Seeded binding draws walk the schemas and their variables in this order.
+    schemas = (*AXIOMS.values(), *DERIVED_SCHEMAS.values())
+    got = [(s.id, s.agent_vars, s.formula_vars) for s in schemas]
+    a, ab, pp = ("a",), ("a", "b"), ("phi", "psi")
+    assert got == [
+        *((f"A{i}", a, ()) for i in range(1, 5)),
+        *((f"A{i}", a, pp) for i in range(5, 9)),
+        ("A9", ab, pp),
+        ("WE-refinement", a, pp),
+        ("SE-refinement", a, pp),
+        ("WA-transfer", ab, ("phi",)),
+    ]
+
+
+def test_instantiate_binds_by_name_simultaneously():
+    # Agents named like formula variables and formulas naming the variables
+    # are substituted once, not again.
+    got = instantiate_axiom(AXIOMS["A9"], {"a": "b", "b": "phi", "phi": "psi", "psi": "phi"})
+    assert got == parse("!WA[b] psi & SA[b] phi -> !WA[phi] (psi & phi) & SA[phi] (psi & phi)")
 
 
 def test_instantiate_accepts_formula_objects():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from strategies import action_unions
 
@@ -7,6 +9,7 @@ from permitmc.errors import InputError
 from permitmc.fixtures import (
     DERIVATION_IDS,
     FIXTURE_IDS,
+    Fixture,
     load_derivation_fixture,
     load_fixture,
     run_fixture,
@@ -47,6 +50,35 @@ def test_every_expectation_reproduces(fixture_id):
     assert results
     for r in results:
         assert r.ok, r.describe()
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"kind": "truth_set"}, "fig1-wa: expectation entries need 'kind' and 'variant'"),
+        ("truth_set", "fig1-wa: expectation entries need 'kind' and 'variant'"),
+        ({"kind": "nope", "variant": "main"}, "fig1-wa: unknown expectation kind 'nope'"),
+    ],
+)
+def test_malformed_expectation_is_refused(monkeypatch, entry, message):
+    import permitmc.fixtures as fixtures
+
+    doc = {"id": "fig1-wa", "models": {}, "expectations": [entry]}
+    monkeypatch.setattr(fixtures, "_read_data", lambda *parts: doc)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        load_fixture("fig1-wa")
+
+
+def test_failed_and_missing_variant_results_are_described(fig1):
+    expectations = (
+        {"kind": "truth_set", "variant": "only", "formula": "WA[a] p", "states": ["s"]},
+        {"kind": "permitted_set", "variant": "gone", "state": "s", "agent": "a", "actions": []},
+    )
+    fx = Fixture("probe", "", {"only": fig1}, expectations)
+    assert [r.describe() for r in run_fixture(fx)] == [
+        "[FAIL] probe: [[WA[a] p]] on only -> s u",
+        "[FAIL] probe: permitted('s', 'a') on gone -> no variant 'gone'",
+    ]
 
 
 @pytest.mark.parametrize(
