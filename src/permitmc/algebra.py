@@ -50,55 +50,41 @@ def closure_step(
     return {member: modal_image(m, modality, agent, member) for member in family}
 
 
-@dataclass(frozen=True)
-class ClosureViolation:
-    kind: str  # "complement" | "union" | "modality"
-    image: frozenset[str]
-    sources: tuple[frozenset[str], ...]
-    modality: Modality | None = None
-    agent: str | None = None
-
-    def describe(self) -> str:
-        srcs = " and ".join("{" + ", ".join(sorted(s)) + "}" for s in self.sources)
-        img = "{" + ", ".join(sorted(self.image)) + "}"
-        if self.kind == "modality":
-            return f"{self.modality}[{self.agent}] maps {srcs} to {img}, outside the family"
-        return f"{self.kind} of {srcs} is {img}, outside the family"
-
-
-@dataclass(frozen=True)
-class ClosureReport:
-    closed: bool
-    violations: tuple[ClosureViolation, ...]
+def _set_text(ts: Iterable[str]) -> str:
+    return "{" + ", ".join(sorted(ts)) + "}"
 
 
 def verify_closure(
-    m: TransitionSystem,
-    family: Family,
-    modalities: Iterable[Modality],
-    agents: Iterable[str] | None = None,
-) -> ClosureReport:
+    m: TransitionSystem, family: Family, modalities: Iterable[Modality]
+) -> list[str]:
     """Check the family is closed under complement, pairwise union, and each
-    (modality, agent) image."""
-    agents = tuple(agents) if agents is not None else m.agents
-    violations: list[ClosureViolation] = []
+    (modality, agent) image over the model's agents. Returns one line per
+    image outside the family, complements first, then unions, then modal
+    images; an empty list means the family is closed."""
+    failures: list[str] = []
     for member in family:
         image = m.state_set - member
         if image not in family:
-            violations.append(ClosureViolation("complement", image, (member,)))
+            failures.append(
+                f"complement of {_set_text(member)} is {_set_text(image)}, outside the family"
+            )
     for x, y in combinations(family, 2):
         image = x | y
         if image not in family:
-            violations.append(ClosureViolation("union", image, (x, y)))
+            failures.append(
+                f"union of {_set_text(x)} and {_set_text(y)} is {_set_text(image)}, "
+                "outside the family"
+            )
     for modality in modalities:
-        for agent in agents:
+        for agent in m.agents:
             for member in family:
                 image = modal_image(m, modality, agent, member)
                 if image not in family:
-                    violations.append(
-                        ClosureViolation("modality", image, (member,), modality, agent)
+                    failures.append(
+                        f"{modality}[{agent}] maps {_set_text(member)} to {_set_text(image)}, "
+                        "outside the family"
                     )
-    return ClosureReport(not violations, tuple(violations))
+    return failures
 
 
 @dataclass(frozen=True)
@@ -149,26 +135,24 @@ def verify_witness(
     )
     escape_agent = m.agents[0]
 
-    failures: list[str] = []
-    closure = verify_closure(m, family, closed)
-    failures.extend(v.describe() for v in closure.violations)
+    failures = verify_closure(m, family, closed)
+    closed_under = () if failures else tuple((mod, a) for mod in closed for a in m.agents)
 
     escape_formula = Modal(target, escape_agent, Prop(prop))
     escape_set = model_check(m, escape_formula)
     if escape_set in family:
         failures.append(
-            f"{format_formula(escape_formula)} has truth set "
-            f"{{{', '.join(sorted(escape_set))}}}, which stays in the family"
+            f"{format_formula(escape_formula)} has truth set {_set_text(escape_set)}, "
+            "which stays in the family"
         )
 
-    closed_under = tuple((mod, agent) for mod in closed for agent in m.agents)
     return WitnessReport(
         ok=not failures,
         target=target,
         proposition=prop,
         agent=escape_agent,
         family=family,
-        closed_under=closed_under if closure.closed else (),
+        closed_under=closed_under,
         escape_formula=escape_formula,
         escape_set=escape_set,
         failures=tuple(failures),
@@ -225,9 +209,7 @@ class SearchBounds:
 @dataclass(frozen=True)
 class SearchResult:
     found: bool
-    exhausted: bool
     candidates: int
-    seed: int
     model: TransitionSystem | None = None
     report: WitnessReport | None = None
 
@@ -279,12 +261,12 @@ def search_witness(
 ) -> SearchResult:
     """Sample candidate models within bounds (deterministically from the seed)
     until one passes verify_witness for the target over the default family.
-    Returns an exhausted result if the candidate budget runs out."""
+    Returns a result with ``found`` false if the candidate budget runs out."""
     bounds = bounds if bounds is not None else SearchBounds()
     rng = random.Random(seed)
     for k in range(1, bounds.max_candidates + 1):
         candidate = _random_candidate(rng, bounds)
         report = verify_witness(candidate, target, "p")
         if report.ok:
-            return SearchResult(True, False, k, seed, candidate, report)
-    return SearchResult(False, True, bounds.max_candidates, seed)
+            return SearchResult(True, k, candidate, report)
+    return SearchResult(False, bounds.max_candidates)

@@ -48,12 +48,9 @@ from .formula import (
     Prop,
     and_,
     implies,
-    modal_depth,
     postorder,
 )
-from .model import TransitionSystem
-
-NATURE = "__nature"
+from .model import NATURE, TransitionSystem
 
 AGENT_CAP = 6
 
@@ -268,17 +265,10 @@ class TranslationVerdict:
     expected: bool | None = None
 
 
-def verify_translation(
-    m: TransitionSystem,
-    f: Formula,
-    max_modal_depth: int = 2,
-) -> TranslationVerdict:
+def verify_translation(m: TransitionSystem, f: Formula) -> TranslationVerdict:
     """Check that evaluating the translated formula at every expanded state
     <s, D> agrees with membership of s in the directly computed truth set
     (which also establishes that the D component is irrelevant)."""
-    depth = modal_depth(f)
-    if depth > max_modal_depth:
-        raise InputError(f"modal depth {depth} exceeds the configured bound {max_modal_depth}")
     expected = model_check(m, f)
     am = expand_model(m)
     holds = eval_atl(am, translate_formula(f, am))

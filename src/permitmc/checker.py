@@ -33,17 +33,6 @@ from .errors import InputError
 from .formula import TOP_PROP, Formula, Modal, Modality, Neg, Or, Prop, postorder
 from .model import TransitionSystem, TruthSet
 
-__all__ = [
-    "modal_image",
-    "truth_set_wa",
-    "truth_set_we",
-    "truth_set_se",
-    "truth_set_sa",
-    "ModelChecker",
-    "model_check",
-    "check_state_naive",
-]
-
 
 def modal_image(m: TransitionSystem, kind: Modality, agent: str, psi: frozenset) -> frozenset:
     """States where ``kind[agent]`` holds of the truth set ``psi``.

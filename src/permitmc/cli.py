@@ -294,7 +294,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     if args.verify:  # checked before --out is written, so a usage error writes nothing
         if not args.formula:
             raise InputError("--verify needs --formula")
-        verdict = atl.verify_translation(m, parse(args.formula), max_modal_depth=args.max_depth)
+        verdict = atl.verify_translation(m, parse(args.formula))
     am = verdict.game if verdict is not None else atl.expand_model(m)
     _write_json(args.out, atl.atl_model_to_dict(am))
     print(f"wrote {args.out} ({len(am.states)} expanded states"
@@ -322,10 +322,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         num_props=args.props,
         permitted_density=args.density,
         branching=args.branching,
-        deterministic=args.deterministic,
     )
+    m = generate.random_model(params)  # before the seed echo, so a refusal prints nothing
     print(f"seed: {args.seed}")
-    m = generate.random_model(params)
     payload = model_to_dict(m)
     if args.out:
         _write_json(args.out, payload)
@@ -439,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--formula", help="formula for --verify")
-    p.add_argument("--max-depth", type=int, default=2, help="modal depth cap for --verify")
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("gen", help="generate a seeded random model")
@@ -450,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--props", type=int, default=1)
     p.add_argument("--density", type=float, default=1.0)
     p.add_argument("--branching", type=int, default=1)
-    p.add_argument("--deterministic", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)
 

@@ -35,6 +35,8 @@ from typing import Any, Callable, Container, Iterable, Iterator
 from .errors import ParseError
 
 TOP_PROP = "__top"
+# an agent or proposition name, as the tokenizer reads it
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class Modality(Enum):
@@ -257,7 +259,7 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 # --- parsing ---------------------------------------------------------------
 
 # optional whitespace, then a token or, in group 2, a character no token starts with
-_TOKEN_RE = re.compile(r"\s*(?:(->|[!&|()\[\]]|[A-Za-z_][A-Za-z0-9_]*)|(\S))")
+_TOKEN_RE = re.compile(rf"\s*(?:(->|[!&|()\[\]]|{IDENTIFIER.pattern})|(\S))")
 # the tokens that are not identifiers, and the end of input
 _SYMBOLS = frozenset(("->", "!", "&", "|", "(", ")", "[", "]", None))
 _KINDS = Modality.__members__

@@ -16,7 +16,7 @@ from itertools import product
 
 from .errors import CapacityError, InputError
 from .formula import BOT, TOP, Formula, Modal, Modality, Neg, Or, Prop
-from .model import DEFAULT_PROFILE_CAP, TransitionSystem, make_model
+from .model import TransitionSystem, make_model, profile_cap
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,6 @@ class GenParams:
     num_props: int = 1
     permitted_density: float = 1.0
     branching: int = 1
-    deterministic: bool = False
 
     def __post_init__(self) -> None:
         if min(self.num_agents, self.num_states, self.max_actions, self.num_props) < 1:
@@ -44,9 +43,10 @@ def agent_names(count: int) -> list[str]:
     return [letters[i] if i < len(letters) else f"a{i}" for i in range(count)]
 
 
-def random_model(params: GenParams, profile_cap: int = DEFAULT_PROFILE_CAP) -> TransitionSystem:
+def random_model(params: GenParams) -> TransitionSystem:
     """Generate a model that always passes validation. Identical params and
-    seed give a structurally identical model."""
+    seed give a structurally identical model. A model with more profiles
+    than ``PERMITMC_PROFILE_CAP`` allows raises CapacityError."""
     rng = random.Random(params.seed)
     states = [f"s{i}" for i in range(params.num_states)]
     agents = agent_names(params.num_agents)
@@ -68,17 +68,17 @@ def random_model(params: GenParams, profile_cap: int = DEFAULT_PROFILE_CAP) -> T
                 chosen = [rng.choice(acts)]
             permitted[s][a] = chosen
         total_profiles += count_product
-    if total_profiles > profile_cap:
+    cap = profile_cap()
+    if total_profiles > cap:
         raise CapacityError(
-            f"requested model needs {total_profiles} profiles, over the cap of {profile_cap}"
+            f"requested model needs {total_profiles} profiles, over the cap of {cap}"
         )
 
-    branching = 1 if params.deterministic else params.branching
     transitions: list[tuple[str, dict[str, str], str]] = []
     for s in states:
         for combo in product(*(actions[s][a] for a in agents)):
             profile = dict(zip(agents, combo))
-            k = 1 if branching == 1 else rng.randint(1, min(branching, len(states)))
+            k = 1 if params.branching == 1 else rng.randint(1, min(params.branching, len(states)))
             for target in rng.sample(states, k):
                 transitions.append((s, profile, target))
 

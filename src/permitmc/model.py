@@ -25,10 +25,12 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import CapacityError, InputError
-from .formula import TOP_PROP
+from .formula import IDENTIFIER, TOP_PROP
 
 DEFAULT_PROFILE_CAP = 10**6
 PROFILE_CAP_ENV = "PERMITMC_PROFILE_CAP"
+# the bookkeeping agent of the game translation, reserved as an agent name
+NATURE = "__nature"
 
 Profile = Mapping[str, str]
 TransitionEntry = tuple[Profile, str]
@@ -198,21 +200,23 @@ def profile_cap() -> int:
         raise InputError(f"{PROFILE_CAP_ENV} must be an integer, got {raw!r}") from exc
 
 
-def validate_model(m: TransitionSystem, cap: int | None = None) -> list[Violation]:
+def validate_model(m: TransitionSystem) -> list[Violation]:
     """Check every model invariant; an empty report means the model is valid.
 
     Violations are data, not failures: arbitrary candidate structures are
-    accepted. The mechanism is read in one pass, which also collects, per
-    state, the distinct profiles that cover the agent set with available
-    actions. Continuity holds at a state when their number equals the
-    product of its per-agent action counts; the product of the available
-    actions is enumerated only at a state where it does not, to name the
-    uncovered profiles. That enumeration is guarded by a cap on the total
-    number of profiles (default 10^6, override via PERMITMC_PROFILE_CAP),
-    which raises CapacityError when exceeded, whether or not the model is
-    valid.
+    accepted. Agent and proposition names must be identifiers a formula can
+    write (``unwritable-name``); ``__nature`` is reserved as an agent name,
+    ``__top`` as a proposition. The mechanism is read in one pass, which
+    also collects, per state, the distinct profiles that cover the agent set
+    with available actions. Continuity holds at a state when their number
+    equals the product of its per-agent action counts; the product of the
+    available actions is enumerated only at a state where it does not, to
+    name the uncovered profiles. That enumeration is guarded by a cap on the
+    total number of profiles (default 10^6, override via
+    PERMITMC_PROFILE_CAP), which raises CapacityError when exceeded, whether
+    or not the model is valid.
     """
-    cap = profile_cap() if cap is None else cap
+    cap = profile_cap()
     out: list[Violation] = []
     state_set = set(m.states)
     agent_set = set(m.agents)
@@ -223,6 +227,11 @@ def validate_model(m: TransitionSystem, cap: int | None = None) -> list[Violatio
             if item in seen:
                 out.append(Violation(code, f"duplicate {name} name {item!r}"))
             seen.add(item)
+    for a in m.agents:
+        if a == NATURE:
+            out.append(Violation("reserved-agent", f"model declares reserved agent {a!r}", agent=a))
+        elif not IDENTIFIER.fullmatch(a):
+            out.append(Violation("unwritable-name", f"agent {a!r} is not an identifier", agent=a))
 
     total_profiles = 0
     # state -> number of profiles of available actions, and the available
@@ -325,6 +334,10 @@ def validate_model(m: TransitionSystem, cap: int | None = None) -> list[Violatio
             out.append(
                 Violation("reserved-proposition", f"valuation defines reserved proposition {p!r}")
             )
+        elif p in ("true", "false") or not IDENTIFIER.fullmatch(p):
+            out.append(
+                Violation("unwritable-name", f"proposition {p!r} cannot be written in a formula")
+            )
         extra = states - state_set
         if extra:
             out.append(
@@ -373,18 +386,8 @@ def _uncovered_profiles(m: TransitionSystem, s: str) -> Iterator[Violation]:
 # --- JSON format ----------------------------------------------------------------
 
 
-def _expect(cond: bool, message: str) -> None:
-    if not cond:
-        raise InputError(message)
-
-
 def _is_str_list(value: Any) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
-
-
-def _str_list(value: Any, what: str) -> list[str]:
-    _expect(_is_str_list(value), f"{what} must be a list of strings")
-    return list(value)
 
 
 def model_to_dict(m: TransitionSystem) -> dict[str, Any]:
@@ -410,15 +413,18 @@ def model_from_dict(data: Any) -> TransitionSystem:
 
     A message is formatted only for a check that fails. Nothing is copied
     here: make_model copies every container into the model."""
-    _expect(isinstance(data, dict), "model document must be a JSON object")
+    if not isinstance(data, dict):
+        raise InputError("model document must be a JSON object")
     for key in ("agents", "states", "actions", "permitted", "transitions", "valuation"):
         if key not in data:
             raise InputError(f"model document is missing the {key!r} field")
-    agents = _str_list(data["agents"], "agents")
-    states = _str_list(data["states"], "states")
+    for key in ("agents", "states"):
+        if not _is_str_list(data[key]):
+            raise InputError(f"{key} must be a list of strings")
 
     def check_table(raw: Any, what: str) -> dict[str, dict[str, list[str]]]:
-        _expect(isinstance(raw, dict), f"{what} must be an object keyed by state")
+        if not isinstance(raw, dict):
+            raise InputError(f"{what} must be an object keyed by state")
         for s, per in raw.items():
             if not isinstance(per, dict):
                 raise InputError(f"{what}[{s!r}] must be an object keyed by agent")
@@ -431,7 +437,8 @@ def model_from_dict(data: Any) -> TransitionSystem:
     permitted = check_table(data["permitted"], "permitted")
 
     raw_transitions = data["transitions"]
-    _expect(isinstance(raw_transitions, list), "transitions must be a list")
+    if not isinstance(raw_transitions, list):
+        raise InputError("transitions must be a list")
     for i, entry in enumerate(raw_transitions):
         if not isinstance(entry, dict):
             raise InputError(f"transitions[{i}] must be an object")
@@ -448,10 +455,11 @@ def model_from_dict(data: Any) -> TransitionSystem:
             raise InputError(f"transitions[{i}].profile must map agent names to action names")
 
     raw_val = data["valuation"]
-    _expect(isinstance(raw_val, dict), "valuation must be an object keyed by proposition")
+    if not isinstance(raw_val, dict):
+        raise InputError("valuation must be an object keyed by proposition")
     for p, sts in raw_val.items():
         if not _is_str_list(sts):
             raise InputError(f"valuation[{p!r}] must be a list of strings")
 
     transitions = ((entry["from"], entry["profile"], entry["to"]) for entry in raw_transitions)
-    return make_model(agents, states, actions, permitted, transitions, raw_val)
+    return make_model(data["agents"], data["states"], actions, permitted, transitions, raw_val)

@@ -47,8 +47,7 @@ def models(draw, max_states=4, max_agents=2, max_actions=2, branching=2,
         max_actions=draw(st.integers(1, max_actions)),
         num_props=2,
         permitted_density=density if density is not None else draw(st.sampled_from((0.5, 1.0))),
-        branching=branching,
-        deterministic=deterministic,
+        branching=1 if deterministic else branching,
     )
     return random_model(params)
 

@@ -138,7 +138,7 @@ def test_criterion_3_witnesses_verified_and_found():
         probe = SearchBounds(max_states=3, num_agents=2, max_actions=2,
                              allow_nonpermitted=True, max_candidates=4000)
         for target in (Modality.SE, Modality.SA):
-            ok = ok and search_witness(target, probe, seed=7).exhausted
+            ok = ok and not search_witness(target, probe, seed=7).found
     report(3, "fixture witnesses verify and search finds all four targets",
            ok, t.elapsed, 60.0)
 
@@ -156,7 +156,7 @@ def test_criterion_4_single_agent_deterministic_collapse():
                     max_actions=1 + k % 3,
                     num_props=2,
                     permitted_density=(0.5, 1.0)[k % 2],
-                    deterministic=True,
+                    branching=1,
                 )
             )
             for _ in range(50):

@@ -71,22 +71,42 @@ def test_closure_step_fig1_sa_b(fig1):
 
 def test_verify_closure_fig1(fig1):
     fam = default_family(fig1, "p")
-    report = verify_closure(fig1, fam, [Modality.WE, Modality.SE, Modality.SA], ["a", "b"])
-    assert report.closed and not report.violations
+    assert verify_closure(fig1, fam, [Modality.WE, Modality.SE, Modality.SA]) == []
 
-    with_wa = verify_closure(fig1, fam, list(Modality), ["a", "b"])
-    assert not with_wa.closed
-    v = with_wa.violations[0]
-    assert v.kind == "modality" and v.modality is Modality.WA and v.agent == "a"
-    assert sorted(v.image) == ["s", "u"]
-    assert sorted(v.sources[0]) == ["u"]
+    assert verify_closure(fig1, fam, list(Modality)) == [
+        "WA[a] maps {u} to {s, u}, outside the family",
+        "WA[b] maps {u} to {s, u}, outside the family",
+    ]
+
+
+def test_verify_closure_lines_for_a_family_that_is_not_boolean(fig1):
+    # Complements first, then pairwise unions, then modal images by modality,
+    # agent and member; the text is the one the witness report prints.
+    fam = family_of(fig1, [["s"], ["t"], ["u"]])
+    assert verify_closure(fig1, fam, [Modality.WA, Modality.WE]) == [
+        "complement of {s} is {t, u}, outside the family",
+        "complement of {t} is {s, u}, outside the family",
+        "complement of {u} is {s, t}, outside the family",
+        "union of {s} and {t} is {s, t}, outside the family",
+        "union of {s} and {u} is {s, u}, outside the family",
+        "union of {t} and {u} is {t, u}, outside the family",
+        "WA[a] maps {s} to {}, outside the family",
+        "WA[a] maps {t} to {s, t}, outside the family",
+        "WA[a] maps {u} to {s, u}, outside the family",
+        "WA[b] maps {s} to {}, outside the family",
+        "WA[b] maps {t} to {s, t}, outside the family",
+        "WA[b] maps {u} to {s, u}, outside the family",
+        "WE[a] maps {s} to {}, outside the family",
+        "WE[a] maps {t} to {s, t}, outside the family",
+        "WE[b] maps {s} to {}, outside the family",
+        "WE[b] maps {t} to {s, t}, outside the family",
+    ]
 
 
 def test_powerset_family_closed_under_everything():
     m = all_permitted_pair()
     fam = family_of(m, [[], ["s"], ["t"], ["s", "t"]])
-    report = verify_closure(m, fam, list(Modality), ["a"])
-    assert report.closed
+    assert verify_closure(m, fam, list(Modality)) == []
 
 
 def test_verify_witness_fig1(fig1):
@@ -143,7 +163,7 @@ def test_search_se_all_permitted_exhausts():
     bounds = SearchBounds(max_states=3, num_agents=2, max_actions=2,
                           allow_nonpermitted=False, max_candidates=300)
     result = search_witness(Modality.SE, bounds, seed=7)
-    assert not result.found and result.exhausted
+    assert not result.found
     assert result.candidates == 300
 
 
@@ -175,8 +195,7 @@ def test_search_is_deterministic():
 @settings(max_examples=20)
 def test_se_sa_trivial_when_everything_permitted(m):
     fam = default_family(m, "p0")
-    report = verify_closure(m, fam, [Modality.SE, Modality.SA], m.agents)
-    assert report.closed
+    assert verify_closure(m, fam, [Modality.SE, Modality.SA]) == []
 
 
 def test_search_candidates_have_the_requested_agents():

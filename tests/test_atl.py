@@ -18,7 +18,7 @@ from permitmc.atl import (
 )
 from permitmc.checker import model_check
 from permitmc.errors import CapacityError, InputError
-from permitmc.formula import TOP, Modal, Modality, Neg, Or, Prop, and_, implies, modal_depth, parse
+from permitmc.formula import TOP, Modal, Modality, Neg, Or, Prop, and_, implies, parse
 from permitmc.generate import GenParams, random_formula, random_model
 from permitmc.model import make_model
 
@@ -177,17 +177,9 @@ def test_verify_translation_fig_fixtures(fig1, fig2, fig3, fig4):
             assert verdict.ok, (text, verdict)
 
 
-def test_verify_translation_depth_guard(fig1):
-    deep = parse("WA[a] WE[b] SE[a] p")
-    assert modal_depth(deep) == 3
-    with pytest.raises(InputError):
-        verify_translation(fig1, deep, max_modal_depth=2)
-    assert verify_translation(fig1, deep, max_modal_depth=3).ok
-
-
 def test_deep_formula_translation_agrees(fig1, deep_formula):
     f = deep_formula
-    assert verify_translation(fig1, f, max_modal_depth=modal_depth(f)).ok
+    assert verify_translation(fig1, f).ok
 
 
 def test_expand_rejects_unavailable_move_vector():
@@ -238,8 +230,6 @@ def test_expansion_agent_cap():
 @settings(max_examples=25)
 def test_translation_equivalence_random(pair):
     m, f = pair
-    if modal_depth(f) > 2:
-        return
     assert verify_translation(m, f).ok
 
 
@@ -247,8 +237,6 @@ def test_translation_equivalence_random(pair):
 @settings(max_examples=15)
 def test_subset_tag_independence(pair):
     m, f = pair
-    if modal_depth(f) > 2:
-        return
     am = expand_model(m)
     holds = eval_atl(am, translate_formula(f, am))
     for base in m.states:

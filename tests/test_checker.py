@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from strategies import action_unions, formulas, model_and_formulas, models
 
-from permitmc.algebra import closure_step, default_family, verify_closure
+from permitmc.algebra import closure_step, default_family
 from permitmc.checker import (
     check_state_naive,
     modal_image,
@@ -138,7 +138,6 @@ def test_unknown_agent_is_an_input_error(fig1):
         lambda: truth_set_se(fig1, "zz", fig1.state_set),
         lambda: truth_set_sa(fig1, "zz", fig1.state_set),
         lambda: closure_step(fig1, family, Modality.SE, "zz"),
-        lambda: verify_closure(fig1, family, [Modality.WA], ["zz"]),
     ]
     for call in calls:
         with pytest.raises(InputError, match="unknown agent 'zz'"):

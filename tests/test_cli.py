@@ -6,7 +6,7 @@ import pytest
 
 from permitmc.cli import main
 from permitmc.fixtures import load_fixture
-from permitmc.model import model_to_dict
+from permitmc.model import make_model, model_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +241,43 @@ def test_validate_ok_and_failing(fig1_path, broken_model_path, capsys):
     assert any(v["code"] == "empty-permitted" for v in doc["violations"])
 
 
+@pytest.mark.parametrize(
+    "agent, violation, message",
+    [
+        ("x y", "unwritable-name", "agent 'x y' is not an identifier"),
+        ("__nature", "reserved-agent", "model declares reserved agent '__nature'"),
+    ],
+    ids=["space", "nature"],
+)
+def test_validate_refuses_unaddressable_agent_names(tmp_path, capsys, agent, violation, message):
+    # The profile has two successors, so a game translation would add its
+    # own bookkeeping agent, __nature.
+    actions = {"s": {agent: ["1"]}, "t": {agent: ["1"]}}
+    m = make_model(
+        [agent],
+        ["s", "t"],
+        actions,
+        actions,
+        [("s", {agent: "1"}, "s"), ("s", {agent: "1"}, "t"), ("t", {agent: "1"}, "t")],
+        {"p": ["t"]},
+    )
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_dict(m)))
+    assert run_cli(capsys, "validate", "--model", str(path)) == (
+        1, f"{message}\ninvalid (1 violations)\n", ""
+    )
+    code, out, _ = run_cli(capsys, "validate", "--model", str(path), "--json")
+    assert code == 1
+    assert json.loads(out)["violations"] == [
+        {"code": violation, "message": message, "state": None, "agent": agent}
+    ]
+    code, out, err = run_cli(
+        capsys, "translate", "--model", str(path), "--out", str(tmp_path / "atl.json")
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {path} violates model invariants:\n  {message}\n"
+
+
 def test_axioms_all_valid(fig1_path, capsys):
     code, out, _ = run_cli(
         capsys, "axioms", "--model", fig1_path, "--seed", "5", "--count", "1"
@@ -310,6 +347,26 @@ def test_witness_verify_and_refute(fig1_path, capsys):
     assert code == 1
 
 
+def test_witness_report_json_fig1_we(fig1_path, capsys):
+    code, out, err = run_cli(capsys, "witness", "--target", "WE", "--model", fig1_path)
+    assert (code, err) == (1, "")
+    report = {
+        "ok": False,
+        "target": "WE",
+        "prop": "p",
+        "agent": "a",
+        "family": [[], ["s", "t"], ["s", "t", "u"], ["u"]],
+        "closed_under": [],
+        "escape": {"formula": "WE[a] p", "states": ["u"]},
+        "failures": [
+            "WA[a] maps {u} to {s, u}, outside the family",
+            "WA[b] maps {u} to {s, u}, outside the family",
+            "WE[a] p has truth set {u}, which stays in the family",
+        ],
+    }
+    assert out == json.dumps({"schema": "permitmc/v1", "report": report}, indent=2) + "\n"
+
+
 def test_witness_search_found_and_exhausted(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -327,6 +384,9 @@ def test_witness_search_found_and_exhausted(capsys):
         "--max-candidates", "200",
     )
     assert code == 1
+    assert json.loads(out.split("\n", 1)[1]) == {
+        "schema": "permitmc/v1", "found": False, "exhausted": True, "candidates": 200
+    }
 
 
 def test_witness_requires_model_or_search(capsys):
@@ -405,10 +465,9 @@ def test_translate_and_verify(fig1_path, tmp_path, capsys):
     "extra, message",
     [
         ((), "--verify needs --formula"),
-        (("--formula", "WA[a] WA[a] WA[a] p"), "modal depth 3 exceeds the configured bound 2"),
         (("--formula", "WA[a"), None),
     ],
-    ids=["no-formula", "too-deep", "unparsable"],
+    ids=["no-formula", "unparsable"],
 )
 def test_translate_usage_error_writes_nothing(fig1_path, tmp_path, capsys, extra, message):
     out_path = tmp_path / "atl.json"
@@ -418,6 +477,21 @@ def test_translate_usage_error_writes_nothing(fig1_path, tmp_path, capsys, extra
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and (message is None or err == f"error: {message}\n")
     assert not out_path.exists()
+
+
+def test_translate_verify_has_no_modal_depth_cap(tmp_path, capsys):
+    model_path, out_path = tmp_path / "fig3.json", tmp_path / "atl.json"
+    model_path.write_text(json.dumps(model_to_dict(load_fixture("fig3-se").model)))
+    code, out, err = run_cli(
+        capsys,
+        "translate", "--model", str(model_path), "--out", str(out_path),
+        "--verify", "--formula", "WA[a] WE[b] SE[a] SA[b] p",
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        f"wrote {out_path} (12 expanded states, with the bookkeeping agent)\n"
+        "translation agrees at all 12 expanded states\n"
+    )
 
 
 def test_gen_deterministic_output(tmp_path, capsys):
@@ -432,6 +506,13 @@ def test_gen_deterministic_output(tmp_path, capsys):
     assert a.read_text() == b.read_text()
     code, _, _ = run_cli(capsys, "validate", "--model", str(a))
     assert code == 0
+
+
+def test_gen_refuses_a_model_over_the_profile_cap(monkeypatch, capsys):
+    monkeypatch.setenv("PERMITMC_PROFILE_CAP", "3")
+    code, out, err = run_cli(capsys, "gen", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: requested model needs 9 profiles, over the cap of 3\n"
 
 
 def test_fixtures_listing_and_run(capsys):

@@ -32,13 +32,6 @@ def test_all_generated_models_validate():
         assert validate_model(random_model(params)) == [], f"seed {seed}"
 
 
-def test_deterministic_flag():
-    m = random_model(GenParams(seed=9, num_states=4, branching=3, deterministic=True))
-    for s in m.states:
-        profiles = {tuple(sorted(p.items())) for p, _ in m.entries(s)}
-        assert len(m.entries(s)) == len(profiles)
-
-
 def test_full_density_means_everything_permitted():
     m = random_model(GenParams(seed=3, num_states=4, max_actions=3, permitted_density=1.0))
     for s in m.states:
@@ -50,10 +43,11 @@ def test_full_density_means_everything_permitted():
         assert model_check(m, Modal(Modality.SA, "a", f)) == m.state_set
 
 
-def test_capacity_error_on_infeasible_params():
+def test_capacity_error_on_infeasible_params(monkeypatch):
     params = GenParams(seed=0, num_agents=3, num_states=2, max_actions=10)
+    monkeypatch.setenv("PERMITMC_PROFILE_CAP", "10")
     with pytest.raises(CapacityError):
-        random_model(params, profile_cap=10)
+        random_model(params)
 
 
 def test_param_validation():

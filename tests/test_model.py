@@ -84,13 +84,53 @@ def test_reserved_proposition_rejected():
     assert any(v.code == "reserved-proposition" for v in validate_model(m))
 
 
+def one_state_model(agent, prop):
+    return make_model(
+        [agent],
+        ["s"],
+        actions={"s": {agent: ["1"]}},
+        permitted={"s": {agent: ["1"]}},
+        transitions=[("s", {agent: "1"}, "s")],
+        valuation={prop: ["s"]},
+    )
+
+
+@pytest.mark.parametrize(
+    "agent, prop, code, message",
+    [
+        ("x y", "p", "unwritable-name", "agent 'x y' is not an identifier"),
+        ("1a", "p", "unwritable-name", "agent '1a' is not an identifier"),
+        ("", "p", "unwritable-name", "agent '' is not an identifier"),
+        ("a", "p q", "unwritable-name", "proposition 'p q' cannot be written in a formula"),
+        ("a", "p-1", "unwritable-name", "proposition 'p-1' cannot be written in a formula"),
+        ("a", "true", "unwritable-name", "proposition 'true' cannot be written in a formula"),
+        ("a", "false", "unwritable-name", "proposition 'false' cannot be written in a formula"),
+        ("__nature", "p", "reserved-agent", "model declares reserved agent '__nature'"),
+    ],
+    ids=["space-agent", "digit-agent", "empty-agent", "space-prop", "dash-prop", "true-prop",
+         "false-prop", "nature-agent"],
+)
+def test_names_no_formula_can_address_are_violations(agent, prop, code, message):
+    report = validate_model(one_state_model(agent, prop))
+    assert [(v.code, v.message) for v in report] == [(code, message)]
+
+
+@pytest.mark.parametrize(
+    "agent, prop", [("_a", "p_1"), ("A9", "__nature"), ("true", "WA"), ("nature", "Z")]
+)
+def test_names_that_validate_parse_back(agent, prop):
+    m = one_state_model(agent, prop)
+    assert validate_model(m) == []
+    assert model_check(m, parse(f"WA[{agent}] {prop}")) == {"s"}
+
+
 def test_empty_state_set_is_valid():
     m = make_model(["a"], [], actions={}, permitted={}, transitions=[], valuation={})
     assert validate_model(m) == []
     assert model_check(m, parse("WA[a] p")) == frozenset()
 
 
-def test_profile_cap_guard():
+def test_profile_cap_guard(monkeypatch):
     actions = {"s": {"a": [str(i) for i in range(40)], "b": [str(i) for i in range(40)]}}
     m = make_model(
         ["a", "b"],
@@ -100,8 +140,9 @@ def test_profile_cap_guard():
         transitions=[],
         valuation={},
     )
+    monkeypatch.setenv("PERMITMC_PROFILE_CAP", "100")
     with pytest.raises(CapacityError):
-        validate_model(m, cap=100)
+        validate_model(m)
 
 
 def test_profile_cap_env_override(monkeypatch):
@@ -116,7 +157,7 @@ def test_profile_cap_env_override(monkeypatch):
 
 def test_successors_deterministic_model_singletons():
     m = random_model(GenParams(seed=11, num_states=4, num_agents=2, max_actions=2,
-                               deterministic=True))
+                               branching=1))
     for s in m.states:
         targets = {}
         for profile, t in m.entries(s):
@@ -425,7 +466,9 @@ def test_arbitrary_json_fails_only_with_input_error(doc):
     except InputError:
         return
     try:
-        report = validate_model(m, cap=1000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("PERMITMC_PROFILE_CAP", "1000")
+            report = validate_model(m)
     except CapacityError:
         return
     assert isinstance(report, list)
