@@ -28,7 +28,7 @@ _EXPORTS = {
         "truth_set_se", "truth_set_wa", "truth_set_we",
     ),
     "deduction": (
-        "AXIOMS", "AxiomSchema", "Derivation", "check_rule_locally", "check_validity",
+        "AXIOMS", "AxiomSchema", "DerivationStep", "check_rule_locally", "check_validity",
         "derivation_from_dict", "instantiate_axiom", "is_tautology", "verify_derivation",
     ),
     "errors": ("CapacityError", "InputError", "ParseError"),

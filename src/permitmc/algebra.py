@@ -216,7 +216,7 @@ class SearchResult:
 
 def _random_candidate(rng: random.Random, bounds: SearchBounds) -> TransitionSystem:
     # Imported here, so that verifying a given witness never runs the generator.
-    from .generate import agent_names
+    from .generate import agent_names, guard_profiles
 
     # Escapes need the powerset to outgrow the four-member family, so fewer
     # than three states can never witness; sample from three up when allowed.
@@ -240,6 +240,7 @@ def _random_candidate(rng: random.Random, bounds: SearchBounds) -> TransitionSys
                 permitted[s][a] = sorted(rng.sample(acts, keep))
             else:
                 permitted[s][a] = list(acts)
+    guard_profiles(actions)
     transitions: list[tuple[str, dict[str, str], str]] = []
     for s in states:
         for combo in product(*(actions[s][a] for a in agents)):
@@ -261,7 +262,9 @@ def search_witness(
 ) -> SearchResult:
     """Sample candidate models within bounds (deterministically from the seed)
     until one passes verify_witness for the target over the default family.
-    Returns a result with ``found`` false if the candidate budget runs out."""
+    Returns a result with ``found`` false if the candidate budget runs out.
+    A candidate with more profiles than ``PERMITMC_PROFILE_CAP`` allows
+    raises CapacityError before any of its profiles is built."""
     bounds = bounds if bounds is not None else SearchBounds()
     rng = random.Random(seed)
     for k in range(1, bounds.max_candidates + 1):

@@ -86,7 +86,7 @@ class ANext(Formula):
 @dataclass(frozen=True)
 class AtlModel:
     source: TransitionSystem
-    agents: tuple[str, ...]  # source agents, without Nature
+    players: tuple[str, ...]  # the source agents, then Nature if it joins
     has_nature: bool
     # index base_index * 2^|agents| + mask: the base state's copy whose
     # allowed set holds the agents at the mask's set bits, in agent order
@@ -97,10 +97,6 @@ class AtlModel:
     # base state -> one (move vector, index of its successor in states) per
     # total move vector, in the product order of the players' moves
     rows: Mapping[str, tuple[tuple[tuple[str, ...], int], ...]]
-
-    @property
-    def players(self) -> tuple[str, ...]:
-        return self.agents + ((NATURE,) if self.has_nature else ())
 
     def grand_coalition(self) -> frozenset[str]:
         return frozenset(self.players)
@@ -166,7 +162,7 @@ def expand_model(m: TransitionSystem) -> AtlModel:
         frozenset(a for i, a in enumerate(m.agents) if mask >> i & 1) for mask in range(1 << n)
     ]
     states = tuple(AtlState(s, subset) for s in m.states for subset in subsets)
-    return AtlModel(m, tuple(m.agents), has_nature, states, moves, rows)
+    return AtlModel(m, players, has_nature, states, moves, rows)
 
 
 # --- translation -------------------------------------------------------------------
@@ -215,7 +211,7 @@ def eval_atl(am: AtlModel, f: Formula) -> frozenset[int]:
             where = am.source.valuation.get(g.name, frozenset())
             labels[g] = _copies(am, [g.name == TOP_PROP or s in where for s in am.source.states])
         elif isinstance(g, ADeontic):
-            bit = 1 << am.agents.index(g.agent) if g.agent in am.agents else 0
+            bit = 1 << am.source.agents.index(g.agent) if g.agent in am.source.agents else 0
             labels[g] = frozenset(i for i in everything if i & bit)
         elif isinstance(g, Or):
             labels[g] = labels[g.left] | labels[g.right]
@@ -230,7 +226,7 @@ def eval_atl(am: AtlModel, f: Formula) -> frozenset[int]:
 
 def _copies(am: AtlModel, base_holds: list[bool]) -> frozenset[int]:
     """All 2^|agents| copies of each base state, by position, where ``base_holds``."""
-    width = 1 << len(am.agents)
+    width = 1 << len(am.source.agents)
     return frozenset(
         i for b, holds in enumerate(base_holds) if holds for i in range(b * width, (b + 1) * width)
     )
@@ -297,7 +293,7 @@ def atl_model_to_dict(am: AtlModel) -> dict[str, Any]:
     ]
     return {
         "schema": "permitmc.atl/v1",
-        "agents": list(am.agents),
+        "agents": list(am.source.agents),
         "nature": NATURE if am.has_nature else None,
         "states": [
             {"base": st.base, "allowed": sorted(st.allowed)} for st in am.states
@@ -309,6 +305,6 @@ def atl_model_to_dict(am: AtlModel) -> dict[str, Any]:
         },
         "deontic_atoms": {
             a: f"d_{a} holds at expanded states whose allowed set contains {a!r}"
-            for a in am.agents
+            for a in am.source.agents
         },
     }

@@ -243,13 +243,13 @@ def _cmd_prove(args: argparse.Namespace) -> int:
         _emit_json(
             {
                 "accepted": verdict.accepted,
-                "steps": len(derivation.steps),
+                "steps": len(derivation),
                 "failed_step": verdict.failed_step,
                 "reason": verdict.reason,
             }
         )
     elif verdict.accepted:
-        print(f"accepted ({len(derivation.steps)} steps)")
+        print(f"accepted ({len(derivation)} steps)")
     else:
         print(f"rejected at step {verdict.failed_step}: {verdict.reason}")
     return EXIT_OK if verdict.accepted else EXIT_SEMANTIC
@@ -265,8 +265,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             allow_nonpermitted=not args.all_permitted,
             max_candidates=args.max_candidates,
         )
-        print(f"seed: {args.seed}")
         result = algebra.search_witness(target, bounds, args.seed)
+        print(f"seed: {args.seed}")  # after the search, so a refusal prints nothing
         if result.found:
             assert result.model is not None and result.report is not None
             _emit_json(
@@ -359,10 +359,10 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
         return EXIT_OK
     failures = 0
     for fid in fixtures.FIXTURE_IDS:
-        for result in fixtures.run_fixture(fixtures.load_fixture(fid)):
-            if not result.ok:
+        for ok, line in fixtures.run_fixture(fixtures.load_fixture(fid)):
+            if not ok:
                 failures += 1
-            print(result.describe())
+            print(line)
     for name in fixtures.DERIVATION_IDS:
         verdict = deduction.verify_derivation(fixtures.load_derivation_fixture(name))
         status = "ok" if verdict.accepted else "FAIL"

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from .checker import model_check
 from .errors import CapacityError, InputError
@@ -310,47 +310,26 @@ def check_rule_locally(
 
 # --- derivations -----------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class JAxiom:
-    axiom_id: str
-    bindings: tuple[tuple[str, str], ...]  # variable -> agent name or formula text
-
-
-@dataclass(frozen=True)
-class JTaut:
-    pass
-
-
-@dataclass(frozen=True)
-class JMP:
-    antecedent: int
-    implication: int
-
-
-@dataclass(frozen=True)
-class JRule:
-    """A step that ``rule`` (ir2, ir3 or ir4) infers from step ``premise``
-    for the agents that ``rule_conclusion`` takes."""
-
-    rule: str
-    premise: int
-    agents: tuple[str, ...]
-    se_agents: tuple[str, ...] = ()
-
-
-Justification = JAxiom | JTaut | JMP | JRule
+# justification kind -> how many steps it cites
+CITES = {"axiom": 0, "taut": 0, "mp": 2, "ir2": 1, "ir3": 1, "ir4": 1}
 
 
 @dataclass(frozen=True)
 class DerivationStep:
+    """One step as its JSON object reads: the formula and the lower-cased
+    kind ``by`` of its justification, a key of ``CITES``. ``cites`` holds the
+    1-based numbers of the steps it cites: for ``mp`` the antecedent and then
+    the implication, for a rule its premise. An axiom step also names its
+    schema and bindings (variable -> agent name or formula text); a rule step
+    names its agents as ``rule_conclusion`` takes them."""
+
     formula: Formula
-    justification: Justification
-
-
-@dataclass(frozen=True)
-class Derivation:
-    steps: tuple[DerivationStep, ...]
+    by: str
+    cites: tuple[int, ...] = ()
+    axiom: str = ""
+    bindings: tuple[tuple[str, str], ...] = ()
+    agents: tuple[str, ...] = ()
+    se_agents: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -360,10 +339,11 @@ class DerivationVerdict:
     reason: str | None = None
 
 
-def verify_derivation(d: Derivation) -> DerivationVerdict:
+def verify_derivation(steps: Sequence[DerivationStep]) -> DerivationVerdict:
     """Accept iff every step reproduces exactly from its justification.
 
-    Axiom steps must equal the instantiated schema; taut steps must pass the
+    Every step must cite earlier steps, as many as its kind takes. Axiom
+    steps must equal the instantiated schema; taut steps must pass the
     truth-table check; mp steps require the cited implication step to be
     literally ``antecedent -> current``; rule steps require the current formula
     to be the one ``rule_conclusion`` infers from the cited premise (which
@@ -372,58 +352,50 @@ def verify_derivation(d: Derivation) -> DerivationVerdict:
     def reject(k: int, reason: str) -> DerivationVerdict:
         return DerivationVerdict(False, k, reason)
 
-    for k, step in enumerate(d.steps, start=1):
-        j = step.justification
-        refs = _references(j)
-        for r in refs:
+    for k, step in enumerate(steps, start=1):
+        for r in step.cites:
             if not 1 <= r < k:
                 return reject(k, f"reference to step {r} is out of range")
-        if isinstance(j, JAxiom):
-            schema = AXIOMS.get(j.axiom_id)
+        arity = CITES.get(step.by)
+        if arity is None:
+            return reject(k, f"unknown justification {step.by!r}")
+        if len(step.cites) != arity:
+            return reject(k, f"{step.by} cites {arity} step(s), not {len(step.cites)}")
+        cited = [steps[r - 1].formula for r in step.cites]
+        if step.by == "axiom":
+            schema = AXIOMS.get(step.axiom)
             if schema is None:
-                return reject(k, f"unknown axiom {j.axiom_id!r}")
+                return reject(k, f"unknown axiom {step.axiom!r}")
             try:
-                expected = instantiate_axiom(schema, dict(j.bindings))
+                expected = instantiate_axiom(schema, dict(step.bindings))
             except InputError as exc:
                 return reject(k, str(exc))
             if step.formula != expected:
-                return reject(k, f"formula is not the {j.axiom_id} instance for these bindings")
-        elif isinstance(j, JTaut):
+                return reject(k, f"formula is not the {step.axiom} instance for these bindings")
+        elif step.by == "taut":
             if not is_tautology(step.formula):
                 return reject(k, "formula is not a propositional tautology")
-        elif isinstance(j, JMP):
-            antecedent = d.steps[j.antecedent - 1].formula
-            implication = d.steps[j.implication - 1].formula
+        elif step.by == "mp":
+            antecedent, implication = cited
             if implication != implies(antecedent, step.formula):
                 return reject(
                     k,
-                    f"step {j.implication} is not literally step {j.antecedent} -> this formula",
+                    f"step {step.cites[1]} is not literally step {step.cites[0]} -> this formula",
                 )
-        elif isinstance(j, JRule):
-            premise = d.steps[j.premise - 1].formula
+        else:
             try:
-                expected = rule_conclusion(j.rule, premise, j.agents, j.se_agents)
+                expected = rule_conclusion(step.by, cited[0], step.agents, step.se_agents)
             except InputError as exc:
                 return reject(k, str(exc))
             if step.formula != expected:
                 return reject(k, f"conclusion is not {format_formula(expected)!r}")
-        else:
-            return reject(k, f"unknown justification {j!r}")
     return DerivationVerdict(True)
-
-
-def _references(j: Justification) -> tuple[int, ...]:
-    if isinstance(j, JMP):
-        return (j.antecedent, j.implication)
-    if isinstance(j, JRule):
-        return (j.premise,)
-    return ()
 
 
 # --- JSON codec -------------------------------------------------------------------
 
 
-def derivation_from_dict(data: Any) -> Derivation:
+def derivation_from_dict(data: Any) -> tuple[DerivationStep, ...]:
     if not isinstance(data, dict) or not isinstance(data.get("steps"), list):
         raise InputError("derivation document must be an object with a 'steps' list")
     steps: list[DerivationStep] = []
@@ -442,21 +414,19 @@ def derivation_from_dict(data: Any) -> Derivation:
             bind = raw.get("bind", {})
             if not isinstance(bind, dict):
                 raise InputError(f"step {i}: 'bind' must be an object")
-            steps.append(
-                DerivationStep(f, JAxiom(arg, tuple(sorted((k, str(v)) for k, v in bind.items()))))
-            )
+            bindings = tuple(sorted((k, str(v)) for k, v in bind.items()))
+            steps.append(DerivationStep(f, kind, axiom=arg, bindings=bindings))
         elif kind == "taut":
-            steps.append(DerivationStep(f, JTaut()))
+            steps.append(DerivationStep(f, kind))
         elif kind == "mp":
-            steps.append(DerivationStep(f, JMP(*_int_args(arg, 2, i))))
+            steps.append(DerivationStep(f, kind, _int_args(arg, CITES[kind], i)))
         elif kind in ("ir2", "ir3"):
             agent = raw.get("agent")
             if not isinstance(agent, str):
                 raise InputError(f"step {i}: {kind} needs an 'agent' field")
-            (ref,) = _int_args(arg, 1, i)
-            steps.append(DerivationStep(f, JRule(kind, ref, (agent,))))
+            steps.append(DerivationStep(f, kind, _int_args(arg, CITES[kind], i), agents=(agent,)))
         elif kind == "ir4":
-            (ref,) = _int_args(arg, 1, i)
+            cites = _int_args(arg, CITES[kind], i)
             we = raw.get("as", [])
             se = raw.get("bs", [])
             if not all(
@@ -464,10 +434,10 @@ def derivation_from_dict(data: Any) -> Derivation:
                 for names in (we, se)
             ):
                 raise InputError(f"step {i}: 'as' and 'bs' must be lists of agent names")
-            steps.append(DerivationStep(f, JRule(kind, ref, tuple(we), tuple(se))))
+            steps.append(DerivationStep(f, kind, cites, agents=tuple(we), se_agents=tuple(se)))
         else:
             raise InputError(f"step {i}: unknown justification kind {kind!r}")
-    return Derivation(tuple(steps))
+    return tuple(steps)
 
 
 def _int_args(arg: str, n: int, step: int) -> tuple[int, ...]:

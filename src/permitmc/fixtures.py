@@ -15,15 +15,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import Any, Callable, Mapping
 
 from .checker import model_check
 from .errors import InputError
 from .formula import Modality, parse
 from .model import TransitionSystem, model_from_dict
-
-if TYPE_CHECKING:
-    from .deduction import Derivation
 
 FIXTURE_IDS = (
     "fig1-wa",
@@ -40,7 +37,6 @@ DERIVATION_IDS = ("we-monotonicity", "se-antimonotonicity")
 @dataclass(frozen=True)
 class Fixture:
     id: str
-    description: str
     models: Mapping[str, TransitionSystem]
     expectations: tuple[Mapping[str, Any], ...]  # the JSON objects, each with a known kind
 
@@ -77,10 +73,11 @@ def load_fixture(fixture_id: str) -> Fixture:
             raise InputError(f"{fixture_id}: expectation entries need 'kind' and 'variant'")
         if raw["kind"] not in _KINDS:
             raise InputError(f"{fixture_id}: unknown expectation kind {raw['kind']!r}")
-    return Fixture(doc["id"], doc.get("description", ""), models, expectations)
+    return Fixture(doc["id"], models, expectations)
 
 
-def load_derivation_fixture(name: str) -> Derivation:
+def load_derivation_fixture(name: str) -> tuple:
+    """The steps of a shipped derivation, as ``derivation_from_dict`` decodes them."""
     # Imported here, like verify_witness in _witness, so that listing or
     # exporting the catalog runs neither module.
     from .deduction import derivation_from_dict
@@ -124,27 +121,18 @@ _KINDS: dict[str, tuple[str, Replay]] = {
 }
 
 
-@dataclass(frozen=True)
-class ExpectationResult:
-    fixture_id: str
-    expectation: Mapping[str, Any]
-    ok: bool
-    got: str
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else "FAIL"
-        what = _KINDS[self.expectation["kind"]][0].format(**self.expectation)
-        return f"[{status}] {self.fixture_id}: {what} -> {self.got}"
-
-
-def run_fixture(fixture: Fixture) -> list[ExpectationResult]:
-    """Replay every golden expectation; all results must come back ok."""
-    results: list[ExpectationResult] = []
+def run_fixture(fixture: Fixture) -> list[tuple[bool, str]]:
+    """Replay every golden expectation; all results must come back ok. Each
+    result is ``(ok, line)``, the line naming the fixture, the expectation
+    and what came out."""
+    results: list[tuple[bool, str]] = []
     for e in fixture.expectations:
         model = fixture.models.get(e["variant"])
+        what, replay = _KINDS[e["kind"]]
         if model is None:
             ok, got = False, f"no variant {e['variant']!r}"
         else:
-            ok, got = _KINDS[e["kind"]][1](model, e)
-        results.append(ExpectationResult(fixture.id, e, ok, got))
+            ok, got = replay(model, e)
+        status = "ok" if ok else "FAIL"
+        results.append((ok, f"[{status}] {fixture.id}: {what.format(**e)} -> {got}"))
     return results

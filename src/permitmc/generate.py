@@ -13,6 +13,8 @@ import random
 import string
 from dataclasses import dataclass
 from itertools import product
+from math import prod
+from typing import Mapping, Sequence
 
 from .errors import CapacityError, InputError
 from .formula import BOT, TOP, Formula, Modal, Modality, Neg, Or, Prop
@@ -43,6 +45,16 @@ def agent_names(count: int) -> list[str]:
     return [letters[i] if i < len(letters) else f"a{i}" for i in range(count)]
 
 
+def guard_profiles(actions: Mapping[str, Mapping[str, Sequence[str]]]) -> None:
+    """Raise CapacityError when action sets (state -> agent -> actions) make
+    more profiles than ``PERMITMC_PROFILE_CAP`` allows. It draws no random
+    number, so a seeded generator under the cap gives what it gave before."""
+    total = sum(prod(len(acts) for acts in row.values()) for row in actions.values())
+    cap = profile_cap()
+    if total > cap:
+        raise CapacityError(f"requested model needs {total} profiles, over the cap of {cap}")
+
+
 def random_model(params: GenParams) -> TransitionSystem:
     """Generate a model that always passes validation. Identical params and
     seed give a structurally identical model. A model with more profiles
@@ -53,26 +65,18 @@ def random_model(params: GenParams) -> TransitionSystem:
 
     actions: dict[str, dict[str, list[str]]] = {}
     permitted: dict[str, dict[str, list[str]]] = {}
-    total_profiles = 0
     for s in states:
         actions[s] = {}
         permitted[s] = {}
-        count_product = 1
         for a in agents:
             count = rng.randint(1, params.max_actions)
-            count_product *= count
             acts = [str(i + 1) for i in range(count)]
             actions[s][a] = acts
             chosen = [i for i in acts if rng.random() < params.permitted_density]
             if not chosen:
                 chosen = [rng.choice(acts)]
             permitted[s][a] = chosen
-        total_profiles += count_product
-    cap = profile_cap()
-    if total_profiles > cap:
-        raise CapacityError(
-            f"requested model needs {total_profiles} profiles, over the cap of {cap}"
-        )
+    guard_profiles(actions)
 
     transitions: list[tuple[str, dict[str, str], str]] = []
     for s in states:

@@ -195,9 +195,12 @@ def profile_cap() -> int:
     if raw is None:
         return DEFAULT_PROFILE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError as exc:
         raise InputError(f"{PROFILE_CAP_ENV} must be an integer, got {raw!r}") from exc
+    if cap < 1:
+        raise InputError(f"{PROFILE_CAP_ENV} must be at least 1, got {cap}")
+    return cap
 
 
 def validate_model(m: TransitionSystem) -> list[Violation]:

@@ -7,6 +7,7 @@ All randomness is seed-pinned, so reruns are bit-identical.
 import random
 import statistics
 import time
+from dataclasses import replace
 
 from permitmc.algebra import (
     SearchBounds,
@@ -25,7 +26,6 @@ from permitmc.deduction import (
     instantiate_axiom,
     verify_derivation,
 )
-from permitmc.deduction import Derivation, DerivationStep
 from permitmc.fixtures import load_derivation_fixture, load_fixture
 from permitmc.formula import (
     BOT,
@@ -339,15 +339,13 @@ def test_criterion_9_derivation_checker():
             derivation = load_derivation_fixture(name)
             ok = ok and verify_derivation(derivation).accepted
             mutants = []
-            for index, step in enumerate(derivation.steps):
+            for index, step in enumerate(derivation):
                 for mutant_formula in _universally_breaking_mutants(step.formula):
                     mutants.append((index + 1, mutant_formula))
             for target_step, mutant_formula in mutants[:20]:
-                steps = list(derivation.steps)
-                steps[target_step - 1] = DerivationStep(
-                    mutant_formula, steps[target_step - 1].justification
-                )
-                verdict = verify_derivation(Derivation(tuple(steps)))
+                steps = list(derivation)
+                steps[target_step - 1] = replace(steps[target_step - 1], formula=mutant_formula)
+                verdict = verify_derivation(steps)
                 mutants_checked += 1
                 ok = ok and not verdict.accepted and verdict.failed_step == target_step
         ok = ok and mutants_checked == 40

@@ -16,7 +16,7 @@ from permitmc.algebra import (
     verify_witness,
 )
 from permitmc.checker import model_check
-from permitmc.errors import InputError
+from permitmc.errors import CapacityError, InputError
 from permitmc.formula import Modality, Prop
 from permitmc.model import make_model, validate_model
 
@@ -205,3 +205,25 @@ def test_search_candidates_have_the_requested_agents():
     eleven = _random_candidate(rng, SearchBounds(num_agents=11, max_actions=1))
     assert eleven.agents == tuple("abcdefghijk")
     assert validate_model(eleven) == []
+
+
+def test_search_refuses_a_candidate_over_the_profile_cap(monkeypatch):
+    # Small enough to build, so that a missing guard fails this test rather
+    # than exhausting memory; tests/test_cli.py runs the large case.
+    monkeypatch.setenv("PERMITMC_PROFILE_CAP", "100")
+    bounds = SearchBounds(num_agents=12, max_actions=2, max_candidates=1)
+    message = "^requested model needs 2208 profiles, over the cap of 100$"
+    with pytest.raises(CapacityError, match=message):
+        search_witness(Modality.WA, bounds, seed=0)
+
+
+def test_profile_guard_leaves_searches_under_the_cap_alone(monkeypatch):
+    bounds = SearchBounds(max_states=3, num_agents=2, max_actions=2, max_candidates=2000)
+    before = search_witness(Modality.WE, bounds, seed=13)
+    # 3 states with 2 x 2 profiles each is the most a candidate can need.
+    monkeypatch.setenv("PERMITMC_PROFILE_CAP", "12")
+    after = search_witness(Modality.WE, bounds, seed=13)
+    assert before.found and (after.candidates, after.model) == (before.candidates, before.model)
+    monkeypatch.setenv("PERMITMC_PROFILE_CAP", "2")
+    with pytest.raises(CapacityError, match="^requested model needs [3-9] profiles"):
+        search_witness(Modality.WE, bounds, seed=13)

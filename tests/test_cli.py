@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -387,6 +388,24 @@ def test_witness_search_found_and_exhausted(capsys):
     assert json.loads(out.split("\n", 1)[1]) == {
         "schema": "permitmc/v1", "found": False, "exhausted": True, "candidates": 200
     }
+
+
+def test_witness_search_over_the_profile_cap_is_usage_error():
+    # Run in a child under a 1.5 GB address-space limit, so that a search
+    # that builds the candidate's profiles fails with MemoryError instead of
+    # exhausting the machine.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "permitmc", "witness", "--search", "--target", "WA",
+         "--agents", "44", "--max-actions", "2", "--max-candidates", "1"],
+        capture_output=True, text=True, timeout=120, preexec_fn=limit,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: requested model needs 27262976 profiles, over the cap of 1000000\n"
+    )
 
 
 def test_witness_requires_model_or_search(capsys):

@@ -10,10 +10,7 @@ from strategies import JSON, deep_chain, models
 from permitmc.deduction import (
     AXIOMS,
     DERIVED_SCHEMAS,
-    Derivation,
     DerivationStep,
-    JMP,
-    JTaut,
     check_rule_locally,
     check_validity,
     derivation_from_dict,
@@ -430,14 +427,55 @@ def test_mp_must_match_literally():
 
 
 def test_forward_reference_rejected():
-    d = Derivation(
-        (
-            DerivationStep(parse("WE[a] true"), JMP(1, 2)),
-            DerivationStep(parse("WE[a] true -> WE[a] true"), JTaut()),
-        )
+    d = (
+        DerivationStep(parse("WE[a] true"), "mp", (1, 2)),
+        DerivationStep(parse("WE[a] true -> WE[a] true"), "taut"),
     )
     verdict = verify_derivation(d)
     assert not verdict.accepted and verdict.failed_step == 1
+
+
+def test_each_step_kind_decodes_to_one_record():
+    steps = derivation_from_dict(
+        {
+            "steps": [
+                {"formula": "WE[a] true", "by": "Axiom:A2", "bind": {"a": "a"}},
+                {"formula": "p & !p -> !q", "by": "TAUT"},
+                {"formula": "WE[a] true", "by": "mp:1,1"},
+                {"formula": "WA[a] p -> WA[a] q", "by": "ir2:2", "agent": "a"},
+                {"formula": "SA[b] q -> SA[b] p", "by": "ir3:2", "agent": "b"},
+                {"formula": "WE[a] p & WE[c] p -> SE[b] q", "by": "ir4:2", "as": ["a", "c"],
+                 "bs": ["b"]},
+            ]
+        }
+    )
+    f = parse
+    assert steps == (
+        DerivationStep(f("WE[a] true"), "axiom", axiom="A2", bindings=(("a", "a"),)),
+        DerivationStep(f("p & !p -> !q"), "taut"),
+        DerivationStep(f("WE[a] true"), "mp", (1, 1)),
+        DerivationStep(f("WA[a] p -> WA[a] q"), "ir2", (2,), agents=("a",)),
+        DerivationStep(f("SA[b] q -> SA[b] p"), "ir3", (2,), agents=("b",)),
+        DerivationStep(f("WE[a] p & WE[c] p -> SE[b] q"), "ir4", (2,), agents=("a", "c"),
+                       se_agents=("b",)),
+    )
+
+
+@pytest.mark.parametrize(
+    "step, reason",
+    [
+        (DerivationStep(parse("WE[a] true"), "mp", (1,)), "mp cites 2 step(s), not 1"),
+        (DerivationStep(parse("WA[a] true -> WA[a] true"), "ir2", agents=("a",)),
+         "ir2 cites 1 step(s), not 0"),
+        (DerivationStep(parse("true"), "ir4", (1, 1)), "ir4 cites 1 step(s), not 2"),
+        (DerivationStep(parse("true"), "taut", (1,)), "taut cites 0 step(s), not 1"),
+        (DerivationStep(parse("true"), "wat"), "unknown justification 'wat'"),
+    ],
+)
+def test_cites_that_do_not_fit_the_kind_are_rejected_at_that_step(step, reason):
+    first = DerivationStep(parse("WE[a] true -> WE[a] true"), "taut")
+    verdict = verify_derivation((first, step))
+    assert (verdict.accepted, verdict.failed_step, verdict.reason) == (False, 2, reason)
 
 
 def test_agent_corruption_rejected_at_that_step():
@@ -489,7 +527,7 @@ def test_accepted_derivations_are_valid_on_models(m):
     for name in DERIVATION_IDS:
         d = load_derivation_fixture(name)
         assert verify_derivation(d).accepted
-        conclusion = d.steps[-1].formula
+        conclusion = d[-1].formula
         # The shipped conclusions mention agent "a", present in every
         # generated model (agents are named alphabetically).
         assert "a" in m.agents

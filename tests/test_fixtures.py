@@ -48,8 +48,8 @@ def test_every_fixture_model_is_valid(fixture_id):
 def test_every_expectation_reproduces(fixture_id):
     results = run_fixture(load_fixture(fixture_id))
     assert results
-    for r in results:
-        assert r.ok, r.describe()
+    for ok, line in results:
+        assert ok, line
 
 
 @pytest.mark.parametrize(
@@ -74,10 +74,10 @@ def test_failed_and_missing_variant_results_are_described(fig1):
         {"kind": "truth_set", "variant": "only", "formula": "WA[a] p", "states": ["s"]},
         {"kind": "permitted_set", "variant": "gone", "state": "s", "agent": "a", "actions": []},
     )
-    fx = Fixture("probe", "", {"only": fig1}, expectations)
-    assert [r.describe() for r in run_fixture(fx)] == [
-        "[FAIL] probe: [[WA[a] p]] on only -> s u",
-        "[FAIL] probe: permitted('s', 'a') on gone -> no variant 'gone'",
+    fx = Fixture("probe", {"only": fig1}, expectations)
+    assert run_fixture(fx) == [
+        (False, "[FAIL] probe: [[WA[a] p]] on only -> s u"),
+        (False, "[FAIL] probe: permitted('s', 'a') on gone -> no variant 'gone'"),
     ]
 
 

@@ -155,6 +155,16 @@ def test_profile_cap_env_override(monkeypatch):
     assert any(v.code == "continuity" for v in validate_model(m))
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_profile_cap_below_one_is_refused(monkeypatch, fig1, cap):
+    monkeypatch.setenv("PERMITMC_PROFILE_CAP", cap)
+    message = f"^PERMITMC_PROFILE_CAP must be at least 1, got {cap}$"
+    with pytest.raises(InputError, match=message):
+        validate_model(fig1)
+    with pytest.raises(InputError, match=message):
+        random_model(GenParams(seed=1))
+
+
 def test_successors_deterministic_model_singletons():
     m = random_model(GenParams(seed=11, num_states=4, num_agents=2, max_actions=2,
                                branching=1))
