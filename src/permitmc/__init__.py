@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "algebra": (
-        "SearchBounds", "SearchResult", "WitnessReport", "closure_step",
+        "SearchBounds", "SearchResult", "closure_step",
         "default_family", "family_of", "search_witness", "verify_closure", "verify_witness",
     ),
     "atl": (

@@ -87,44 +87,18 @@ def verify_closure(
     return failures
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    ok: bool
-    target: Modality
-    proposition: str
-    agent: str
-    family: Family
-    closed_under: tuple[tuple[Modality, str], ...]
-    escape_formula: Formula
-    escape_set: frozenset[str]
-    failures: tuple[str, ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "ok": self.ok,
-            "target": self.target.value,
-            "prop": self.proposition,
-            "agent": self.agent,
-            "family": [sorted(ts) for ts in self.family],
-            "closed_under": [[mod.value, agent] for mod, agent in self.closed_under],
-            "escape": {
-                "formula": format_formula(self.escape_formula),
-                "states": sorted(self.escape_set),
-            },
-            "failures": list(self.failures),
-        }
-
-
 def verify_witness(
     m: TransitionSystem,
     target: Modality,
     prop: str,
     closed_modalities: Iterable[Modality] | None = None,
-) -> WitnessReport:
+) -> dict[str, Any]:
     """Check a model witnesses the undefinability of ``target``: the default
     family of ``prop`` is closed under the other modalities (default: the
     remaining three) for all agents, while ``target[agent] prop``, for the
-    model's first agent, produces a truth set outside it."""
+    model's first agent, produces a truth set outside it. Returns the report
+    as the JSON object ``witness`` prints, whose ``closed_under`` is empty
+    unless the family is closed and ``failures`` empty exactly when ``ok``."""
     if not m.agents:
         raise InputError("a witness needs an agent for its escape formula; the model has none")
     family = default_family(m, prop)
@@ -136,27 +110,27 @@ def verify_witness(
     escape_agent = m.agents[0]
 
     failures = verify_closure(m, family, closed)
-    closed_under = () if failures else tuple((mod, a) for mod in closed for a in m.agents)
+    closed_under = [] if failures else [[mod.value, a] for mod in closed for a in m.agents]
 
-    escape_formula = Modal(target, escape_agent, Prop(prop))
-    escape_set = model_check(m, escape_formula)
+    escape = Modal(target, escape_agent, Prop(prop))
+    escape_formula = format_formula(escape)
+    escape_set = model_check(m, escape)
     if escape_set in family:
         failures.append(
-            f"{format_formula(escape_formula)} has truth set {_set_text(escape_set)}, "
+            f"{escape_formula} has truth set {_set_text(escape_set)}, "
             "which stays in the family"
         )
 
-    return WitnessReport(
-        ok=not failures,
-        target=target,
-        proposition=prop,
-        agent=escape_agent,
-        family=family,
-        closed_under=closed_under,
-        escape_formula=escape_formula,
-        escape_set=escape_set,
-        failures=tuple(failures),
-    )
+    return {
+        "ok": not failures,
+        "target": target.value,
+        "prop": prop,
+        "agent": escape_agent,
+        "family": [sorted(ts) for ts in family],
+        "closed_under": closed_under,
+        "escape": {"formula": escape_formula, "states": sorted(escape_set)},
+        "failures": failures,
+    }
 
 
 def enumerate_formulas(
@@ -211,7 +185,7 @@ class SearchResult:
     found: bool
     candidates: int
     model: TransitionSystem | None = None
-    report: WitnessReport | None = None
+    report: dict[str, Any] | None = None  # verify_witness's report on the model
 
 
 def _random_candidate(rng: random.Random, bounds: SearchBounds) -> TransitionSystem:
@@ -270,6 +244,6 @@ def search_witness(
     for k in range(1, bounds.max_candidates + 1):
         candidate = _random_candidate(rng, bounds)
         report = verify_witness(candidate, target, "p")
-        if report.ok:
+        if report["ok"]:
             return SearchResult(True, k, candidate, report)
     return SearchResult(False, bounds.max_candidates)

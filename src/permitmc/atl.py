@@ -87,7 +87,6 @@ class ANext(Formula):
 class AtlModel:
     source: TransitionSystem
     players: tuple[str, ...]  # the source agents, then Nature if it joins
-    has_nature: bool
     # index base_index * 2^|agents| + mask: the base state's copy whose
     # allowed set holds the agents at the mask's set bits, in agent order
     states: tuple[AtlState, ...]
@@ -100,6 +99,12 @@ class AtlModel:
 
     def grand_coalition(self) -> frozenset[str]:
         return frozenset(self.players)
+
+    @property
+    def has_nature(self) -> bool:
+        """Whether Nature joins the players, as it does when some profile has
+        several successors."""
+        return len(self.players) > len(self.source.agents)
 
 
 def expand_model(m: TransitionSystem) -> AtlModel:
@@ -162,7 +167,7 @@ def expand_model(m: TransitionSystem) -> AtlModel:
         frozenset(a for i, a in enumerate(m.agents) if mask >> i & 1) for mask in range(1 << n)
     ]
     states = tuple(AtlState(s, subset) for s in m.states for subset in subsets)
-    return AtlModel(m, players, has_nature, states, moves, rows)
+    return AtlModel(m, players, states, moves, rows)
 
 
 # --- translation -------------------------------------------------------------------

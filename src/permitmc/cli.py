@@ -29,6 +29,7 @@ from .model import (
     TransitionSystem,
     model_from_dict,
     model_to_dict,
+    profile_cap,
     validate_model,
 )
 
@@ -210,6 +211,7 @@ def _cmd_soundness(args: argparse.Namespace) -> int:
     _at_least("--props", args.props, 1)
     _at_least("--branching", args.branching, 1)
     _at_least("--depth", args.depth, 0)
+    profile_cap()  # refuses a bad PERMITMC_PROFILE_CAP before the seed echo
     rng = random.Random(args.seed)
     print(f"seed: {args.seed}")
     counterexamples = 0
@@ -274,7 +276,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
                     "found": True,
                     "candidates": result.candidates,
                     "model": model_to_dict(result.model),
-                    "report": result.report.to_dict(),
+                    "report": result.report,
                 }
             )
             return EXIT_OK
@@ -284,8 +286,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         raise InputError("witness needs --model unless --search is given")
     m = _load_model(args.model)
     report = algebra.verify_witness(m, target, args.prop)
-    _emit_json({"report": report.to_dict()})
-    return EXIT_OK if report.ok else EXIT_SEMANTIC
+    _emit_json({"report": report})
+    return EXIT_OK if report["ok"] else EXIT_SEMANTIC
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:

@@ -246,13 +246,6 @@ def rule_conclusion(
     )
 
 
-@dataclass(frozen=True)
-class RuleVerdict:
-    valid: bool
-    premise_valid: bool
-    counterexample: str | None = None
-
-
 def _chain_agents(
     node: Formula, kind: Modality, split: Splitter, empty: Formula
 ) -> tuple[str, ...] | None:
@@ -273,10 +266,12 @@ def _chain_agents(
 
 def check_rule_locally(
     m: TransitionSystem, rule: str, premise: Formula, conclusion: Formula
-) -> RuleVerdict:
+) -> ValidityVerdict:
     """Per-model soundness check of one rule application: when the premise is
     valid in ``m``, the conclusion must be too. The conclusion must be the one
-    ``rule_conclusion`` infers from the premise for the agents it names."""
+    ``rule_conclusion`` infers from the premise for the agents it names.
+    Returns the conclusion's verdict, or a valid one when the premise is not
+    valid in ``m``: the check then passes vacuously."""
     rule = rule.lower()
     pair = match_implies(conclusion)
     agents: tuple[str, ...] = ()
@@ -297,15 +292,9 @@ def check_rule_locally(
     if conclusion != expected:
         raise InputError(f"conclusion is not {format_formula(expected)!r}")
 
-    premise_check = check_validity(m, premise)
-    if not premise_check.valid:
-        return RuleVerdict(valid=True, premise_valid=False)
-    conclusion_check = check_validity(m, conclusion)
-    return RuleVerdict(
-        valid=conclusion_check.valid,
-        premise_valid=True,
-        counterexample=conclusion_check.counterexample,
-    )
+    if not check_validity(m, premise).valid:
+        return ValidityVerdict(True)
+    return check_validity(m, conclusion)
 
 
 # --- derivations -----------------------------------------------------------------

@@ -99,9 +99,9 @@ def _witness(model: TransitionSystem, e: Mapping[str, Any]) -> tuple[bool, str]:
 
     closed = [Modality(x) for x in e["closed"]]
     report = verify_witness(model, Modality(e["target"]), e["prop"], closed_modalities=closed)
-    if not report.ok:
-        return False, "; ".join(report.failures)
-    escape = sorted(report.escape_set)
+    if report["failures"]:
+        return False, "; ".join(report["failures"])
+    escape = report["escape"]["states"]
     return escape == sorted(e["escape"]), f"ok=True escape={' '.join(escape)}"
 
 

@@ -103,18 +103,18 @@ def test_criterion_2_truth_set_closure():
 def test_criterion_3_witnesses_verified_and_found():
     with Timer() as t:
         ok = True
-        ok = ok and verify_witness(load_fixture("fig2-we").model, Modality.WE, "p").ok
-        ok = ok and verify_witness(load_fixture("fig3-se").model, Modality.SE, "p").ok
-        ok = ok and verify_witness(load_fixture("fig4-sa").model, Modality.SA, "p").ok
+        ok = ok and verify_witness(load_fixture("fig2-we").model, Modality.WE, "p")["ok"]
+        ok = ok and verify_witness(load_fixture("fig3-se").model, Modality.SE, "p")["ok"]
+        ok = ok and verify_witness(load_fixture("fig4-sa").model, Modality.SA, "p")["ok"]
         fig5 = load_fixture("fig5-single-agent")
         ok = ok and verify_witness(
             fig5.models["target-wa"], Modality.WA, "p",
             closed_modalities=[Modality.SA, Modality.SE],
-        ).ok
+        )["ok"]
         ok = ok and verify_witness(
             fig5.models["target-sa"], Modality.SA, "p",
             closed_modalities=[Modality.WA, Modality.WE],
-        ).ok
+        )["ok"]
 
         # Independent search, 3 states and 2 agents throughout. Two actions per
         # (state, agent) leave room for at most one non-permitted action there,
@@ -134,7 +134,7 @@ def test_criterion_3_witnesses_verified_and_found():
             (Modality.SA, strong),
         ):
             result = search_witness(target, bounds, seed=7)
-            ok = ok and result.found and result.report is not None and result.report.ok
+            ok = ok and result.found and result.report is not None and result.report["ok"]
         probe = SearchBounds(max_states=3, num_agents=2, max_actions=2,
                              allow_nonpermitted=True, max_candidates=4000)
         for target in (Modality.SE, Modality.SA):

@@ -111,20 +111,20 @@ def test_powerset_family_closed_under_everything():
 
 def test_verify_witness_fig1(fig1):
     report = verify_witness(fig1, Modality.WA, "p")
-    assert report.ok
-    assert sorted(report.escape_set) == ["s", "u"]
-    assert (Modality.WE, "a") in report.closed_under
-    assert report.to_dict()["escape"]["formula"] == "WA[a] p"
+    assert report["ok"]
+    assert report["escape"]["states"] == ["s", "u"]
+    assert ["WE", "a"] in report["closed_under"]
+    assert report["escape"]["formula"] == "WA[a] p"
 
 
 def test_verify_witness_fig2(fig2):
-    assert verify_witness(fig2, Modality.WE, "p").ok
+    assert verify_witness(fig2, Modality.WE, "p")["ok"]
 
 
 def test_verify_witness_failure_stays_in_family(fig1):
     report = verify_witness(fig1, Modality.WE, "p")
-    assert not report.ok
-    assert any("stays in the family" in f for f in report.failures)
+    assert not report["ok"]
+    assert any("stays in the family" in f for f in report["failures"])
 
 
 def test_witness_depth_sweep_stays_in_family(fig1):
@@ -153,10 +153,25 @@ def test_search_finds_wa_witness_all_permitted():
                           allow_nonpermitted=False, max_candidates=5000)
     result = search_witness(Modality.WA, bounds, seed=7)
     assert result.found
-    assert result.report is not None and result.report.ok
+    assert result.report is not None and result.report["ok"]
     assert result.model is not None
     # Replay: the verdict must reproduce on the returned model.
-    assert verify_witness(result.model, Modality.WA, "p").ok
+    assert verify_witness(result.model, Modality.WA, "p")["ok"]
+
+
+def test_search_up_to_five_states_finds_witnesses_that_replay():
+    # max_states above three draws each candidate's state count from 3..5.
+    bounds = SearchBounds(max_states=5, num_agents=2, max_actions=2, max_candidates=300)
+    sizes = []
+    for seed in range(4):
+        result = search_witness(Modality.WE, bounds, seed=seed)
+        if result.found:
+            assert result.model is not None
+            assert 3 <= len(result.model.states) <= 5
+            assert verify_witness(result.model, Modality.WE, "p") == result.report
+            assert result.report["ok"]
+            sizes.append(len(result.model.states))
+    assert max(sizes) > 3
 
 
 def test_search_se_all_permitted_exhausts():
@@ -171,7 +186,7 @@ def test_search_finds_sa_witness_with_nonpermitted_actions():
     bounds = SearchBounds(max_states=3, num_agents=2, max_actions=3,
                           allow_nonpermitted=True, max_candidates=20000)
     result = search_witness(Modality.SA, bounds, seed=7)
-    assert result.found and result.report is not None and result.report.ok
+    assert result.found and result.report is not None and result.report["ok"]
 
 
 @pytest.mark.parametrize("field", ["max_states", "num_agents", "max_actions", "max_candidates"])

@@ -39,6 +39,18 @@ def test_expand_nondeterministic_gets_nature(fig3):
     assert am.moves["u"][NATURE] == ("0",)
 
 
+def test_agent_named_like_nature_is_not_nature():
+    # Unvalidated model: its one agent takes Nature's reserved name, and every
+    # profile has one successor, so Nature does not join the players.
+    actions = {"s": {NATURE: ["1"]}}
+    m = make_model(
+        [NATURE], ["s"], actions=actions, permitted=actions, transitions=[("s", {NATURE: "1"}, "s")]
+    )
+    am = expand_model(m)
+    assert am.players == (NATURE,)
+    assert not am.has_nature
+
+
 def test_expanded_valuation_and_deontic_atoms(fig1):
     am = expand_model(fig1)
     st = AtlState("u", frozenset({"a", "b"}))
@@ -175,6 +187,17 @@ def test_verify_translation_fig_fixtures(fig1, fig2, fig3, fig4):
         for text in ("p", "WA[a] p", "WE[a] !p", "SE[a] p", "SA[a] (p | WE[b] p)"):
             verdict = verify_translation(m, parse(text))
             assert verdict.ok, (text, verdict)
+
+
+def test_verify_translation_reports_the_first_mismatch(fig1, monkeypatch):
+    from permitmc import atl
+
+    translate = atl.translate_formula
+    monkeypatch.setattr(atl, "translate_formula", lambda f, am: Neg(translate(f, am)))
+    verdict = verify_translation(fig1, parse("WA[a] p"))
+    assert (verdict.ok, verdict.checked) == (False, 1)
+    assert verdict.mismatch_state == AtlState("s", frozenset())
+    assert verdict.expected is True
 
 
 def test_deep_formula_translation_agrees(fig1, deep_formula):

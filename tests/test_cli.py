@@ -298,6 +298,20 @@ def test_soundness_smoke(capsys):
     assert "counterexamples: 0" in out
 
 
+@pytest.mark.parametrize(
+    "cap, message",
+    [
+        ("0", "PERMITMC_PROFILE_CAP must be at least 1, got 0"),
+        ("abc", "PERMITMC_PROFILE_CAP must be an integer, got 'abc'"),
+    ],
+)
+def test_soundness_refuses_a_bad_profile_cap_before_the_seed(monkeypatch, capsys, cap, message):
+    monkeypatch.setenv("PERMITMC_PROFILE_CAP", cap)
+    code, out, err = run_cli(capsys, "soundness", "--count", "1")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_prove_builtin_and_rejection(tmp_path, capsys):
     assert run_cli(capsys, "prove", "--builtin", "we-monotonicity")[0] == 0
     bad = tmp_path / "bad.json"
@@ -364,6 +378,24 @@ def test_witness_report_json_fig1_we(fig1_path, capsys):
             "WA[b] maps {u} to {s, u}, outside the family",
             "WE[a] p has truth set {u}, which stays in the family",
         ],
+    }
+    assert out == json.dumps({"schema": "permitmc/v1", "report": report}, indent=2) + "\n"
+
+
+def test_witness_report_json_fig1_wa(fig1_path, capsys):
+    code, out, err = run_cli(capsys, "witness", "--target", "WA", "--model", fig1_path)
+    assert (code, err) == (0, "")
+    report = {
+        "ok": True,
+        "target": "WA",
+        "prop": "p",
+        "agent": "a",
+        "family": [[], ["s", "t"], ["s", "t", "u"], ["u"]],
+        "closed_under": [
+            ["WE", "a"], ["WE", "b"], ["SE", "a"], ["SE", "b"], ["SA", "a"], ["SA", "b"]
+        ],
+        "escape": {"formula": "WA[a] p", "states": ["s", "u"]},
+        "failures": [],
     }
     assert out == json.dumps({"schema": "permitmc/v1", "report": report}, indent=2) + "\n"
 
@@ -478,6 +510,27 @@ def test_translate_and_verify(fig1_path, tmp_path, capsys):
     doc = json.loads(out_path.read_text())
     assert doc["schema"] == "permitmc.atl/v1"
     assert len(doc["states"]) == 12
+
+
+def test_translate_verify_mismatch_exits_1_and_still_writes(fig1_path, tmp_path, capsys,
+                                                            monkeypatch):
+    from permitmc import atl
+    from permitmc.formula import Neg
+
+    translate = atl.translate_formula
+    monkeypatch.setattr(atl, "translate_formula", lambda f, am: Neg(translate(f, am)))
+    out_path = tmp_path / "atl.json"
+    code, out, err = run_cli(
+        capsys,
+        "translate", "--model", fig1_path, "--out", str(out_path),
+        "--verify", "--formula", "WA[a] p",
+    )
+    assert (code, err) == (1, "")
+    assert out == (
+        f"wrote {out_path} (12 expanded states)\n"
+        "mismatch at <s, {}>: direct check says True\n"
+    )
+    assert len(json.loads(out_path.read_text())["states"]) == 12
 
 
 @pytest.mark.parametrize(

@@ -234,7 +234,7 @@ def test_ir2_locally_valid():
     verdict = check_rule_locally(
         m, "ir2", parse("p -> q"), parse("WA[a]p -> WA[a]q")
     )
-    assert verdict.premise_valid and verdict.valid
+    assert check_validity(m, parse("p -> q")).valid and verdict.valid
 
 
 def test_ir3_locally_valid():
@@ -242,13 +242,13 @@ def test_ir3_locally_valid():
     verdict = check_rule_locally(
         m, "ir3", parse("p -> q"), parse("SA[a]q -> SA[a]p")
     )
-    assert verdict.premise_valid and verdict.valid
+    assert check_validity(m, parse("p -> q")).valid and verdict.valid
 
 
 def test_rule_check_with_invalid_premise_is_vacuous():
     m = subset_model()
     verdict = check_rule_locally(m, "ir2", parse("q -> p"), parse("WA[a]q -> WA[a]p"))
-    assert not verdict.premise_valid
+    assert not check_validity(m, parse("q -> p")).valid
     assert verdict.valid
 
 
@@ -478,6 +478,23 @@ def test_cites_that_do_not_fit_the_kind_are_rejected_at_that_step(step, reason):
     assert (verdict.accepted, verdict.failed_step, verdict.reason) == (False, 2, reason)
 
 
+@pytest.mark.parametrize(
+    "step, reason",
+    [
+        ({"formula": "WE[a] true", "by": "axiom:A99"}, "unknown axiom 'A99'"),
+        ({"formula": "!WA[a] false", "by": "axiom:A1", "bind": {}},
+         "missing binding for agent variable 'a' of A1"),
+        ({"formula": "WE[a] (p & !p) -> SE[a] q", "by": "ir4:1", "as": ["a"], "bs": ["a"]},
+         "agents of the rule must be distinct"),
+    ],
+    ids=["unknown-axiom", "unbound-agent", "repeated-ir4-agent"],
+)
+def test_justification_that_fails_is_rejected_at_that_step(step, reason):
+    doc = {"steps": [{"formula": "p & !p -> !q", "by": "taut"}, step]}
+    verdict = verify_derivation(derivation_from_dict(doc))
+    assert (verdict.accepted, verdict.failed_step, verdict.reason) == (False, 2, reason)
+
+
 def test_agent_corruption_rejected_at_that_step():
     doc = {
         "steps": [
@@ -546,6 +563,7 @@ def test_derivation_decode_errors():
 
 NOT_A_FORMULA = "step 1: 'formula' must be a string"
 NOT_AGENT_LISTS = "step 1: 'as' and 'bs' must be lists of agent names"
+NOT_A_BIND = "step 1: 'bind' must be an object"
 
 
 @pytest.mark.parametrize(
@@ -557,6 +575,12 @@ NOT_AGENT_LISTS = "step 1: 'as' and 'bs' must be lists of agent names"
         ({"formula": "p", "by": "ir4:1", "as": "a", "bs": "b"}, NOT_AGENT_LISTS),
         ({"formula": "p", "by": "ir4:1", "as": {"a": "b"}}, NOT_AGENT_LISTS),
         ({"formula": "p", "by": "ir4:1", "bs": ["b", 1]}, NOT_AGENT_LISTS),
+        ({"formula": "p", "by": 5}, "step 1: 'by' must be a string"),
+        ({"formula": "p", "by": ["taut"]}, "step 1: 'by' must be a string"),
+        ({"formula": "WE[a] true", "by": "axiom:A2", "bind": ["a"]}, NOT_A_BIND),
+        ({"formula": "WE[a] true", "by": "axiom:A2", "bind": "a"}, NOT_A_BIND),
+        ({"formula": "p", "by": "ir2:1"}, "step 1: ir2 needs an 'agent' field"),
+        ({"formula": "p", "by": "ir2:1", "agent": 1}, "step 1: ir2 needs an 'agent' field"),
     ],
 )
 def test_derivation_field_types_are_input_errors(step, message):

@@ -87,7 +87,7 @@ def test_failed_and_missing_variant_results_are_described(fig1):
 )
 def test_figure_witnesses(fixture_id, target):
     m = load_fixture(fixture_id).model
-    assert verify_witness(m, target, "p").ok
+    assert verify_witness(m, target, "p")["ok"]
 
 
 def test_single_agent_pair_partition():
@@ -95,13 +95,13 @@ def test_single_agent_pair_partition():
     weak = fx.models["target-wa"]
     strong = fx.models["target-sa"]
     assert verify_witness(weak, Modality.WA, "p",
-                          closed_modalities=[Modality.SA, Modality.SE]).ok
+                          closed_modalities=[Modality.SA, Modality.SE])["ok"]
     assert verify_witness(weak, Modality.WE, "p",
-                          closed_modalities=[Modality.SA, Modality.SE]).ok
+                          closed_modalities=[Modality.SA, Modality.SE])["ok"]
     assert verify_witness(strong, Modality.SA, "p",
-                          closed_modalities=[Modality.WA, Modality.WE]).ok
+                          closed_modalities=[Modality.WA, Modality.WE])["ok"]
     assert verify_witness(strong, Modality.SE, "p",
-                          closed_modalities=[Modality.WA, Modality.WE]).ok
+                          closed_modalities=[Modality.WA, Modality.WE])["ok"]
 
 
 # --- the factory scenario, cross-checked against brute-force enumeration -----------

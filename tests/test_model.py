@@ -72,6 +72,22 @@ def test_bad_target_and_malformed_profile_reported():
     assert {"bad-target", "malformed-profile", "valuation-unknown-state"} <= codes
 
 
+def test_empty_actions_and_transitions_from_unknown_state_reported():
+    m = make_model(
+        ["a"],
+        ["s"],
+        actions={"s": {"a": []}},
+        permitted={"s": {"a": []}},
+        transitions=[("ghost", {"a": "1"}, "s")],
+        valuation={},
+    )
+    assert [(v.code, v.message, v.state, v.agent) for v in validate_model(m)] == [
+        ("empty-actions", "no actions for agent 'a' at state 's'", "s", "a"),
+        ("empty-permitted", "empty permitted set at ('s', 'a')", "s", "a"),
+        ("unknown-state-in-mechanism", "transitions from unknown state 'ghost'", "ghost", None),
+    ]
+
+
 def test_reserved_proposition_rejected():
     m = make_model(
         ["a"],
@@ -163,6 +179,12 @@ def test_profile_cap_below_one_is_refused(monkeypatch, fig1, cap):
         validate_model(fig1)
     with pytest.raises(InputError, match=message):
         random_model(GenParams(seed=1))
+
+
+def test_profile_cap_that_is_no_integer_is_refused(monkeypatch, fig1):
+    monkeypatch.setenv("PERMITMC_PROFILE_CAP", "abc")
+    with pytest.raises(InputError, match="^PERMITMC_PROFILE_CAP must be an integer, got 'abc'$"):
+        validate_model(fig1)
 
 
 def test_successors_deterministic_model_singletons():
