@@ -97,9 +97,6 @@ class AtlModel:
     # total move vector, in the product order of the players' moves
     rows: Mapping[str, tuple[tuple[tuple[str, ...], int], ...]]
 
-    def grand_coalition(self) -> frozenset[str]:
-        return frozenset(self.players)
-
     @property
     def has_nature(self) -> bool:
         """Whether Nature joins the players, as it does when some profile has
@@ -175,7 +172,7 @@ def expand_model(m: TransitionSystem) -> AtlModel:
 
 def translate_formula(f: Formula, am: AtlModel) -> Formula:
     """Structurally translate a permission formula for evaluation on ``am``."""
-    grand = am.grand_coalition()
+    grand = frozenset(am.players)
     out: dict[Formula, Formula] = {}
     for g in postorder(f, out):
         if isinstance(g, Prop):

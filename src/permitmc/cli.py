@@ -24,7 +24,7 @@ from typing import Any, Sequence
 
 from .checker import model_check
 from .errors import CapacityError, InputError
-from .formula import Modality, Neg, format_formula, implies, parse
+from .formula import TOP_PROP, Modality, Neg, Prop, format_formula, implies, parse, subformulas
 from .model import (
     TransitionSystem,
     model_from_dict,
@@ -105,6 +105,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     m = _load_model(args.model, validate=not args.no_validate)
     f = parse(args.formula)
     ts = model_check(m, f)
+    props = {g.name for g in subformulas(f) if isinstance(g, Prop)}
+    missing = sorted(props - m.valuation.keys() - {TOP_PROP})
+    if missing:
+        print(f"note: false at every state, not in the valuation: {', '.join(missing)}",
+              file=sys.stderr)
     if args.json:
         _emit_json({"formula": format_formula(f), "states": sorted(ts)})
     else:
@@ -176,9 +181,10 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
     return EXIT_SEMANTIC if failures else EXIT_OK
 
 
-def _soundness_round(m: TransitionSystem, rng: random.Random, depth: int) -> list[str]:
-    """All axiom schemas, derived schemas, and local rule checks on one model;
-    returns descriptions of any counterexamples."""
+def _soundness_round(m: TransitionSystem, rng: random.Random, depth: int) -> tuple[int, list[str]]:
+    """All axiom schemas, derived schemas, and local rule checks on one model
+    (ir4 only where it has two agents); returns how many checks ran and
+    descriptions of any counterexamples."""
     problems: list[str] = []
     props = sorted(m.valuation) or ["p0"]
     for schema in list(deduction.AXIOMS.values()) + list(deduction.DERIVED_SCHEMAS.values()):
@@ -200,7 +206,7 @@ def _soundness_round(m: TransitionSystem, rng: random.Random, depth: int) -> lis
         verdict = deduction.check_rule_locally(m, rule, premise, conclusion)
         if not verdict.valid:
             problems.append(f"{rule} fails at {verdict.counterexample}")
-    return problems
+    return len(deduction.AXIOMS) + len(deduction.DERIVED_SCHEMAS) + len(rules), problems
 
 
 def _cmd_soundness(args: argparse.Namespace) -> int:
@@ -214,7 +220,7 @@ def _cmd_soundness(args: argparse.Namespace) -> int:
     profile_cap()  # refuses a bad PERMITMC_PROFILE_CAP before the seed echo
     rng = random.Random(args.seed)
     print(f"seed: {args.seed}")
-    counterexamples = 0
+    checks = counterexamples = 0
     for k in range(args.count):
         params = generate.GenParams(
             seed=rng.getrandbits(32),
@@ -226,12 +232,12 @@ def _cmd_soundness(args: argparse.Namespace) -> int:
             branching=args.branching,
         )
         m = generate.random_model(params)
-        problems = _soundness_round(m, rng, args.depth)
+        ran, problems = _soundness_round(m, rng, args.depth)
+        checks += ran
         for p in problems:
             counterexamples += 1
             print(f"model {k} (gen seed {params.seed}): {p}")
-    checks = args.count * (len(deduction.AXIOMS) + len(deduction.DERIVED_SCHEMAS) + 3)
-    print(f"models: {args.count}  checks: ~{checks}  counterexamples: {counterexamples}")
+    print(f"models: {args.count}  checks: {checks}  counterexamples: {counterexamples}")
     return EXIT_SEMANTIC if counterexamples else EXIT_OK
 
 
@@ -260,6 +266,8 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 def _cmd_witness(args: argparse.Namespace) -> int:
     target = Modality(args.target)
     if args.search:
+        if args.prop is not None:
+            raise InputError("--prop applies to --model, not to --search")
         bounds = algebra.SearchBounds(
             max_states=args.max_states,
             num_agents=args.agents,
@@ -285,7 +293,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     if not args.model:
         raise InputError("witness needs --model unless --search is given")
     m = _load_model(args.model)
-    report = algebra.verify_witness(m, target, args.prop)
+    report = algebra.verify_witness(m, target, "p" if args.prop is None else args.prop)
     _emit_json({"report": report})
     return EXIT_OK if report["ok"] else EXIT_SEMANTIC
 
@@ -424,9 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="verify or search for undefinability witnesses")
     p.add_argument("--target", required=True, choices=[m.value for m in Modality])
-    p.add_argument("--model", help="model to verify as a witness")
-    p.add_argument("--prop", default="p")
-    p.add_argument("--search", action="store_true", help="search for a witness instead")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--model", help="model to verify as a witness")
+    source.add_argument("--search", action="store_true", help="search for a witness instead")
+    p.add_argument("--prop", help="proposition of the --model witness (default: p)")
     p.add_argument("--max-states", type=int, default=3)
     p.add_argument("--max-actions", type=int, default=3)
     p.add_argument("--agents", type=int, default=2)
@@ -454,8 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("fixtures", help="list the fixture catalog or replay it")
-    p.add_argument("--run", action="store_true", help="execute all golden expectations")
-    p.add_argument("--export", metavar="DIR", help="write each fixture model as plain model JSON")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--run", action="store_true", help="execute all golden expectations")
+    mode.add_argument(
+        "--export", metavar="DIR", help="write each fixture model as plain model JSON"
+    )
     p.set_defaults(func=_cmd_fixtures)
 
     return parser
@@ -483,7 +495,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_INTERNAL
-
-
-def entrypoint() -> None:
-    sys.exit(main())

@@ -151,11 +151,7 @@ def is_tautology(f: Formula) -> bool:
     propositions as atoms. Rejects formulas with more than
     ``TAUTOLOGY_ATOM_CAP`` atoms.
     The walk does not enter modal atoms."""
-    order: list[Formula] = []
-    seen: set[Formula] = set()
-    for g in postorder(f, seen, leaves=Modal):
-        seen.add(g)
-        order.append(g)
+    order = list(subformulas(f, leaves=Modal))
     atoms = [g for g in order if isinstance(g, (Prop, Modal))]
     if len(atoms) > TAUTOLOGY_ATOM_CAP:
         raise CapacityError(
@@ -246,22 +242,10 @@ def rule_conclusion(
     )
 
 
-def _chain_agents(
-    node: Formula, kind: Modality, split: Splitter, empty: Formula
-) -> tuple[str, ...] | None:
-    """Agents of one side of an ir4 conclusion read as a right-nested chain of
-    ``kind`` modal formulas cut by ``split``, the empty chain being ``empty``;
-    greedy, which is unambiguous because chains nest to the right."""
-    agents: list[str] = []
-    while node != empty:
-        if isinstance(node, Modal) and node.kind is kind:
-            return (*agents, node.agent)
-        pair = split(node)
-        if pair is None or not (isinstance(pair[0], Modal) and pair[0].kind is kind):
-            return None
-        agents.append(pair[0].agent)
-        node = pair[1]
-    return tuple(agents)
+def _modal_agents(side: Formula) -> tuple[str, ...]:
+    """The agents of the distinct modal subformulas of ``side`` that lie
+    under no other modal formula, left to right."""
+    return tuple(g.agent for g in subformulas(side, leaves=Modal) if isinstance(g, Modal))
 
 
 def check_rule_locally(
@@ -274,20 +258,12 @@ def check_rule_locally(
     valid in ``m``: the check then passes vacuously."""
     rule = rule.lower()
     pair = match_implies(conclusion)
-    agents: tuple[str, ...] = ()
-    se_agents: tuple[str, ...] = ()
-    if rule == "ir4":
-        if pair is None:
-            raise InputError("conclusion is not an implication")
-        we = _chain_agents(pair[0], Modality.WE, match_and, TOP)
-        se = _chain_agents(pair[1], Modality.SE, _split_or, BOT)
-        if we is None or se is None:
-            raise InputError("conclusion does not have the WE.../SE... shape")
-        agents, se_agents = we, se
-    elif rule in RULES:
-        if pair is None or not isinstance(pair[0], Modal):
-            raise InputError("conclusion is not an implication from a modal formula")
-        agents = (pair[0].agent,)
+    if pair is None:
+        raise InputError("conclusion is not an implication")
+    # The rule's conclusion for some agents names each of them once, in order,
+    # in the modal formulas of its sides; any other reading fails below.
+    agents = _modal_agents(pair[0])
+    se_agents = _modal_agents(pair[1]) if rule == "ir4" else ()
     expected = rule_conclusion(rule, premise, agents, se_agents)
     if conclusion != expected:
         raise InputError(f"conclusion is not {format_formula(expected)!r}")
@@ -397,15 +373,19 @@ def derivation_from_dict(data: Any) -> tuple[DerivationStep, ...]:
         by = raw["by"]
         if not isinstance(by, str):
             raise InputError(f"step {i}: 'by' must be a string")
-        kind, _, arg = by.partition(":")
+        kind, colon, arg = by.partition(":")
         kind = kind.lower()
         if kind == "axiom":
             bind = raw.get("bind", {})
             if not isinstance(bind, dict):
                 raise InputError(f"step {i}: 'bind' must be an object")
-            bindings = tuple(sorted((k, str(v)) for k, v in bind.items()))
+            if not all(isinstance(v, str) for v in bind.values()):
+                raise InputError(f"step {i}: 'bind' values must be strings")
+            bindings = tuple(sorted(bind.items()))
             steps.append(DerivationStep(f, kind, axiom=arg, bindings=bindings))
         elif kind == "taut":
+            if colon:
+                raise InputError(f"step {i}: taut takes no argument, got {by!r}")
             steps.append(DerivationStep(f, kind))
         elif kind == "mp":
             steps.append(DerivationStep(f, kind, _int_args(arg, CITES[kind], i)))

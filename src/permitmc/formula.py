@@ -248,10 +248,11 @@ def modal_depth(f: Formula) -> int:
     return depths[f]
 
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """Each distinct node of ``f`` once, children before parents."""
+def subformulas(f: Formula, leaves: type | tuple[type, ...] = ()) -> Iterator[Formula]:
+    """Each distinct node of ``f`` once, children before parents, left to
+    right; the children of nodes of the ``leaves`` classes are not entered."""
     seen: set[Formula] = set()
-    for g in postorder(f, seen):
+    for g in postorder(f, seen, leaves):
         seen.add(g)
         yield g
 

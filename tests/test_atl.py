@@ -66,7 +66,7 @@ def test_translate_shapes(fig1):
     # Source propositions pass through unchanged; d_a & f and f -> d_a are the
     # core language's desugared conjunction and implication.
     am = expand_model(fig1)
-    grand = am.grand_coalition()
+    grand = frozenset(am.players)
     p = Prop("p")
     assert translate_formula(p, am) is p
     assert translate_formula(Modal(Modality.WA, "a", p), am) == ANext(
@@ -135,7 +135,7 @@ def test_grand_coalition_includes_nature(fig3):
 
 def test_eval_grand_next_true(fig1):
     am = expand_model(fig1)
-    f = ANext(am.grand_coalition(), Prop("__top"))
+    f = ANext(frozenset(am.players), Prop("__top"))
     assert eval_atl(am, f) == frozenset(range(len(am.states)))
 
 
@@ -298,7 +298,7 @@ def seeded_models(n, nature):
 
 def coalition_nodes(am, body):
     """<<C>> X body for the empty coalition, the grand coalition and each player."""
-    coalitions = [frozenset(), am.grand_coalition()] + [frozenset({p}) for p in am.players]
+    coalitions = [frozenset(), frozenset(am.players)] + [frozenset({p}) for p in am.players]
     return [ANext(c, body) for c in coalitions]
 
 

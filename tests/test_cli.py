@@ -60,6 +60,16 @@ def test_check_bad_formula_is_usage_error(fig1_path, capsys):
     assert "error:" in err
 
 
+def test_check_notes_the_propositions_the_valuation_lacks(fig1_path, capsys):
+    argv = ["check", "--model", fig1_path, "--formula", "r | q & !r | p & true | false"]
+    note = "note: false at every state, not in the valuation: q, r\n"
+    assert run_cli(capsys, *argv) == (0, "u\n", note)
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, json.loads(out)["states"], err) == (0, ["u"], note)
+    argv = ["check", "--model", fig1_path, "--formula", "true | p"]
+    assert run_cli(capsys, *argv) == (0, "s t u\n", "")
+
+
 def test_check_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "check", "--model", "/nope.json", "--formula", "p")
     assert code == 2
@@ -298,6 +308,21 @@ def test_soundness_smoke(capsys):
     assert "counterexamples: 0" in out
 
 
+def test_soundness_counts_ir4_only_on_models_with_two_agents(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "soundness", "--count", "3", "--max-agents", "1")
+    assert (code, out.splitlines()[-1]) == (0, "models: 3  checks: 42  counterexamples: 0")
+    # Each schema check instantiates once, each rule check is one call.
+    from permitmc import deduction
+
+    calls = []
+    for name in ("instantiate_axiom", "check_rule_locally"):
+        real = getattr(deduction, name)
+        monkeypatch.setattr(deduction, name, lambda *a, real=real: calls.append(a) or real(*a))
+    code, out, _ = run_cli(capsys, "soundness", "--count", "20", "--seed", "5")
+    assert code == 0 and 20 * 14 < len(calls) < 20 * 15
+    assert out.splitlines()[-1] == f"models: 20  checks: {len(calls)}  counterexamples: 0"
+
+
 @pytest.mark.parametrize(
     "cap, message",
     [
@@ -328,7 +353,12 @@ def test_prove_builtin_and_rejection(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "step",
-    [{"formula": 5, "by": "taut"}, {"formula": "p", "by": "ir4:1", "as": "a"}],
+    [
+        {"formula": 5, "by": "taut"},
+        {"formula": "p", "by": "ir4:1", "as": "a"},
+        {"formula": "!WA[a] false", "by": "axiom:A1", "bind": {"a": 5}},
+        {"formula": "p | !p", "by": "taut:7"},
+    ],
 )
 def test_prove_bad_derivation_field_is_usage_error(tmp_path, capsys, step):
     bad = tmp_path / "bad.json"
@@ -442,6 +472,23 @@ def test_witness_search_over_the_profile_cap_is_usage_error():
 
 def test_witness_requires_model_or_search(capsys):
     assert run_cli(capsys, "witness", "--target", "WA")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--search", "--model", "/nonexistent.json"],
+         "argument --model: not allowed with argument --search"),
+        (["--model", "/nonexistent.json", "--search", "--prop", "q"],
+         "argument --search: not allowed with argument --model"),
+        (["--search", "--prop", "q"], "error: --prop applies to --model, not to --search"),
+    ],
+    ids=["model-and-search", "search-after-model", "prop-with-search"],
+)
+def test_witness_refuses_options_it_would_ignore(capsys, argv, error):
+    code, out, err = run_cli(capsys, "witness", "--target", "WA", "--max-candidates", "5", *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(error)
 
 
 @pytest.fixture()
@@ -602,6 +649,14 @@ def test_fixtures_export(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "fig1-wa.json").exists()
     assert (tmp_path / "factory.se-regulation.json").exists()
+
+
+def test_fixtures_run_and_export_exclude_each_other(tmp_path, capsys):
+    target = tmp_path / "out"
+    code, out, err = run_cli(capsys, "fixtures", "--run", "--export", str(target))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith("argument --export: not allowed with argument --run")
+    assert not target.exists()
 
 
 def test_fixtures_export_onto_existing_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from itertools import permutations, product
 
 import hypothesis.strategies as st
@@ -379,6 +380,69 @@ def test_rule_check_raises_exactly_off_the_shape_checker():
     assert accepted > 300 and rejected > 300
 
 
+# phi/psi parts whose own modal subformulas the agent read must not enter
+MODAL_PARTS = [parse("WE[b] p0 | SA[a] !p1"), parse("WA[a] WE[c] p0"), parse("!SE[d] p1 & p0")]
+
+
+@pytest.mark.parametrize("n_we, n_se", list(product(range(4), repeat=2)))
+def test_ir4_with_modal_parts_is_accepted(n_we, n_se):
+    m = random_model(GenParams(seed=3, num_agents=6, num_states=2, num_props=2))
+    we, se = m.agents[:n_we], m.agents[3 : 3 + n_se]
+    premise = implies(conj(MODAL_PARTS[:n_we]), disj([Neg(f) for f in MODAL_PARTS[:n_se]]))
+    conclusion = rule_conclusion("ir4", premise, we, se)
+    verdict = check_rule_locally(m, "ir4", premise, conclusion)
+    if check_validity(m, premise).valid:
+        assert verdict == check_validity(m, conclusion)
+    else:
+        assert verdict.valid
+
+
+@pytest.mark.parametrize("premise", ["p & p -> !q", "p -> !q"])
+def test_ir4_conclusion_repeating_a_conjunct_is_refused(premise):
+    with pytest.raises(InputError, match="^conclusion is not "):
+        check_rule_locally(
+            subset_model(), "ir4", parse(premise), parse("WE[a] p & WE[a] p -> SE[b] q")
+        )
+
+
+@pytest.mark.parametrize(
+    "rule, premise, atom, right",
+    [
+        ("ir2", "p -> q", "WA[a] p", "WA[a] q"),
+        ("ir4", "p -> !q", "WE[a] p", "SE[b] q"),
+    ],
+)
+def test_agent_read_visits_shared_nodes_once(rule, premise, atom, right):
+    # 60 levels of x | x over one node: 2^60 paths, 61 distinct nodes.
+    left = parse(atom)
+    for _ in range(60):
+        left = Or(left, left)
+    message = f"conclusion is not {format_formula(implies(parse(atom), parse(right)))!r}"
+    start = time.perf_counter()
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        check_rule_locally(subset_model(), rule, parse(premise), implies(left, parse(right)))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "rule, premise, conclusion, message",
+    [
+        ("ir2", "p -> q", "WA[a] q", "conclusion is not an implication"),
+        ("ir3", "p -> q", "p", "conclusion is not an implication"),
+        ("nope", "p -> q", "p", "conclusion is not an implication"),
+        ("ir3", "p -> q", "p -> SA[a] q", "ir3 takes exactly one agent"),
+        ("ir2", "p -> q", "WA[a] p & WA[b] p -> WA[a] q", "ir2 takes exactly one agent"),
+        ("ir2", "p -> q", "!WA[a] p -> WA[a] q", "conclusion is not '!WA[a] p | WA[a] q'"),
+        ("ir4", "p -> !q", "p -> SE[b] q", "premise antecedent is not a conjunction of 0 parts"),
+        ("ir4", "p -> !q", "WE[a] p -> q", "premise consequent is not a disjunction of 0 parts"),
+        ("ir4", "p -> !q", "WE[a] p | p -> SE[b] q", "conclusion is not '!WE[a] p | SE[b] q'"),
+    ],
+)
+def test_refusals_read_off_the_built_conclusion(rule, premise, conclusion, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        check_rule_locally(subset_model(), rule, parse(premise), parse(conclusion))
+
+
 # --- derivation verification ---------------------------------------------------------
 
 
@@ -564,6 +628,7 @@ def test_derivation_decode_errors():
 NOT_A_FORMULA = "step 1: 'formula' must be a string"
 NOT_AGENT_LISTS = "step 1: 'as' and 'bs' must be lists of agent names"
 NOT_A_BIND = "step 1: 'bind' must be an object"
+NOT_STRINGS = "step 1: 'bind' values must be strings"
 
 
 @pytest.mark.parametrize(
@@ -581,6 +646,11 @@ NOT_A_BIND = "step 1: 'bind' must be an object"
         ({"formula": "WE[a] true", "by": "axiom:A2", "bind": "a"}, NOT_A_BIND),
         ({"formula": "p", "by": "ir2:1"}, "step 1: ir2 needs an 'agent' field"),
         ({"formula": "p", "by": "ir2:1", "agent": 1}, "step 1: ir2 needs an 'agent' field"),
+        ({"formula": "!WA[a] false", "by": "axiom:A1", "bind": {"a": 5}}, NOT_STRINGS),
+        ({"formula": "p", "by": "axiom:A5", "bind": {"a": "a", "phi": True, "psi": "q"}},
+         NOT_STRINGS),
+        ({"formula": "p | !p", "by": "taut:7"}, "step 1: taut takes no argument, got 'taut:7'"),
+        ({"formula": "p | !p", "by": "TAUT:"}, "step 1: taut takes no argument, got 'TAUT:'"),
     ],
 )
 def test_derivation_field_types_are_input_errors(step, message):
