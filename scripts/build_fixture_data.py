@@ -412,7 +412,7 @@ def main() -> None:
         for variant, raw in doc["models"].items():
             report = validate_model(model_from_dict(raw))
             if report:
-                raise SystemExit(f"{doc['id']}/{variant} is invalid: {report[0]}")
+                raise SystemExit(f"{doc['id']}/{variant} is invalid: {report[0]['message']}")
         path = DATA_DIR / f"{doc['id']}.json"
         path.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
         print(f"wrote {path}")

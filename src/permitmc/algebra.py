@@ -182,10 +182,13 @@ class SearchBounds:
 
 @dataclass(frozen=True)
 class SearchResult:
-    found: bool
     candidates: int
     model: TransitionSystem | None = None
     report: dict[str, Any] | None = None  # verify_witness's report on the model
+
+    @property
+    def found(self) -> bool:
+        return self.model is not None
 
 
 def _random_candidate(rng: random.Random, bounds: SearchBounds) -> TransitionSystem:
@@ -245,5 +248,5 @@ def search_witness(
         candidate = _random_candidate(rng, bounds)
         report = verify_witness(candidate, target, "p")
         if report["ok"]:
-            return SearchResult(True, k, candidate, report)
-    return SearchResult(False, bounds.max_candidates)
+            return SearchResult(k, candidate, report)
+    return SearchResult(bounds.max_candidates)

@@ -256,11 +256,14 @@ def _forcing_bases(am: AtlModel, coalition: frozenset[str], body: frozenset[int]
 
 @dataclass(frozen=True)
 class TranslationVerdict:
-    ok: bool
     checked: int
     game: AtlModel  # the expansion the check ran on
     mismatch_state: AtlState | None = None
     expected: bool | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.mismatch_state is None
 
 
 def verify_translation(m: TransitionSystem, f: Formula) -> TranslationVerdict:
@@ -273,8 +276,8 @@ def verify_translation(m: TransitionSystem, f: Formula) -> TranslationVerdict:
     for i, st in enumerate(am.states):
         want = st.base in expected
         if (i in holds) != want:
-            return TranslationVerdict(False, i + 1, am, st, want)
-    return TranslationVerdict(True, len(am.states), am)
+            return TranslationVerdict(i + 1, am, st, want)
+    return TranslationVerdict(len(am.states), am)
 
 
 # --- JSON export -------------------------------------------------------------------

@@ -92,7 +92,7 @@ def _load_model(path: str, validate: bool = True) -> TransitionSystem:
     if validate:
         report = validate_model(m)
         if report:
-            lines = "\n".join(f"  {v}" for v in report)
+            lines = "\n".join(f"  {v['message']}" for v in report)
             raise InputError(f"{path} violates model invariants:\n{lines}")
     return m
 
@@ -124,15 +124,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         _emit_json(
             {
                 "valid": not report,
-                "violations": [
-                    {"code": v.code, "message": v.message, "state": v.state, "agent": v.agent}
-                    for v in report
-                ],
+                "violations": report,
             }
         )
     else:
         for v in report:
-            print(v.message)
+            print(v["message"])
         print("valid" if not report else f"invalid ({len(report)} violations)")
     return EXIT_OK if not report else EXIT_SEMANTIC
 
@@ -263,11 +260,18 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict.accepted else EXIT_SEMANTIC
 
 
+# witness options that only --search reads, and their defaults; the parser
+# leaves them unset unless given, so that --model can refuse them
+SEARCH_DEFAULTS = {"max_states": 3, "max_actions": 3, "agents": 2, "all_permitted": False,
+                   "max_candidates": 50_000, "seed": 0}
+
+
 def _cmd_witness(args: argparse.Namespace) -> int:
     target = Modality(args.target)
     if args.search:
         if args.prop is not None:
             raise InputError("--prop applies to --model, not to --search")
+        args = argparse.Namespace(**{**SEARCH_DEFAULTS, **vars(args)})
         bounds = algebra.SearchBounds(
             max_states=args.max_states,
             num_agents=args.agents,
@@ -277,8 +281,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         )
         result = algebra.search_witness(target, bounds, args.seed)
         print(f"seed: {args.seed}")  # after the search, so a refusal prints nothing
-        if result.found:
-            assert result.model is not None and result.report is not None
+        if result.model is not None:
             _emit_json(
                 {
                     "found": True,
@@ -292,6 +295,9 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         return EXIT_SEMANTIC
     if not args.model:
         raise InputError("witness needs --model unless --search is given")
+    given = [name for name in SEARCH_DEFAULTS if name in vars(args)]
+    if given:
+        raise InputError(f"--{given[0].replace('_', '-')} applies to --search, not to --model")
     m = _load_model(args.model)
     report = algebra.verify_witness(m, target, "p" if args.prop is None else args.prop)
     _emit_json({"report": report})
@@ -299,6 +305,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
+    if args.formula is not None and not args.verify:
+        raise InputError("--formula needs --verify")
     m = _load_model(args.model)
     verdict = None
     if args.verify:  # checked before --out is written, so a usage error writes nothing
@@ -311,11 +319,10 @@ def _cmd_translate(args: argparse.Namespace) -> int:
           f"{', with the bookkeeping agent' if am.has_nature else ''})")
     if verdict is None:
         return EXIT_OK
-    if verdict.ok:
+    st = verdict.mismatch_state
+    if st is None:
         print(f"translation agrees at all {verdict.checked} expanded states")
         return EXIT_OK
-    st = verdict.mismatch_state
-    assert st is not None
     print(
         f"mismatch at <{st.base}, {{{', '.join(sorted(st.allowed))}}}>: "
         f"direct check says {verdict.expected}"
@@ -436,12 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--model", help="model to verify as a witness")
     source.add_argument("--search", action="store_true", help="search for a witness instead")
     p.add_argument("--prop", help="proposition of the --model witness (default: p)")
-    p.add_argument("--max-states", type=int, default=3)
-    p.add_argument("--max-actions", type=int, default=3)
-    p.add_argument("--agents", type=int, default=2)
-    p.add_argument("--all-permitted", action="store_true")
-    p.add_argument("--max-candidates", type=int, default=50_000)
-    p.add_argument("--seed", type=int, default=0)
+    search = p.add_argument_group("search options", "apply to --search only")
+    for option in ("--max-states", "--max-actions", "--agents", "--max-candidates", "--seed"):
+        search.add_argument(option, type=int, default=argparse.SUPPRESS)
+    search.add_argument("--all-permitted", action="store_true", default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("translate", help="expand a model into the game structure")

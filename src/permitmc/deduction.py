@@ -256,7 +256,6 @@ def check_rule_locally(
     ``rule_conclusion`` infers from the premise for the agents it names.
     Returns the conclusion's verdict, or a valid one when the premise is not
     valid in ``m``: the check then passes vacuously."""
-    rule = rule.lower()
     pair = match_implies(conclusion)
     if pair is None:
         raise InputError("conclusion is not an implication")

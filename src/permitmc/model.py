@@ -16,7 +16,6 @@ mutates them, so they are safe to share across threads. A truth set is a
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -174,16 +173,8 @@ def make_model(
 # --- validation ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
-    state: str | None = None
-    agent: str | None = None
-    profile: tuple[tuple[str, str], ...] | None = None
-
-    def __str__(self) -> str:
-        return self.message
+def _violation(code: str, message: str, state: str | None = None, agent: str | None = None) -> dict:
+    return {"code": code, "message": message, "state": state, "agent": agent}
 
 
 def _profile_key(profile: Profile) -> tuple[tuple[str, str], ...]:
@@ -203,8 +194,8 @@ def profile_cap() -> int:
     return cap
 
 
-def validate_model(m: TransitionSystem) -> list[Violation]:
-    """Check every model invariant; an empty report means the model is valid.
+def validate_model(m: TransitionSystem) -> list[dict[str, str | None]]:
+    """The invariant violations of ``m`` as JSON objects; empty when ``m`` is valid.
 
     Violations are data, not failures: arbitrary candidate structures are
     accepted. Agent and proposition names must be identifiers a formula can
@@ -220,7 +211,7 @@ def validate_model(m: TransitionSystem) -> list[Violation]:
     or not the model is valid.
     """
     cap = profile_cap()
-    out: list[Violation] = []
+    out: list[dict[str, str | None]] = []
     state_set = set(m.states)
     agent_set = set(m.agents)
 
@@ -228,13 +219,13 @@ def validate_model(m: TransitionSystem) -> list[Violation]:
         seen: set[str] = set()
         for item in seq:
             if item in seen:
-                out.append(Violation(code, f"duplicate {name} name {item!r}"))
+                out.append(_violation(code, f"duplicate {name} name {item!r}"))
             seen.add(item)
     for a in m.agents:
         if a == NATURE:
-            out.append(Violation("reserved-agent", f"model declares reserved agent {a!r}", agent=a))
+            out.append(_violation("reserved-agent", f"model declares reserved agent {a!r}", agent=a))
         elif not IDENTIFIER.fullmatch(a):
-            out.append(Violation("unwritable-name", f"agent {a!r} is not an identifier", agent=a))
+            out.append(_violation("unwritable-name", f"agent {a!r} is not an identifier", agent=a))
 
     total_profiles = 0
     # state -> number of profiles of available actions, and the available
@@ -243,38 +234,39 @@ def validate_model(m: TransitionSystem) -> list[Violation]:
     available: dict[str, tuple[frozenset[str], ...]] = {}
     for s in m.states:
         act_sets = []
+        profiles = 1
         for a in m.agents:
             acts = m.action_set(s, a)
+            profiles *= len(acts)
             act_set = frozenset(acts)
             act_sets.append(act_set)
             if not acts:
                 out.append(
-                    Violation("empty-actions", f"no actions for agent {a!r} at state {s!r}", s, a)
+                    _violation("empty-actions", f"no actions for agent {a!r} at state {s!r}", s, a)
                 )
             if len(act_set) != len(acts):
                 out.append(
-                    Violation("duplicate-action", f"duplicate action names at ({s!r}, {a!r})", s, a)
+                    _violation("duplicate-action", f"duplicate action names at ({s!r}, {a!r})", s, a)
                 )
             perm = m.permitted_set(s, a)
             if not perm:
                 out.append(
-                    Violation(
+                    _violation(
                         "empty-permitted", f"empty permitted set at ({s!r}, {a!r})", s, a
                     )
                 )
             extra = perm - act_set
             if extra:
                 out.append(
-                    Violation(
+                    _violation(
                         "permitted-not-subset",
                         f"permitted actions {sorted(extra)} not available at ({s!r}, {a!r})",
                         s,
                         a,
                     )
                 )
-        counts = [len(m.action_set(s, a)) for a in m.agents]
-        need[s] = math.prod(counts) if all(counts) else 0
-        total_profiles += need[s]
+        need[s] = profiles
+        total_profiles += profiles
         available[s] = tuple(act_sets)
 
     if total_profiles > cap:
@@ -289,7 +281,7 @@ def validate_model(m: TransitionSystem) -> list[Violation]:
     for s, entries in m.mechanism.items():
         if s not in state_set:
             out.append(
-                Violation("unknown-state-in-mechanism", f"transitions from unknown state {s!r}", s)
+                _violation("unknown-state-in-mechanism", f"transitions from unknown state {s!r}", s)
             )
             continue
         good = covered[s] = set()
@@ -298,11 +290,10 @@ def validate_model(m: TransitionSystem) -> list[Violation]:
             if profile.keys() != agent_set:
                 key = _profile_key(profile)
                 out.append(
-                    Violation(
+                    _violation(
                         "malformed-profile",
                         f"profile {dict(key)} at state {s!r} does not cover exactly the agent set",
                         s,
-                        profile=key,
                     )
                 )
             else:
@@ -315,11 +306,10 @@ def validate_model(m: TransitionSystem) -> list[Violation]:
             if target not in state_set:
                 key = _profile_key(profile)
                 out.append(
-                    Violation(
+                    _violation(
                         "bad-target",
                         f"transition from {s!r} under {dict(key)} reaches unknown state {target!r}",
                         s,
-                        profile=key,
                     )
                 )
 
@@ -335,16 +325,16 @@ def validate_model(m: TransitionSystem) -> list[Violation]:
     for p, states in m.valuation.items():
         if p == TOP_PROP:
             out.append(
-                Violation("reserved-proposition", f"valuation defines reserved proposition {p!r}")
+                _violation("reserved-proposition", f"valuation defines reserved proposition {p!r}")
             )
         elif p in ("true", "false") or not IDENTIFIER.fullmatch(p):
             out.append(
-                Violation("unwritable-name", f"proposition {p!r} cannot be written in a formula")
+                _violation("unwritable-name", f"proposition {p!r} cannot be written in a formula")
             )
         extra = states - state_set
         if extra:
             out.append(
-                Violation(
+                _violation(
                     "valuation-unknown-state",
                     f"valuation of {p!r} mentions unknown states {sorted(extra)}",
                 )
@@ -360,29 +350,28 @@ def _actions_getter(agents: tuple[str, ...]) -> Callable[[Profile], tuple[str, .
     return lambda profile: tuple(profile[a] for a in agents)
 
 
-def _unavailable_actions(m: TransitionSystem, s: str, profile: Profile) -> Iterator[Violation]:
+def _unavailable_actions(m: TransitionSystem, s: str, profile: Profile) -> Iterator[dict[str, str | None]]:
     key = _profile_key(profile)
     for a in m.agents:
         if profile[a] not in m.action_set(s, a):
-            yield Violation(
+            yield _violation(
                 "malformed-profile",
                 f"profile {dict(key)} at state {s!r} uses unavailable action "
                 f"{profile[a]!r} of agent {a!r}",
                 s,
                 a,
-                key,
             )
 
 
-def _uncovered_profiles(m: TransitionSystem, s: str) -> Iterator[Violation]:
+def _uncovered_profiles(m: TransitionSystem, s: str) -> Iterator[dict[str, str | None]]:
     """Continuity violations at ``s``, one per profile of available actions
     that no mechanism entry covers, in enumeration order."""
     covered = {_profile_key(profile) for profile, _ in m.entries(s) if set(profile) == set(m.agents)}
     for combo in product(*(m.action_set(s, a) for a in m.agents)):
         key = _profile_key(dict(zip(m.agents, combo)))
         if key not in covered:
-            yield Violation(
-                "continuity", f"profile {dict(key)} at state {s!r} has no successor", s, profile=key
+            yield _violation(
+                "continuity", f"profile {dict(key)} at state {s!r} has no successor", s
             )
 
 

@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
+from permitmc.algebra import SearchBounds, search_witness
 from permitmc.cli import main
 from permitmc.fixtures import load_fixture
+from permitmc.formula import Modality
 from permitmc.model import make_model, model_to_dict
 
 
@@ -282,6 +284,12 @@ def test_validate_refuses_unaddressable_agent_names(tmp_path, capsys, agent, vio
     assert json.loads(out)["violations"] == [
         {"code": violation, "message": message, "state": None, "agent": agent}
     ]
+    # The raw text, for the key order and the null of the absent state.
+    assert out == (
+        '{\n  "schema": "permitmc/v1",\n  "valid": false,\n  "violations": [\n    {\n'
+        f'      "code": "{violation}",\n      "message": "{message}",\n'
+        f'      "state": null,\n      "agent": "{agent}"\n    }}\n  ]\n}}\n'
+    )
     code, out, err = run_cli(
         capsys, "translate", "--model", str(path), "--out", str(tmp_path / "atl.json")
     )
@@ -470,6 +478,29 @@ def test_witness_search_over_the_profile_cap_is_usage_error():
     )
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--seed", "9"], ["--seed", "0"], ["--max-candidates", "1"], ["--agents", "7"],
+     ["--all-permitted"], ["--max-states", "9"], ["--max-actions", "2"]],
+    ids=["seed", "default-seed", "max-candidates", "agents", "all-permitted", "max-states",
+         "max-actions"],
+)
+def test_witness_model_refuses_search_options(fig1_path, capsys, extra):
+    code, out, err = run_cli(capsys, "witness", "--target", "WA", "--model", fig1_path, *extra)
+    assert (code, out) == (2, "")
+    assert err == f"error: {extra[0]} applies to --search, not to --model\n"
+
+
+def test_witness_search_defaults_and_seed_echo(capsys):
+    code, out, _ = run_cli(capsys, "witness", "--target", "WE", "--search")
+    doc = json.loads(out.split("\n", 1)[1])
+    bounds = SearchBounds(max_states=3, num_agents=2, max_actions=3, max_candidates=50_000)
+    result = search_witness(Modality.WE, bounds, 0)
+    assert (code, out.split("\n", 1)[0]) == (0, "seed: 0")
+    assert doc["candidates"] == result.candidates
+    assert doc["model"] == model_to_dict(result.model)
+
+
 def test_witness_requires_model_or_search(capsys):
     assert run_cli(capsys, "witness", "--target", "WA")[0] == 2
 
@@ -583,15 +614,17 @@ def test_translate_verify_mismatch_exits_1_and_still_writes(fig1_path, tmp_path,
 @pytest.mark.parametrize(
     "extra, message",
     [
-        ((), "--verify needs --formula"),
-        (("--formula", "WA[a"), None),
+        (("--verify",), "--verify needs --formula"),
+        (("--verify", "--formula", "WA[a"), None),
+        (("--formula", "p"), "--formula needs --verify"),
+        (("--formula", "p |"), "--formula needs --verify"),
     ],
-    ids=["no-formula", "unparsable"],
+    ids=["no-formula", "unparsable", "formula-without-verify", "unparsable-without-verify"],
 )
 def test_translate_usage_error_writes_nothing(fig1_path, tmp_path, capsys, extra, message):
     out_path = tmp_path / "atl.json"
     code, out, err = run_cli(
-        capsys, "translate", "--model", fig1_path, "--out", str(out_path), "--verify", *extra
+        capsys, "translate", "--model", fig1_path, "--out", str(out_path), *extra
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and (message is None or err == f"error: {message}\n")

@@ -265,6 +265,30 @@ def test_rule_shape_mismatch_is_input_error():
         rule_conclusion("ir3", parse("p -> q"), ("a", "b"))
 
 
+@pytest.mark.parametrize("rule", ["IR2", "Ir3", "IR4"])
+def test_rule_names_are_lower_case_in_both_rule_functions(rule):
+    m = subset_model()
+    premise, conclusion = parse("p -> q"), parse("WA[a]p -> WA[a]q")
+    message = f"^unknown rule '{rule}'$"
+    with pytest.raises(InputError, match=message):
+        check_rule_locally(m, rule, premise, conclusion)
+    with pytest.raises(InputError, match=message):
+        rule_conclusion(rule, premise, ("a",))
+    assert check_rule_locally(m, "ir2", premise, conclusion).valid
+
+
+def test_derivation_rule_names_decode_case_insensitively():
+    d = derivation_from_dict(
+        {
+            "steps": [
+                {"formula": "p -> p", "by": "taut"},
+                {"formula": "WA[a] p -> WA[a] p", "by": "IR2:1", "agent": "a"},
+            ]
+        }
+    )
+    assert d[1].by == "ir2" and verify_derivation(d).accepted
+
+
 @given(models(max_states=4, max_agents=2))
 @settings(max_examples=40)
 def test_ir4_locally_valid_on_random_models(m):

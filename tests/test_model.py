@@ -41,9 +41,9 @@ def test_empty_permitted_set_reported():
     )
     report = validate_model(m)
     assert any(
-        v.code == "empty-permitted" and v.state == "s" and v.agent == "b" for v in report
+        v["code"] == "empty-permitted" and v["state"] == "s" and v["agent"] == "b" for v in report
     )
-    assert any("empty permitted set" in v.message for v in report)
+    assert any("empty permitted set" in v["message"] for v in report)
 
 
 def test_missing_profile_named_in_continuity_violation():
@@ -53,10 +53,10 @@ def test_missing_profile_named_in_continuity_violation():
         ("s", {"a": "2", "b": "1"}, "t"),
     ]
     report = validate_model(two_agent_square(covered))
-    continuity = [v for v in report if v.code == "continuity"]
+    continuity = [v for v in report if v["code"] == "continuity"]
     assert len(continuity) == 1
-    assert continuity[0].profile == (("a", "2"), ("b", "2"))
-    assert continuity[0].state == "s"
+    assert continuity[0]["message"] == "profile {'a': '2', 'b': '2'} at state 's' has no successor"
+    assert continuity[0]["state"] == "s"
 
 
 def test_bad_target_and_malformed_profile_reported():
@@ -68,7 +68,7 @@ def test_bad_target_and_malformed_profile_reported():
         transitions=[("s", {"a": "1"}, "nowhere"), ("s", {"a": "9"}, "s")],
         valuation={"p": ["s", "ghost"]},
     )
-    codes = {v.code for v in validate_model(m)}
+    codes = {v["code"] for v in validate_model(m)}
     assert {"bad-target", "malformed-profile", "valuation-unknown-state"} <= codes
 
 
@@ -81,7 +81,7 @@ def test_empty_actions_and_transitions_from_unknown_state_reported():
         transitions=[("ghost", {"a": "1"}, "s")],
         valuation={},
     )
-    assert [(v.code, v.message, v.state, v.agent) for v in validate_model(m)] == [
+    assert [tuple(v.values()) for v in validate_model(m)] == [
         ("empty-actions", "no actions for agent 'a' at state 's'", "s", "a"),
         ("empty-permitted", "empty permitted set at ('s', 'a')", "s", "a"),
         ("unknown-state-in-mechanism", "transitions from unknown state 'ghost'", "ghost", None),
@@ -97,7 +97,7 @@ def test_reserved_proposition_rejected():
         transitions=[("s", {"a": "1"}, "s")],
         valuation={"__top": ["s"]},
     )
-    assert any(v.code == "reserved-proposition" for v in validate_model(m))
+    assert any(v["code"] == "reserved-proposition" for v in validate_model(m))
 
 
 def one_state_model(agent, prop):
@@ -128,7 +128,7 @@ def one_state_model(agent, prop):
 )
 def test_names_no_formula_can_address_are_violations(agent, prop, code, message):
     report = validate_model(one_state_model(agent, prop))
-    assert [(v.code, v.message) for v in report] == [(code, message)]
+    assert [(v["code"], v["message"]) for v in report] == [(code, message)]
 
 
 @pytest.mark.parametrize(
@@ -168,7 +168,7 @@ def test_profile_cap_env_override(monkeypatch):
     with pytest.raises(CapacityError):
         validate_model(m)
     monkeypatch.setenv("PERMITMC_PROFILE_CAP", "1000")
-    assert any(v.code == "continuity" for v in validate_model(m))
+    assert any(v["code"] == "continuity" for v in validate_model(m))
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
@@ -413,13 +413,15 @@ def mutated_models(seed: int, count: int, kinds=MUTATIONS):
 
 
 def _uncovered_by_brute_force(m):
-    """Every profile of available actions with no entry of an equal dict."""
+    """(state, continuity message) for every profile of available actions
+    with no entry of an equal dict."""
     out = []
     for s in m.states:
         for combo in product(*(m.action_set(s, a) for a in m.agents)):
             profile = dict(zip(m.agents, combo))
             if not any(dict(p) == profile for p, _ in m.entries(s)):
-                out.append((s, tuple(sorted(profile.items()))))
+                key = dict(sorted(profile.items()))
+                out.append((s, f"profile {key} at state {s!r} has no successor"))
     return out
 
 
@@ -428,7 +430,7 @@ def test_continuity_matches_brute_force_on_mutated_corpus():
     for m in mutated_models(seed=3, count=240):
         report = validate_model(m)
         invalid += bool(report)
-        got = [(v.state, v.profile) for v in report if v.code == "continuity"]
+        got = [(v["state"], v["message"]) for v in report if v["code"] == "continuity"]
         assert got == _uncovered_by_brute_force(m)
     assert invalid > 120
 
