@@ -405,16 +405,26 @@ def factory():
     }
 
 
+BUILDERS = (fig1, fig2, fig3, fig4, fig5, factory)
+
+
+def render(build) -> tuple[str, str]:
+    """The file name and JSON text of the fixture that ``build`` returns,
+    once every model in it validates."""
+    doc = build()
+    for variant, raw in doc["models"].items():
+        report = validate_model(model_from_dict(raw))
+        if report:
+            raise SystemExit(f"{doc['id']}/{variant} is invalid: {report[0]['message']}")
+    return f"{doc['id']}.json", json.dumps(doc, indent=2, sort_keys=False) + "\n"
+
+
 def main() -> None:
     DATA_DIR.mkdir(parents=True, exist_ok=True)
-    for build in (fig1, fig2, fig3, fig4, fig5, factory):
-        doc = build()
-        for variant, raw in doc["models"].items():
-            report = validate_model(model_from_dict(raw))
-            if report:
-                raise SystemExit(f"{doc['id']}/{variant} is invalid: {report[0]['message']}")
-        path = DATA_DIR / f"{doc['id']}.json"
-        path.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
+    for build in BUILDERS:
+        name, text = render(build)
+        path = DATA_DIR / name
+        path.write_text(text)
         print(f"wrote {path}")
 
 

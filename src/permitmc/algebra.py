@@ -171,13 +171,16 @@ MAX_BRANCHING = 2
 class SearchBounds:
     max_states: int = 3
     num_agents: int = 2
-    max_actions: int = 2
+    max_actions: int = 3
     allow_nonpermitted: bool = True
     max_candidates: int = 50_000
 
     def __post_init__(self) -> None:
         if min(self.max_states, self.num_agents, self.max_actions, self.max_candidates) < 1:
             raise InputError("search bounds must be at least 1")
+        if self.max_states < 3:
+            raise InputError(f"witness search needs at least 3 states, got {self.max_states}: on "
+                             "fewer, the family of p, !p, true and false is the whole powerset")
 
 
 @dataclass(frozen=True)
@@ -195,12 +198,8 @@ def _random_candidate(rng: random.Random, bounds: SearchBounds) -> TransitionSys
     # Imported here, so that verifying a given witness never runs the generator.
     from .generate import agent_names, guard_profiles
 
-    # Escapes need the powerset to outgrow the four-member family, so fewer
-    # than three states can never witness; sample from three up when allowed.
-    if bounds.max_states <= 3:
-        n_states = bounds.max_states
-    else:
-        n_states = rng.randint(3, bounds.max_states)
+    # SearchBounds admits no fewer than three states; sample from three up.
+    n_states = 3 if bounds.max_states == 3 else rng.randint(3, bounds.max_states)
     states = [f"s{i}" for i in range(n_states)]
     agents = agent_names(bounds.num_agents)
     actions: dict[str, dict[str, list[str]]] = {}
@@ -227,7 +226,7 @@ def _random_candidate(rng: random.Random, bounds: SearchBounds) -> TransitionSys
                 transitions.append((s, profile, target))
     # A proposition with a nonempty proper truth set keeps the family at the
     # full four members, where escapes are actually possible.
-    cut = rng.randint(1, n_states - 1) if n_states >= 2 else 1
+    cut = rng.randint(1, n_states - 1)
     marked = rng.sample(states, cut)
     return make_model(agents, states, actions, permitted, transitions, {"p": marked})
 

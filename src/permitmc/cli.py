@@ -260,27 +260,23 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict.accepted else EXIT_SEMANTIC
 
 
-# witness options that only --search reads, and their defaults; the parser
-# leaves them unset unless given, so that --model can refuse them
-SEARCH_DEFAULTS = {"max_states": 3, "max_actions": 3, "agents": 2, "all_permitted": False,
-                   "max_candidates": 50_000, "seed": 0}
+# witness options that only --search reads, by destination: a SearchBounds
+# field or the seed. The parser leaves them unset unless given, so that
+# --model can refuse them and --search keeps the SearchBounds defaults.
+SEARCH_OPTIONS = {"max_states": "--max-states", "max_actions": "--max-actions",
+                  "num_agents": "--agents", "allow_nonpermitted": "--all-permitted",
+                  "max_candidates": "--max-candidates", "seed": "--seed"}
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     target = Modality(args.target)
+    given = {dest: getattr(args, dest) for dest in SEARCH_OPTIONS if hasattr(args, dest)}
     if args.search:
         if args.prop is not None:
             raise InputError("--prop applies to --model, not to --search")
-        args = argparse.Namespace(**{**SEARCH_DEFAULTS, **vars(args)})
-        bounds = algebra.SearchBounds(
-            max_states=args.max_states,
-            num_agents=args.agents,
-            max_actions=args.max_actions,
-            allow_nonpermitted=not args.all_permitted,
-            max_candidates=args.max_candidates,
-        )
-        result = algebra.search_witness(target, bounds, args.seed)
-        print(f"seed: {args.seed}")  # after the search, so a refusal prints nothing
+        seed = given.pop("seed", 0)
+        result = algebra.search_witness(target, algebra.SearchBounds(**given), seed)
+        print(f"seed: {seed}")  # after the search, so a refusal prints nothing
         if result.model is not None:
             _emit_json(
                 {
@@ -295,9 +291,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         return EXIT_SEMANTIC
     if not args.model:
         raise InputError("witness needs --model unless --search is given")
-    given = [name for name in SEARCH_DEFAULTS if name in vars(args)]
     if given:
-        raise InputError(f"--{given[0].replace('_', '-')} applies to --search, not to --model")
+        raise InputError(f"{SEARCH_OPTIONS[next(iter(given))]} applies to --search, not to --model")
     m = _load_model(args.model)
     report = algebra.verify_witness(m, target, "p" if args.prop is None else args.prop)
     _emit_json({"report": report})
@@ -444,9 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--search", action="store_true", help="search for a witness instead")
     p.add_argument("--prop", help="proposition of the --model witness (default: p)")
     search = p.add_argument_group("search options", "apply to --search only")
-    for option in ("--max-states", "--max-actions", "--agents", "--max-candidates", "--seed"):
-        search.add_argument(option, type=int, default=argparse.SUPPRESS)
-    search.add_argument("--all-permitted", action="store_true", default=argparse.SUPPRESS)
+    for dest in ("max_states", "max_actions", "num_agents", "max_candidates", "seed"):
+        option = SEARCH_OPTIONS[dest]
+        search.add_argument(option, dest=dest, metavar=option[2:].replace("-", "_").upper(),
+                            type=int, default=argparse.SUPPRESS)
+    search.add_argument("--all-permitted", dest="allow_nonpermitted", action="store_false",
+                        default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("translate", help="expand a model into the game structure")

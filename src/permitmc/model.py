@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import CapacityError, InputError
 from .formula import IDENTIFIER, TOP_PROP
@@ -177,8 +177,8 @@ def _violation(code: str, message: str, state: str | None = None, agent: str | N
     return {"code": code, "message": message, "state": state, "agent": agent}
 
 
-def _profile_key(profile: Profile) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted(profile.items()))
+def _profile_text(profile: Profile) -> str:
+    return str(dict(sorted(profile.items())))
 
 
 def profile_cap() -> int:
@@ -198,15 +198,17 @@ def validate_model(m: TransitionSystem) -> list[dict[str, str | None]]:
     """The invariant violations of ``m`` as JSON objects; empty when ``m`` is valid.
 
     Violations are data, not failures: arbitrary candidate structures are
-    accepted. Agent and proposition names must be identifiers a formula can
-    write (``unwritable-name``); ``__nature`` is reserved as an agent name,
+    accepted. Each distinct state and agent is read once, so a name listed
+    twice is reported as a duplicate and its other violations once. Agent
+    and proposition names must be identifiers a formula can write
+    (``unwritable-name``); ``__nature`` is reserved as an agent name,
     ``__top`` as a proposition. The mechanism is read in one pass, which
     also collects, per state, the distinct profiles that cover the agent set
     with available actions. Continuity holds at a state when their number
     equals the product of its per-agent action counts; the product of the
-    available actions is enumerated only at a state where it does not, to
-    name the uncovered profiles. That enumeration is guarded by a cap on the
-    total number of profiles (default 10^6, override via
+    available actions is enumerated against them only at a state where it
+    does not, to name the uncovered profiles. That enumeration is guarded by
+    a cap on the total number of profiles (default 10^6, override via
     PERMITMC_PROFILE_CAP), which raises CapacityError when exceeded, whether
     or not the model is valid.
     """
@@ -214,6 +216,8 @@ def validate_model(m: TransitionSystem) -> list[dict[str, str | None]]:
     out: list[dict[str, str | None]] = []
     state_set = set(m.states)
     agent_set = set(m.agents)
+    states = dict.fromkeys(m.states)
+    agents = tuple(dict.fromkeys(m.agents))
 
     for name, seq, code in (("agent", m.agents, "duplicate-agent"), ("state", m.states, "duplicate-state")):
         seen: set[str] = set()
@@ -221,21 +225,20 @@ def validate_model(m: TransitionSystem) -> list[dict[str, str | None]]:
             if item in seen:
                 out.append(_violation(code, f"duplicate {name} name {item!r}"))
             seen.add(item)
-    for a in m.agents:
+    for a in agents:
         if a == NATURE:
             out.append(_violation("reserved-agent", f"model declares reserved agent {a!r}", agent=a))
         elif not IDENTIFIER.fullmatch(a):
             out.append(_violation("unwritable-name", f"agent {a!r} is not an identifier", agent=a))
 
-    total_profiles = 0
     # state -> number of profiles of available actions, and the available
     # action sets in agent order
     need: dict[str, int] = {}
     available: dict[str, tuple[frozenset[str], ...]] = {}
-    for s in m.states:
+    for s in states:
         act_sets = []
         profiles = 1
-        for a in m.agents:
+        for a in agents:
             acts = m.action_set(s, a)
             profiles *= len(acts)
             act_set = frozenset(acts)
@@ -266,15 +269,15 @@ def validate_model(m: TransitionSystem) -> list[dict[str, str | None]]:
                     )
                 )
         need[s] = profiles
-        total_profiles += profiles
         available[s] = tuple(act_sets)
 
+    total_profiles = sum(need.values())
     if total_profiles > cap:
         raise CapacityError(
             f"profile enumeration would visit {total_profiles} profiles, over the cap of {cap}"
         )
 
-    actions_of = _actions_getter(m.agents)
+    actions_of = _actions_getter(agents)
     # state -> distinct agent-ordered action tuples of covering profiles
     # whose actions are all available there
     covered: dict[str, set[tuple[str, ...]]] = {}
@@ -288,11 +291,11 @@ def validate_model(m: TransitionSystem) -> list[dict[str, str | None]]:
         avail = available[s]
         for profile, target in entries:
             if profile.keys() != agent_set:
-                key = _profile_key(profile)
                 out.append(
                     _violation(
                         "malformed-profile",
-                        f"profile {dict(key)} at state {s!r} does not cover exactly the agent set",
+                        f"profile {_profile_text(profile)} at state {s!r} "
+                        "does not cover exactly the agent set",
                         s,
                     )
                 )
@@ -302,27 +305,44 @@ def validate_model(m: TransitionSystem) -> list[dict[str, str | None]]:
                     if all(map(frozenset.__contains__, avail, acts)):
                         good.add(acts)
                     else:
-                        out.extend(_unavailable_actions(m, s, profile))
+                        text = _profile_text(profile)
+                        out.extend(
+                            _violation(
+                                "malformed-profile",
+                                f"profile {text} at state {s!r} uses unavailable action "
+                                f"{act!r} of agent {a!r}",
+                                s,
+                                a,
+                            )
+                            for a, act, act_set in zip(agents, acts, avail)
+                            if act not in act_set
+                        )
             if target not in state_set:
-                key = _profile_key(profile)
                 out.append(
                     _violation(
                         "bad-target",
-                        f"transition from {s!r} under {dict(key)} reaches unknown state {target!r}",
+                        f"transition from {s!r} under {_profile_text(profile)} "
+                        f"reaches unknown state {target!r}",
                         s,
                     )
                 )
 
-    for s in m.states:
+    for s in states:
         # need[s] is 0 where some agent has no action (reported as empty-actions).
         # Each covered tuple is a distinct one of the need[s] combinations of
         # available actions, so a full count leaves none uncovered. Duplicate
-        # agents or actions make combinations coincide, so such states never
-        # reach the count and are enumerated.
-        if need[s] and len(covered.get(s, ())) != need[s]:
-            out.extend(_uncovered_profiles(m, s))
+        # actions make combinations coincide, so such states never reach the
+        # count and are enumerated.
+        good = covered.get(s, ())
+        if need[s] and len(good) != need[s]:
+            for acts in product(*(m.action_set(s, a) for a in agents)):
+                if acts not in good:
+                    text = _profile_text(dict(zip(agents, acts)))
+                    out.append(
+                        _violation("continuity", f"profile {text} at state {s!r} has no successor", s)
+                    )
 
-    for p, states in m.valuation.items():
+    for p, truth in m.valuation.items():
         if p == TOP_PROP:
             out.append(
                 _violation("reserved-proposition", f"valuation defines reserved proposition {p!r}")
@@ -331,7 +351,7 @@ def validate_model(m: TransitionSystem) -> list[dict[str, str | None]]:
             out.append(
                 _violation("unwritable-name", f"proposition {p!r} cannot be written in a formula")
             )
-        extra = states - state_set
+        extra = truth - state_set
         if extra:
             out.append(
                 _violation(
@@ -348,31 +368,6 @@ def _actions_getter(agents: tuple[str, ...]) -> Callable[[Profile], tuple[str, .
     if len(agents) > 1:
         return itemgetter(*agents)
     return lambda profile: tuple(profile[a] for a in agents)
-
-
-def _unavailable_actions(m: TransitionSystem, s: str, profile: Profile) -> Iterator[dict[str, str | None]]:
-    key = _profile_key(profile)
-    for a in m.agents:
-        if profile[a] not in m.action_set(s, a):
-            yield _violation(
-                "malformed-profile",
-                f"profile {dict(key)} at state {s!r} uses unavailable action "
-                f"{profile[a]!r} of agent {a!r}",
-                s,
-                a,
-            )
-
-
-def _uncovered_profiles(m: TransitionSystem, s: str) -> Iterator[dict[str, str | None]]:
-    """Continuity violations at ``s``, one per profile of available actions
-    that no mechanism entry covers, in enumeration order."""
-    covered = {_profile_key(profile) for profile, _ in m.entries(s) if set(profile) == set(m.agents)}
-    for combo in product(*(m.action_set(s, a) for a in m.agents)):
-        key = _profile_key(dict(zip(m.agents, combo)))
-        if key not in covered:
-            yield _violation(
-                "continuity", f"profile {dict(key)} at state {s!r} has no successor", s
-            )
 
 
 # --- JSON format ----------------------------------------------------------------

@@ -196,6 +196,12 @@ def test_search_bounds_reject_counts_below_one(field, value):
         SearchBounds(**{field: value})
 
 
+@pytest.mark.parametrize("states", [1, 2])
+def test_search_bounds_refuse_fewer_than_three_states(states):
+    with pytest.raises(InputError, match=f"^witness search needs at least 3 states, got {states}: "):
+        SearchBounds(max_states=states)
+
+
 def test_search_is_deterministic():
     bounds = SearchBounds(max_states=3, num_agents=2, max_actions=2,
                           allow_nonpermitted=False, max_candidates=2000)

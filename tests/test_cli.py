@@ -495,10 +495,17 @@ def test_witness_search_defaults_and_seed_echo(capsys):
     code, out, _ = run_cli(capsys, "witness", "--target", "WE", "--search")
     doc = json.loads(out.split("\n", 1)[1])
     bounds = SearchBounds(max_states=3, num_agents=2, max_actions=3, max_candidates=50_000)
+    assert SearchBounds() == bounds
     result = search_witness(Modality.WE, bounds, 0)
     assert (code, out.split("\n", 1)[0]) == (0, "seed: 0")
     assert doc["candidates"] == result.candidates
     assert doc["model"] == model_to_dict(result.model)
+
+
+def test_witness_search_below_three_states_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "witness", "--target", "WA", "--search", "--max-states", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: witness search needs at least 3 states, got 2: ")
 
 
 def test_witness_requires_model_or_search(capsys):

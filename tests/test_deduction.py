@@ -11,6 +11,7 @@ from strategies import JSON, deep_chain, models
 from permitmc.deduction import (
     AXIOMS,
     DERIVED_SCHEMAS,
+    TAUTOLOGY_ATOM_CAP,
     DerivationStep,
     check_rule_locally,
     check_validity,
@@ -162,11 +163,16 @@ def test_is_tautology_atom_cap():
     ten = disj([Prop(f"x{i}") for i in range(10)])
     assert is_tautology(Or(ten, Neg(ten)))
     assert not is_tautology(ten)
+    at_cap = [Prop(f"x{i}") for i in range(TAUTOLOGY_ATOM_CAP)]
+    assert is_tautology(Or(disj(at_cap), Neg(at_cap[0])))
+    assert not is_tautology(disj(at_cap))
+    with pytest.raises(CapacityError, match=f"^{TAUTOLOGY_ATOM_CAP + 1} atoms exceed"):
+        is_tautology(disj(at_cap + [Prop("y")]))
 
 
 
-def _reference_tautology(f):
-    """Row-by-row truth table over the maximal Prop and Modal subformulas."""
+def _atoms(f):
+    """The maximal Prop and Modal subformulas of ``f``, each once."""
     atoms, stack = [], [f]
     while stack:
         g = stack.pop()
@@ -176,6 +182,12 @@ def _reference_tautology(f):
             stack.append(g.child)
         else:
             stack += (g.left, g.right)
+    return atoms
+
+
+def _reference_tautology(f):
+    """Row-by-row truth table over the maximal Prop and Modal subformulas."""
+    atoms = _atoms(f)
 
     def value(g, row):
         if isinstance(g, (Prop, Modal)):
@@ -196,6 +208,32 @@ def test_is_tautology_agrees_with_row_by_row_evaluation():
             verdicts.append(is_tautology(g))
             assert verdicts[-1] == _reference_tautology(g), format_formula(g)
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def _formula_over(rng, atoms, leaves):
+    """A seeded formula with ``leaves`` leaves drawn from ``atoms``."""
+    if leaves == 1:
+        return rng.choice(atoms)
+    if rng.random() < 0.3:
+        return Neg(_formula_over(rng, atoms, leaves))
+    left = rng.randint(1, leaves - 1)
+    return Or(_formula_over(rng, atoms, left), _formula_over(rng, atoms, leaves - left))
+
+
+def test_is_tautology_agrees_with_row_by_row_evaluation_up_to_eight_atoms():
+    rng = random.Random(19)
+    pool = [Prop(f"x{i}") for i in range(6)] + [
+        Modal(Modality.WA, "a", Prop("x0")), Modal(Modality.SE, "b", Prop("x1"))
+    ]
+    widths, verdicts = set(), []
+    for _ in range(150):
+        atoms = rng.sample(pool, rng.randint(1, len(pool)))
+        f = _formula_over(rng, atoms, rng.randint(1, 16))
+        for g in (f, Or(f, Neg(f)), implies(f, Or(f, atoms[0]))):
+            widths.add(len(_atoms(g)))
+            verdicts.append(is_tautology(g))
+            assert verdicts[-1] == _reference_tautology(g), format_formula(g)
+    assert max(widths) == 8 and 0 < sum(verdicts) < len(verdicts)
 
 
 def test_is_tautology_of_deep_formulas(deep_formula):

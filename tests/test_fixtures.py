@@ -1,4 +1,6 @@
+import importlib.util
 import re
+from pathlib import Path
 
 import pytest
 from strategies import action_unions
@@ -159,3 +161,14 @@ def test_fixture_model_property_errors():
     with pytest.raises(InputError):
         fx.model  # two variants, no unique model
     assert load_fixture("fig1-wa").model.states == ("s", "t", "u")
+
+
+def test_shipped_fixture_data_matches_its_builders():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "build_fixture_data.py"
+    spec = importlib.util.spec_from_file_location("build_fixture_data", path)
+    builder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(builder)
+    rendered = dict(map(builder.render, builder.BUILDERS))
+    assert sorted(rendered) == sorted(p.name for p in builder.DATA_DIR.glob("*.json"))
+    for name, text in rendered.items():
+        assert (builder.DATA_DIR / name).read_text() == text, name

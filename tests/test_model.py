@@ -88,6 +88,24 @@ def test_empty_actions_and_transitions_from_unknown_state_reported():
     ]
 
 
+def test_duplicate_names_report_each_state_agent_violation_once():
+    m = make_model(
+        ["a", "b", "a"],
+        ["s", "t", "s"],
+        actions={"s": {"a": ["1", "1"]}, "t": {"a": ["1"], "b": ["1"]}},
+        permitted={"s": {"a": ["1"]}, "t": {"a": ["1"], "b": ["1"]}},
+        transitions=[("t", {"a": "1", "b": "1"}, "t")],
+        valuation={"p": ["s"]},
+    )
+    assert [(v["code"], v["message"]) for v in validate_model(m)] == [
+        ("duplicate-agent", "duplicate agent name 'a'"),
+        ("duplicate-state", "duplicate state name 's'"),
+        ("duplicate-action", "duplicate action names at ('s', 'a')"),
+        ("empty-actions", "no actions for agent 'b' at state 's'"),
+        ("empty-permitted", "empty permitted set at ('s', 'b')"),
+    ]
+
+
 def test_reserved_proposition_rejected():
     m = make_model(
         ["a"],
@@ -414,11 +432,13 @@ def mutated_models(seed: int, count: int, kinds=MUTATIONS):
 
 def _uncovered_by_brute_force(m):
     """(state, continuity message) for every profile of available actions
-    with no entry of an equal dict."""
+    with no entry of an equal dict, at each distinct state over the distinct
+    agents."""
     out = []
-    for s in m.states:
-        for combo in product(*(m.action_set(s, a) for a in m.agents)):
-            profile = dict(zip(m.agents, combo))
+    agents = list(dict.fromkeys(m.agents))
+    for s in dict.fromkeys(m.states):
+        for combo in product(*(m.action_set(s, a) for a in agents)):
+            profile = dict(zip(agents, combo))
             if not any(dict(p) == profile for p, _ in m.entries(s)):
                 key = dict(sorted(profile.items()))
                 out.append((s, f"profile {key} at state {s!r} has no successor"))
