@@ -14,8 +14,13 @@ probes the smaller of X and U and stops at the first common state, so a
 modal step costs O(sum over s and i of min(|X|, |U(s, a, i)|)) at most, with
 no interpreter work per state, whether the truth set is nearly empty or
 nearly full. The global checker labels the distinct
-subformulas bottom-up in one ``formula.postorder`` walk, with one such step
-per modal subformula, so formula depth is bounded by memory only.
+subformulas bottom-up in one ``formula.postorder`` walk, so formula depth is
+bounded by memory only. A step's result depends only on its modality, its
+agent and the truth set of its argument, so the checker memoizes per
+subformula and per (modality, agent, argument truth set): a modal
+subformula costs one step unless an earlier one had the same key, and then
+one hash and one equality test of the truth set, O(|psi|). Nested modal
+formulas whose argument truth sets recur gain the most.
 
 The per-state oracle ``check_state_naive`` transcribes the satisfaction
 relation directly from the raw mechanism, with no sharing and no cached
@@ -81,24 +86,34 @@ def truth_set_sa(m: TransitionSystem, agent: str, psi: frozenset) -> frozenset:
 
 
 class ModelChecker:
-    """Global model checking context for one model, memoized per subformula.
+    """Global model checking context for one model, memoized per subformula
+    and per (modality, agent, argument truth set).
 
     ``truth_set`` labels the distinct subformulas not yet in the memo,
     children first, in one ``postorder`` walk; the memo holds frozensets,
-    and only the result is copied into a ``TruthSet``. The cache is
-    private to the instance, so independent checkers can run concurrently
-    over the same (immutable) model.
+    and only the result is copied into a ``TruthSet``. A modal subformula
+    reuses the image of any earlier one with the same modality, agent and
+    argument truth set, at the cost of one hash and one equality test of
+    that truth set, and calls ``modal_image`` only for a new key; a step
+    that fails stores nothing. Both caches are private to the instance, so
+    independent checkers can run concurrently over the same (immutable)
+    model.
     """
 
     def __init__(self, model: TransitionSystem):
         self.model = model
         self._memo: dict[Formula, frozenset[str]] = {}
+        self._images: dict[tuple[Modality, str, frozenset[str]], frozenset[str]] = {}
 
     def truth_set(self, f: Formula) -> TruthSet:
-        m, memo = self.model, self._memo
+        m, memo, images = self.model, self._memo, self._images
         for g in postorder(f, memo):
             if isinstance(g, Modal):
-                memo[g] = modal_image(m, g.kind, g.agent, memo[g.child])
+                key = (g.kind, g.agent, memo[g.child])
+                image = images.get(key)
+                if image is None:
+                    image = images[key] = modal_image(m, *key)
+                memo[g] = image
             elif isinstance(g, Or):
                 memo[g] = memo[g.left] | memo[g.right]
             elif isinstance(g, Neg):

@@ -5,7 +5,9 @@ from hypothesis import given
 from strategies import action_unions, formulas, model_and_formulas, models
 
 from permitmc.algebra import closure_step, default_family
+import permitmc.checker
 from permitmc.checker import (
+    ModelChecker,
     check_state_naive,
     modal_image,
     model_check,
@@ -15,9 +17,10 @@ from permitmc.checker import (
     truth_set_we,
 )
 from permitmc.errors import InputError
-from permitmc.formula import Modal, Modality, Neg, Or, Prop, and_, parse
-from permitmc.generate import GenParams, random_model
+from permitmc.formula import Modal, Modality, Neg, Or, Prop, and_, parse, postorder
+from permitmc.generate import GenParams, random_formula, random_model
 from permitmc.model import make_model, model_from_dict, model_to_dict
+from test_model import MUTATIONS, TABLE_MUTATIONS, mutated_models
 
 P = Prop("p0")
 Q = Prop("p1")
@@ -142,6 +145,96 @@ def test_unknown_agent_is_an_input_error(fig1):
     for call in calls:
         with pytest.raises(InputError, match="unknown agent 'zz'"):
             call()
+    # A failed step stores nothing: the same checker refuses it again and
+    # still answers for a known agent.
+    checker = ModelChecker(fig1)
+    for _ in range(2):
+        with pytest.raises(InputError, match="unknown agent 'zz'"):
+            checker.truth_set(parse("WA[zz] p"))
+    assert sorted(checker.truth_set(parse("WA[a] p"))) == ["s", "u"]
+
+
+# --- modal images shared by (modality, agent, argument truth set) ---------------
+
+
+def _layered_chain(layers, agents, props):
+    """``K[a] (p | f)`` wrapped ``layers`` times around ``p``, cycling the
+    four modalities, the agents and the propositions from layer to layer."""
+    kinds = list(Modality)
+    f = Prop(props[0])
+    for i in range(layers):
+        f = Modal(kinds[i % 4], agents[i % len(agents)], Or(Prop(props[i % len(props)]), f))
+    return f
+
+
+def test_checker_scans_each_modality_agent_and_truth_set_once(monkeypatch):
+    m = random_model(GenParams(
+        seed=3, num_states=50, num_agents=2, max_actions=3, branching=2, num_props=3,
+    ))
+    chain = _layered_chain(64, m.agents, sorted(m.valuation))
+    nodes = [g for g in postorder(chain, set()) if isinstance(g, Modal)]
+    keys = {(g.kind, g.agent, model_check(m, g.child)) for g in nodes}
+    want = model_check(m, chain)
+    scans = []
+
+    def counted(*args):
+        scans.append(args[1:])
+        return modal_image(*args)
+
+    monkeypatch.setattr(permitmc.checker, "modal_image", counted)
+    assert ModelChecker(m).truth_set(chain) == want
+    assert len(nodes) == 64
+    assert set(scans) == keys and len(scans) == len(keys) < len(nodes)
+
+
+def _batch(m, rng, chain_layers):
+    agents = sorted(set(m.agents))
+    props = sorted(m.valuation) or ["p0"]
+    batch = [random_formula(rng.getrandbits(32), rng.randint(1, 5), agents, props)
+             for _ in range(12)]
+    for layers in chain_layers:
+        batch.append(_layered_chain(layers, rng.sample(agents, len(agents)), props))
+    rng.shuffle(batch)
+    return batch
+
+
+def _corpus():
+    rng = random.Random(20)
+    for _ in range(30):
+        yield random_model(GenParams(
+            seed=rng.getrandbits(32), num_agents=rng.randint(1, 3), num_states=rng.randint(1, 40),
+            max_actions=rng.randint(1, 3), num_props=rng.randint(1, 3),
+            permitted_density=rng.choice((0.5, 1.0)), branching=rng.choice((1, 2, 3)),
+        ))
+    yield from mutated_models(seed=5, count=60)
+    yield from mutated_models(seed=6, count=60, kinds=MUTATIONS + TABLE_MUTATIONS)
+
+
+def _permits_unavailable(m):
+    return any(
+        not m.permitted_set(s, a) <= set(m.action_set(s, a)) for s in m.states for a in m.agents
+    )
+
+
+def test_shared_checker_agrees_with_a_fresh_one_and_the_oracle():
+    rng = random.Random(20)
+    checked = oracle_models = 0
+    for m in _corpus():
+        # The oracle lets a permitted action that is not available ensure
+        # anything, vacuously; the checker gives such an action no row. The
+        # two disagree on these invalid models whatever the checker caches.
+        small = len(m.state_set) <= 12 and not _permits_unavailable(m)
+        oracle_models += small
+        batch = _batch(m, rng, (3, 4) if small else (3, 32))
+        checker = ModelChecker(m)
+        for f in batch:
+            ts = checker.truth_set(f)
+            assert ts == model_check(m, f)
+            if small:
+                for s in m.states:
+                    assert (s in ts) == check_state_naive(m, s, f), (f, s)
+            checked += 1
+    assert checked > 2000 and oracle_models > 100
 
 
 def _density_ladder(states, rng):
