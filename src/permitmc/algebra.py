@@ -14,11 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from .checker import modal_image, model_check
 from .errors import InputError
-from .formula import Formula, Modal, Modality, Neg, Or, Prop, format_formula
+from .formula import Modal, Modality, Prop, format_formula
 from .model import TransitionSystem, make_model
 
 # A family of pairwise distinct truth sets, in canonical order: by their
@@ -131,34 +131,6 @@ def verify_witness(
         "escape": {"formula": escape_formula, "states": sorted(escape_set)},
         "failures": failures,
     }
-
-
-def enumerate_formulas(
-    max_depth: int,
-    modalities: Sequence[Modality],
-    agents: Sequence[str],
-    base: Sequence[Formula],
-) -> list[Formula]:
-    """All structurally distinct formulas of tree height <= max_depth built
-    from the base formulas with negation, disjunction, and the given
-    modality/agent pairs. Grows fast; meant for depth <= 3 sweeps."""
-    levels: list[list[Formula]] = [list(base)]
-    for _ in range(max_depth):
-        prev = levels[-1]
-        nxt: list[Formula] = list(base)
-        nxt.extend(Neg(f) for f in prev)
-        nxt.extend(Or(l, r) for l in prev for r in prev)
-        nxt.extend(
-            Modal(mod, agent, f) for mod in modalities for agent in agents for f in prev
-        )
-        levels.append(nxt)
-    seen: set[Formula] = set()
-    out: list[Formula] = []
-    for f in levels[-1]:
-        if f not in seen:
-            seen.add(f)
-            out.append(f)
-    return out
 
 
 # --- witness search --------------------------------------------------------------

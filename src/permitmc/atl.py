@@ -112,7 +112,13 @@ def expand_model(m: TransitionSystem) -> AtlModel:
     several successors; its moves at a state index successor choices
     (out-of-range moves wrap). The successor of each (base state, move
     vector) is computed here once; it does not depend on the allowed set of
-    the state moved from."""
+    the state moved from.
+
+    An unvalidated model that the game cannot express is refused
+    (``InputError``), not read otherwise than the checker reads it: at each
+    state the entries' agent-ordered profiles must be exactly the profiles of
+    available actions, every successor must be a state, and no agent may take
+    Nature's name when Nature joins."""
     if len(m.agents) > AGENT_CAP:
         raise CapacityError(f"{len(m.agents)} agents exceed the expansion cap of {AGENT_CAP}")
 
@@ -124,17 +130,17 @@ def expand_model(m: TransitionSystem) -> AtlModel:
         for profile, target in m.entries(s):
             if target not in state_order:
                 raise InputError(f"transition from {s!r} reaches unknown state {target!r}")
-            try:
-                key = tuple(profile[a] for a in m.agents)
-            except KeyError as exc:
-                raise InputError(
-                    f"profile {dict(profile)} at state {s!r} omits agent {exc.args[0]!r}"
-                ) from None
-            table.setdefault(key, set()).add(target)
+            table.setdefault(tuple(map(profile.get, m.agents)), set()).add(target)
+        if table.keys() != set(product(*(m.action_set(s, a) for a in m.agents))):
+            raise InputError(
+                f"the entries at state {s!r} do not cover exactly its profiles of available actions"
+            )
         profile_successors[s] = {
             key: sorted(targets, key=state_order.__getitem__) for key, targets in table.items()
         }
     has_nature = any(len(ts) > 1 for table in profile_successors.values() for ts in table.values())
+    if has_nature and NATURE in m.agents:
+        raise InputError(f"agent {NATURE!r} is reserved for the game's bookkeeping agent")
 
     n = len(m.agents)
     players = tuple(m.agents) + ((NATURE,) if has_nature else ())
@@ -150,11 +156,7 @@ def expand_model(m: TransitionSystem) -> AtlModel:
         permitted = [m.permitted_set(s, a) for a in m.agents]
         out = []
         for vector in product(*(per_player[p] for p in players)):
-            targets = table.get(vector[:n])
-            if targets is None:
-                raise InputError(
-                    f"move vector {dict(zip(players, vector))} is not available at {s!r}"
-                )
+            targets = table[vector[:n]]
             target = targets[int(vector[n]) % len(targets)] if has_nature else targets[0]
             mask = sum(1 << i for i, allowed in enumerate(permitted) if vector[i] in allowed)
             out.append((vector, state_order[target] << n | mask))

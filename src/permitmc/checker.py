@@ -144,8 +144,11 @@ def check_state_naive(m: TransitionSystem, s: str, f: Formula) -> bool:
     into per-action quantifier scans. Serves as an independent oracle for
     model_check, so it stays recursive on purpose and shares no walk with the
     rest of the package; it is the one function whose recursion follows
-    formula depth. A successor outside the states satisfies no formula, as
-    in the checker.
+    formula depth. It reads an invalid model as the checker does: WA and WE
+    quantify over the permitted actions that are also available, an entry
+    counts toward an agent's action only when its profile gives the agent
+    that available action, and a successor outside the states satisfies no
+    formula.
     """
     states = set(m.states)
     if s not in states:
@@ -169,12 +172,12 @@ def _naive(m: TransitionSystem, states: set[str], s: str, f: Formula) -> bool:
         if f.kind is Modality.WA:
             return any(
                 any(_outcomes_naive(m, states, s, agent, i, f.child))
-                for i in m.permitted_set(s, agent)
+                for i in m.action_set(s, agent) if i in m.permitted_set(s, agent)
             )
         if f.kind is Modality.WE:
             return any(
                 all(_outcomes_naive(m, states, s, agent, i, f.child))
-                for i in m.permitted_set(s, agent)
+                for i in m.action_set(s, agent) if i in m.permitted_set(s, agent)
             )
         if f.kind is Modality.SE:
             return all(

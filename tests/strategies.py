@@ -1,4 +1,5 @@
-"""Hypothesis strategies and a model reader shared by the property tests."""
+"""Hypothesis strategies, a formula enumerator and a model reader shared by
+the property tests."""
 
 from __future__ import annotations
 
@@ -35,6 +36,22 @@ def formulas(agents=("a", "b"), props=("p0", "q0"), max_leaves=10):
         ),
         max_leaves=max_leaves,
     )
+
+
+def enumerate_formulas(max_depth, modalities, agents, base):
+    """All structurally distinct formulas of tree height <= max_depth built
+    from the base formulas with negation, disjunction, and the given
+    modality/agent pairs, in order of first appearance. Grows fast; meant
+    for depth <= 3 sweeps."""
+    level = list(base)
+    for _ in range(max_depth):
+        level = [
+            *base,
+            *(Neg(f) for f in level),
+            *(Or(left, right) for left in level for right in level),
+            *(Modal(mod, agent, f) for mod in modalities for agent in agents for f in level),
+        ]
+    return list(dict.fromkeys(level))
 
 
 @st.composite

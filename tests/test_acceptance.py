@@ -9,10 +9,11 @@ import statistics
 import time
 from dataclasses import replace
 
+from strategies import enumerate_formulas
+
 from permitmc.algebra import (
     SearchBounds,
     default_family,
-    enumerate_formulas,
     search_witness,
     verify_witness,
 )

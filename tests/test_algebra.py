@@ -2,14 +2,13 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from strategies import models
+from strategies import enumerate_formulas, models
 
 from permitmc.algebra import (
     SearchBounds,
     _random_candidate,
     closure_step,
     default_family,
-    enumerate_formulas,
     family_of,
     search_witness,
     verify_closure,

@@ -205,34 +205,35 @@ def test_deep_formula_translation_agrees(fig1, deep_formula):
     assert verify_translation(fig1, f).ok
 
 
-def test_expand_rejects_unavailable_move_vector():
-    # Unvalidated model: the profile (2) has no successor. The table is built
-    # for every move vector, so expansion fails even though WE[a] p could be
-    # decided from action 1 alone.
-    actions = {"s": {"a": ["1", "2"]}}
-    m = make_model(
-        ["a"], ["s"], actions=actions, permitted=actions,
-        transitions=[("s", {"a": "1"}, "s")], valuation={"p": ["s"]},
-    )
-    with pytest.raises(InputError, match=r"move vector \{'a': '2'\} is not available at 's'"):
-        expand_model(m)
-
+EXACT = r"the entries at state 's' do not cover exactly its profiles of available actions"
 
 
 @pytest.mark.parametrize(
     ("transitions", "message"),
     [
         ([("s", {"a": "1"}, "zz")], r"transition from 's' reaches unknown state 'zz'"),
-        ([("s", {"b": "1"}, "s")], r"profile \{'b': '1'\} at state 's' omits agent 'a'"),
+        ([("s", {"a": "1"}, "s"), ("s", {"a": "2"}, "s"), ("s", {"b": "1"}, "s")], EXACT),
+        ([("s", {"a": "1"}, "s")], EXACT),
+        ([("s", {"a": "1"}, "s"), ("s", {"a": "2"}, "s"), ("s", {"a": "9"}, "t")], EXACT),
+        (
+            [("s", {NATURE: "1"}, "s"), ("s", {NATURE: "1"}, "t"), ("s", {NATURE: "2"}, "s")],
+            r"agent '__nature' is reserved for the game's bookkeeping agent",
+        ),
     ],
 )
 def test_expand_rejects_unvalidated_entries(transitions, message):
-    # Unvalidated models: a successor outside the state set, and a profile
-    # without the agent, are input errors, not lookup failures.
-    actions = {"s": {"a": ["1"]}}
-    m = make_model(["a"], ["s"], actions=actions, permitted=actions, transitions=transitions)
+    # Unvalidated models whose one agent, at s, has the actions 1 and 2: a
+    # successor outside the state set; a profile without the agent; no entry
+    # for action 2, refused even though WE[a] p could be decided from action 1
+    # alone; an entry for the unavailable action 9; and an agent named like
+    # Nature when a two-successor profile makes Nature join. Each is an input
+    # error, not a lookup failure or an entry dropped.
+    agent = NATURE if any(NATURE in profile for _, profile, _ in transitions) else "a"
+    actions = {"s": {agent: ["1", "2"]}}
+    m = make_model([agent], ["s", "t"], actions=actions, permitted=actions, transitions=transitions)
     with pytest.raises(InputError, match=message):
         expand_model(m)
+
 
 def test_expansion_agent_cap():
     agents = [f"g{i}" for i in range(7)]

@@ -5,6 +5,7 @@ from hypothesis import given
 from strategies import action_unions, formulas, model_and_formulas, models
 
 from permitmc.algebra import closure_step, default_family
+from permitmc.atl import verify_translation
 import permitmc.checker
 from permitmc.checker import (
     ModelChecker,
@@ -210,20 +211,11 @@ def _corpus():
     yield from mutated_models(seed=6, count=60, kinds=MUTATIONS + TABLE_MUTATIONS)
 
 
-def _permits_unavailable(m):
-    return any(
-        not m.permitted_set(s, a) <= set(m.action_set(s, a)) for s in m.states for a in m.agents
-    )
-
-
 def test_shared_checker_agrees_with_a_fresh_one_and_the_oracle():
     rng = random.Random(20)
     checked = oracle_models = 0
     for m in _corpus():
-        # The oracle lets a permitted action that is not available ensure
-        # anything, vacuously; the checker gives such an action no row. The
-        # two disagree on these invalid models whatever the checker caches.
-        small = len(m.state_set) <= 12 and not _permits_unavailable(m)
+        small = len(m.state_set) <= 12
         oracle_models += small
         batch = _batch(m, rng, (3, 4) if small else (3, 32))
         checker = ModelChecker(m)
@@ -235,6 +227,28 @@ def test_shared_checker_agrees_with_a_fresh_one_and_the_oracle():
                     assert (s in ts) == check_state_naive(m, s, f), (f, s)
             checked += 1
     assert checked > 2000 and oracle_models > 100
+
+
+def test_checker_oracle_and_game_read_an_invalid_model_alike():
+    # Every mutation kind, on 960 models: the oracle agrees with the checker at
+    # every state, and the game translation agrees at every expanded state or
+    # refuses the model.
+    pairs = refused = 0
+    for seed in (3, 4, 5, 6):
+        for m in mutated_models(seed, 240, MUTATIONS + TABLE_MUTATIONS):
+            agents = list(dict.fromkeys(m.agents))
+            texts = [f"{k.value}[{a}] {p}" for a in agents for k in Modality for p in ("p0", "!p0")]
+            texts += [f"WE[{a}] false" for a in agents[:1]]
+            for f in map(parse, texts):
+                ts = model_check(m, f)
+                for s in m.state_set:
+                    assert (s in ts) == check_state_naive(m, s, f), (model_to_dict(m), f, s)
+                try:
+                    assert verify_translation(m, f).ok, (model_to_dict(m), f)
+                except InputError:
+                    refused += 1
+                pairs += 1
+    assert 0 < refused < pairs
 
 
 def _density_ladder(states, rng):
