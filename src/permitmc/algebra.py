@@ -77,8 +77,7 @@ def verify_closure(
             )
     for modality in modalities:
         for agent in m.agents:
-            for member in family:
-                image = modal_image(m, modality, agent, member)
+            for member, image in closure_step(m, family, modality, agent).items():
                 if image not in family:
                     failures.append(
                         f"{modality}[{agent}] maps {_set_text(member)} to {_set_text(image)}, "

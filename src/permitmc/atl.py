@@ -116,9 +116,10 @@ def expand_model(m: TransitionSystem) -> AtlModel:
 
     An unvalidated model that the game cannot express is refused
     (``InputError``), not read otherwise than the checker reads it: at each
-    state the entries' agent-ordered profiles must be exactly the profiles of
-    available actions, every successor must be a state, and no agent may take
-    Nature's name when Nature joins."""
+    state every agent must have an available action (a game gives every
+    player a move), the entries' agent-ordered profiles must be exactly the
+    profiles of available actions, every successor must be a state, and no
+    agent may take Nature's name when Nature joins."""
     if len(m.agents) > AGENT_CAP:
         raise CapacityError(f"{len(m.agents)} agents exceed the expansion cap of {AGENT_CAP}")
 
@@ -131,6 +132,9 @@ def expand_model(m: TransitionSystem) -> AtlModel:
             if target not in state_order:
                 raise InputError(f"transition from {s!r} reaches unknown state {target!r}")
             table.setdefault(tuple(map(profile.get, m.agents)), set()).add(target)
+        for a in m.agents:
+            if not m.action_set(s, a):
+                raise InputError(f"agent {a!r} has no available action at state {s!r}")
         if table.keys() != set(product(*(m.action_set(s, a) for a in m.agents))):
             raise InputError(
                 f"the entries at state {s!r} do not cover exactly its profiles of available actions"
@@ -150,7 +154,7 @@ def expand_model(m: TransitionSystem) -> AtlModel:
         table = profile_successors[s]
         per_player = {a: tuple(m.action_set(s, a)) for a in m.agents}
         if has_nature:
-            multiplicity = max((len(ts) for ts in table.values()), default=1)
+            multiplicity = max(len(ts) for ts in table.values())
             per_player[NATURE] = tuple(str(i) for i in range(multiplicity))
         moves[s] = per_player
         permitted = [m.permitted_set(s, a) for a in m.agents]

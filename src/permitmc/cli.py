@@ -24,7 +24,7 @@ from typing import Any, Sequence
 
 from .checker import model_check
 from .errors import CapacityError, InputError
-from .formula import TOP_PROP, Modality, Neg, Prop, format_formula, implies, parse, subformulas
+from .formula import TOP_PROP, Modality, Prop, format_formula, parse, subformulas
 from .model import (
     TransitionSystem,
     model_from_dict,
@@ -134,16 +134,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if not report else EXIT_SEMANTIC
 
 
-def _random_bindings(schema, rng: random.Random, m: TransitionSystem, depth: int) -> dict:
-    props = sorted(m.valuation) or ["p0"]
-    bindings: dict[str, Any] = {}
-    for var in schema.agent_vars:
-        bindings[var] = rng.choice(m.agents)
-    for var in schema.formula_vars:
-        bindings[var] = generate.random_formula(rng.getrandbits(32), depth, m.agents, props)
-    return bindings
-
-
 def _at_least(option: str, value: int, least: int) -> None:
     if value < least:
         raise InputError(f"{option} must be at least {least}, got {value}")
@@ -161,49 +151,13 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     print(f"seed: {args.seed}")
     ids = [args.axiom] if args.axiom is not None else sorted(axioms)
+    schemas = [axioms[i] for i in ids for _ in range(args.count)]
     failures = 0
-    rows = []
-    for axiom_id in ids:
-        schema = axioms[axiom_id]
-        for _ in range(args.count):
-            bindings = _random_bindings(schema, rng, m, args.depth)
-            instance = deduction.instantiate_axiom(schema, bindings)
-            verdict = deduction.check_validity(m, instance)
-            rows.append((axiom_id, instance, verdict))
-            if not verdict.valid:
-                failures += 1
-    for axiom_id, instance, verdict in rows:
+    for schema, instance, verdict in deduction.random_instances(m, schemas, rng, args.depth):
+        failures += not verdict.valid
         status = "valid" if verdict.valid else f"counterexample at {verdict.counterexample}"
-        print(f"{axiom_id}: {status}: {format_formula(instance)}")
+        print(f"{schema.id}: {status}: {format_formula(instance)}")
     return EXIT_SEMANTIC if failures else EXIT_OK
-
-
-def _soundness_round(m: TransitionSystem, rng: random.Random, depth: int) -> tuple[int, list[str]]:
-    """All axiom schemas, derived schemas, and local rule checks on one model
-    (ir4 only where it has two agents); returns how many checks ran and
-    descriptions of any counterexamples."""
-    problems: list[str] = []
-    props = sorted(m.valuation) or ["p0"]
-    for schema in list(deduction.AXIOMS.values()) + list(deduction.DERIVED_SCHEMAS.values()):
-        instance = deduction.instantiate_axiom(schema, _random_bindings(schema, rng, m, depth))
-        verdict = deduction.check_validity(m, instance)
-        if not verdict.valid:
-            problems.append(
-                f"{schema.id} fails at {verdict.counterexample}: {format_formula(instance)}"
-            )
-    phi = generate.random_formula(rng.getrandbits(32), depth, m.agents, props)
-    psi = generate.random_formula(rng.getrandbits(32), depth, m.agents, props)
-    agent = rng.choice(m.agents)
-    rules = [("ir2", implies(phi, psi), (agent,), ()), ("ir3", implies(phi, psi), (agent,), ())]
-    if len(m.agents) >= 2:
-        a, b = rng.sample(list(m.agents), 2)
-        rules.append(("ir4", implies(phi, Neg(psi)), (a,), (b,)))
-    for rule, premise, agents, se_agents in rules:
-        conclusion = deduction.rule_conclusion(rule, premise, agents, se_agents)
-        verdict = deduction.check_rule_locally(m, rule, premise, conclusion)
-        if not verdict.valid:
-            problems.append(f"{rule} fails at {verdict.counterexample}")
-    return len(deduction.AXIOMS) + len(deduction.DERIVED_SCHEMAS) + len(rules), problems
 
 
 def _cmd_soundness(args: argparse.Namespace) -> int:
@@ -229,7 +183,7 @@ def _cmd_soundness(args: argparse.Namespace) -> int:
             branching=args.branching,
         )
         m = generate.random_model(params)
-        ran, problems = _soundness_round(m, rng, args.depth)
+        ran, problems = deduction.soundness_round(m, rng, args.depth)
         checks += ran
         for p in problems:
             counterexamples += 1

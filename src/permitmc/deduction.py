@@ -1,5 +1,5 @@
 """Hilbert-style proof machinery: axiom schemas, tautology checking, local
-rule soundness checks, and derivation verification.
+rule soundness checks, a seeded soundness fuzz, and derivation verification.
 
 The system has nine axiom schemas (A1..A9) over agents and formulas, plus
 four inference rules: modus ponens (encoded as ``mp`` steps), a monotonicity
@@ -17,8 +17,9 @@ on the one ``formula.postorder`` walk.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .checker import model_check
 from .errors import CapacityError, InputError
@@ -274,6 +275,47 @@ def check_rule_locally(
     if not check_validity(m, premise).valid:
         return ValidityVerdict(True)
     return check_validity(m, conclusion)
+
+
+def _random_formula(m: TransitionSystem, rng: random.Random, depth: int) -> Formula:
+    from .generate import random_formula  # only the fuzz runs the generator
+    return random_formula(rng.getrandbits(32), depth, m.agents, sorted(m.valuation) or ["p0"])
+
+
+def random_instances(
+    m: TransitionSystem, schemas: Iterable[AxiomSchema], rng: random.Random, depth: int
+) -> Iterator[tuple[AxiomSchema, Formula, ValidityVerdict]]:
+    """Each schema in order, with one instance on ``m`` drawn from ``rng`` and
+    its validity verdict. Agent variables bind to agents of ``m``, formula
+    variables to random formulas of depth ``depth``, in variable order."""
+    for schema in schemas:
+        bindings: dict[str, Any] = {var: rng.choice(m.agents) for var in schema.agent_vars}
+        bindings.update((var, _random_formula(m, rng, depth)) for var in schema.formula_vars)
+        instance = instantiate_axiom(schema, bindings)
+        yield schema, instance, check_validity(m, instance)
+
+
+def soundness_round(m: TransitionSystem, rng: random.Random, depth: int) -> tuple[int, list[str]]:
+    """Every axiom and derived schema once and every rule once (ir4 only where
+    ``m`` has two agents); returns how many checks ran and the counterexamples."""
+    schemas = [*AXIOMS.values(), *DERIVED_SCHEMAS.values()]
+    problems = [
+        f"{schema.id} fails at {verdict.counterexample}: {format_formula(instance)}"
+        for schema, instance, verdict in random_instances(m, schemas, rng, depth)
+        if not verdict.valid
+    ]
+    phi, psi = _random_formula(m, rng, depth), _random_formula(m, rng, depth)
+    agent = rng.choice(m.agents)
+    rules = [("ir2", implies(phi, psi), (agent,), ()), ("ir3", implies(phi, psi), (agent,), ())]
+    if len(m.agents) >= 2:
+        a, b = rng.sample(list(m.agents), 2)
+        rules.append(("ir4", implies(phi, Neg(psi)), (a,), (b,)))
+    for rule, premise, agents, se_agents in rules:
+        conclusion = rule_conclusion(rule, premise, agents, se_agents)
+        verdict = check_rule_locally(m, rule, premise, conclusion)
+        if not verdict.valid:
+            problems.append(f"{rule} fails at {verdict.counterexample}")
+    return len(schemas) + len(rules), problems
 
 
 # --- derivations -----------------------------------------------------------------

@@ -206,30 +206,38 @@ def test_deep_formula_translation_agrees(fig1, deep_formula):
 
 
 EXACT = r"the entries at state 's' do not cover exactly its profiles of available actions"
+LOOP = ("t", {"a": "1"}, "t")
 
 
 @pytest.mark.parametrize(
     ("transitions", "message"),
     [
-        ([("s", {"a": "1"}, "zz")], r"transition from 's' reaches unknown state 'zz'"),
-        ([("s", {"a": "1"}, "s"), ("s", {"a": "2"}, "s"), ("s", {"b": "1"}, "s")], EXACT),
-        ([("s", {"a": "1"}, "s")], EXACT),
-        ([("s", {"a": "1"}, "s"), ("s", {"a": "2"}, "s"), ("s", {"a": "9"}, "t")], EXACT),
+        ([("s", {"a": "1"}, "zz"), LOOP], r"transition from 's' reaches unknown state 'zz'"),
+        ([("s", {"a": "1"}, "s"), ("s", {"a": "2"}, "s"), ("s", {"b": "1"}, "s"), LOOP], EXACT),
+        ([("s", {"a": "1"}, "s"), LOOP], EXACT),
+        ([("s", {"a": "1"}, "s"), ("s", {"a": "2"}, "s"), ("s", {"a": "9"}, "t"), LOOP], EXACT),
         (
-            [("s", {NATURE: "1"}, "s"), ("s", {NATURE: "1"}, "t"), ("s", {NATURE: "2"}, "s")],
+            [("s", {NATURE: "1"}, "s"), ("s", {NATURE: "1"}, "t"), ("s", {NATURE: "2"}, "s"),
+             ("t", {NATURE: "1"}, "t")],
             r"agent '__nature' is reserved for the game's bookkeeping agent",
         ),
+        ([("s", {"a": "1"}, "s"), ("s", {"a": "2"}, "s")],
+         r"agent 'a' has no available action at state 't'"),
     ],
 )
 def test_expand_rejects_unvalidated_entries(transitions, message):
-    # Unvalidated models whose one agent, at s, has the actions 1 and 2: a
-    # successor outside the state set; a profile without the agent; no entry
-    # for action 2, refused even though WE[a] p could be decided from action 1
-    # alone; an entry for the unavailable action 9; and an agent named like
-    # Nature when a two-successor profile makes Nature join. Each is an input
-    # error, not a lookup failure or an entry dropped.
+    # Unvalidated models whose one agent has the actions 1 and 2 at s, and the
+    # action 1 at t when an entry leaves t: a successor outside the state set;
+    # a profile without the agent; no entry for action 2, refused even though
+    # WE[a] p could be decided from action 1 alone; an entry for the
+    # unavailable action 9; an agent named like Nature when a two-successor
+    # profile makes Nature join; and a state t where the agent has no action,
+    # at which the game would have no move. Each is an input error, not a
+    # lookup failure, an entry dropped or a state without moves.
     agent = NATURE if any(NATURE in profile for _, profile, _ in transitions) else "a"
     actions = {"s": {agent: ["1", "2"]}}
+    if any(source == "t" for source, _, _ in transitions):
+        actions["t"] = {agent: ["1"]}
     m = make_model([agent], ["s", "t"], actions=actions, permitted=actions, transitions=transitions)
     with pytest.raises(InputError, match=message):
         expand_model(m)

@@ -232,10 +232,10 @@ def test_shared_checker_agrees_with_a_fresh_one_and_the_oracle():
 def test_checker_oracle_and_game_read_an_invalid_model_alike():
     # Every mutation kind, on 960 models: the oracle agrees with the checker at
     # every state, and the game translation agrees at every expanded state or
-    # refuses the model.
+    # refuses the model, also where an agent has no available action at a state.
     pairs = refused = 0
     for seed in (3, 4, 5, 6):
-        for m in mutated_models(seed, 240, MUTATIONS + TABLE_MUTATIONS):
+        for m in mutated_models(seed, 240, MUTATIONS + TABLE_MUTATIONS + ("no-actions",)):
             agents = list(dict.fromkeys(m.agents))
             texts = [f"{k.value}[{a}] {p}" for a in agents for k in Modality for p in ("p0", "!p0")]
             texts += [f"WE[{a}] false" for a in agents[:1]]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import resource
 import subprocess
@@ -314,6 +315,28 @@ def test_soundness_smoke(capsys):
     code, out, _ = run_cli(capsys, "soundness", "--count", "4", "--seed", "2")
     assert code == 0
     assert "counterexamples: 0" in out
+
+
+def test_seeded_fuzz_output_replays(fig1_path, capsys):
+    # A printed seed replays the fuzz: these outputs pin the order of every draw.
+    code, out, _ = run_cli(capsys, "axioms", "--model", fig1_path, "--seed", "3", "--count", "1")
+    assert code == 0
+    assert out.splitlines() == [
+        "seed: 3",
+        "A1: valid: !WA[a] false",
+        "A2: valid: WE[a] true",
+        "A3: valid: SA[b] false",
+        "A4: valid: !SE[b] true | SA[b] true",
+        "A5: valid: !WA[a] (SA[b] true | SA[a] SA[b] p) | (WA[a] SA[b] true | WA[a] SA[a] SA[b] p)",
+        "A6: valid: !!(!SA[b] true | !SA[b] (true | p)) | SA[b] (true | (true | p))",
+        "A7: valid: !!(!WE[a] WA[a] p | !!WE[a] (!p | (p | true))) | WA[a] !(!WA[a] p | !!(!p | (p | true)))",
+        "A8: valid: !!(!!SE[b] SA[b] SA[b] p | !SE[b] WE[a] SE[a] true) | !SA[b] !(!SA[b] SA[b] p | !!WE[a] SE[a] true)",
+        "A9: valid: !!(!!WA[b] (p | p | !p) | !SA[b] WA[a] SE[b] p) | !(!!WA[b] !(!(p | p | !p) | !WA[a] SE[b] p) | !SA[b] !(!(p | p | !p) | !WA[a] SE[b] p))",
+    ]
+    code, out, _ = run_cli(capsys, "soundness", "--seed", "0", "--count", "50")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "e84fb673af165edc3371dc0e7001ac71e36a51400427afbb71563a321876abad"
 
 
 def test_soundness_counts_ir4_only_on_models_with_two_agents(capsys, monkeypatch):

@@ -379,13 +379,18 @@ def _mutate(doc: dict, kind: str, rng: random.Random) -> None:
         doc["agents"].append(rng.choice(doc["agents"]))
     elif kind == "duplicate-action":
         acts = doc["actions"][rng.choice(doc["states"])][rng.choice(doc["agents"])]
-        acts.append(rng.choice(acts))
+        if acts:  # a no-actions mutation may have emptied it
+            acts.append(rng.choice(acts))
     elif kind == "permitted-unavailable":
         doc["permitted"][rng.choice(doc["states"])][rng.choice(doc["agents"])].append("9")
     elif kind == "duplicate-state":
         doc["states"].append(rng.choice(doc["states"]))
     elif kind == "second-successor":
         entries.append({**entry, "profile": dict(entry["profile"]), "to": rng.choice(doc["states"])})
+    elif kind == "no-actions":
+        state, idle = rng.choice(doc["states"]), rng.choice(doc["agents"])
+        doc["actions"][state][idle], doc["permitted"][state][idle] = [], []
+        entries[:] = [e for e in entries if e["from"] != state]
 
 
 MUTATIONS = (
