@@ -14,12 +14,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .checker import modal_image, model_check
 from .errors import InputError
 from .formula import Modal, Modality, Prop, format_formula
-from .model import TransitionSystem, make_model
+from .model import TransitionSystem, make_model, proposition_name_fault
 
 # A family of pairwise distinct truth sets, in canonical order: by their
 # sorted members.
@@ -54,24 +54,19 @@ def _set_text(ts: Iterable[str]) -> str:
     return "{" + ", ".join(sorted(ts)) + "}"
 
 
-def verify_closure(
+def _closure_failures(
     m: TransitionSystem, family: Family, modalities: Iterable[Modality]
-) -> list[str]:
-    """Check the family is closed under complement, pairwise union, and each
-    (modality, agent) image over the model's agents. Returns one line per
-    image outside the family, complements first, then unions, then modal
-    images; an empty list means the family is closed."""
-    failures: list[str] = []
+) -> Iterator[str]:
+    """The lines of ``verify_closure``, one at a time, so that a caller who
+    needs only the first stops computing images there."""
     for member in family:
         image = m.state_set - member
         if image not in family:
-            failures.append(
-                f"complement of {_set_text(member)} is {_set_text(image)}, outside the family"
-            )
+            yield f"complement of {_set_text(member)} is {_set_text(image)}, outside the family"
     for x, y in combinations(family, 2):
         image = x | y
         if image not in family:
-            failures.append(
+            yield (
                 f"union of {_set_text(x)} and {_set_text(y)} is {_set_text(image)}, "
                 "outside the family"
             )
@@ -79,11 +74,60 @@ def verify_closure(
         for agent in m.agents:
             for member, image in closure_step(m, family, modality, agent).items():
                 if image not in family:
-                    failures.append(
+                    yield (
                         f"{modality}[{agent}] maps {_set_text(member)} to {_set_text(image)}, "
                         "outside the family"
                     )
-    return failures
+
+
+def verify_closure(
+    m: TransitionSystem, family: Family, modalities: Iterable[Modality]
+) -> list[str]:
+    """Check the family is closed under complement, pairwise union, and each
+    (modality, agent) image over the model's agents. Returns one line per
+    image outside the family, complements first, then unions, then modal
+    images; an empty list means the family is closed."""
+    return list(_closure_failures(m, family, modalities))
+
+
+def _witness_setup(
+    m: TransitionSystem,
+    target: Modality,
+    prop: str,
+    closed_modalities: Iterable[Modality] | None,
+) -> tuple[Family, tuple[Modality, ...], Modal]:
+    """The default family of ``prop``, the modalities it must be closed
+    under (default: all but the target) and the escape formula
+    ``target[agent] prop`` for the model's first agent. Refuses a model with
+    no agents and a proposition that no formula can refer to."""
+    if not m.agents:
+        raise InputError("a witness needs an agent for its escape formula; the model has none")
+    fault = proposition_name_fault(prop)
+    if fault is not None:
+        raise InputError(
+            f"a witness needs a proposition that formulas refer to; {prop!r} is not one ({fault})"
+        )
+    closed = (
+        tuple(closed_modalities)
+        if closed_modalities is not None
+        else tuple(mod for mod in Modality if mod is not target)
+    )
+    return default_family(m, prop), closed, Modal(target, m.agents[0], Prop(prop))
+
+
+def _is_witness(
+    m: TransitionSystem,
+    target: Modality,
+    prop: str,
+    closed_modalities: Iterable[Modality] | None = None,
+) -> bool:
+    """Whether ``verify_witness`` reports ``ok``, decided at the first failing
+    check: the escape image first, one modal scan, then the closure failures
+    one at a time."""
+    family, closed, escape = _witness_setup(m, target, prop, closed_modalities)
+    if model_check(m, escape) in family:
+        return False
+    return next(_closure_failures(m, family, closed), None) is None
 
 
 def verify_witness(
@@ -97,21 +141,13 @@ def verify_witness(
     remaining three) for all agents, while ``target[agent] prop``, for the
     model's first agent, produces a truth set outside it. Returns the report
     as the JSON object ``witness`` prints, whose ``closed_under`` is empty
-    unless the family is closed and ``failures`` empty exactly when ``ok``."""
-    if not m.agents:
-        raise InputError("a witness needs an agent for its escape formula; the model has none")
-    family = default_family(m, prop)
-    closed = (
-        tuple(closed_modalities)
-        if closed_modalities is not None
-        else tuple(mod for mod in Modality if mod is not target)
-    )
-    escape_agent = m.agents[0]
-
+    unless the family is closed and ``failures`` empty exactly when ``ok``.
+    ``prop`` must be a name a formula can write, and not ``__top``
+    (``InputError`` otherwise)."""
+    family, closed, escape = _witness_setup(m, target, prop, closed_modalities)
     failures = verify_closure(m, family, closed)
     closed_under = [] if failures else [[mod.value, a] for mod in closed for a in m.agents]
 
-    escape = Modal(target, escape_agent, Prop(prop))
     escape_formula = format_formula(escape)
     escape_set = model_check(m, escape)
     if escape_set in family:
@@ -124,7 +160,7 @@ def verify_witness(
         "ok": not failures,
         "target": target.value,
         "prop": prop,
-        "agent": escape_agent,
+        "agent": escape.agent,
         "family": [sorted(ts) for ts in family],
         "closed_under": closed_under,
         "escape": {"formula": escape_formula, "states": sorted(escape_set)},
@@ -209,14 +245,15 @@ def search_witness(
 ) -> SearchResult:
     """Sample candidate models within bounds (deterministically from the seed)
     until one passes verify_witness for the target over the default family.
-    Returns a result with ``found`` false if the candidate budget runs out.
-    A candidate with more profiles than ``PERMITMC_PROFILE_CAP`` allows
-    raises CapacityError before any of its profiles is built."""
+    Each candidate is rejected at its first failing check, the escape image
+    before the closure, and only the accepted one gets ``verify_witness``'s
+    report. Returns a result with ``found`` false if the candidate budget
+    runs out. A candidate with more profiles than ``PERMITMC_PROFILE_CAP``
+    allows raises CapacityError before any of its profiles is built."""
     bounds = bounds if bounds is not None else SearchBounds()
     rng = random.Random(seed)
     for k in range(1, bounds.max_candidates + 1):
         candidate = _random_candidate(rng, bounds)
-        report = verify_witness(candidate, target, "p")
-        if report["ok"]:
-            return SearchResult(k, candidate, report)
+        if _is_witness(candidate, target, "p"):
+            return SearchResult(k, candidate, verify_witness(candidate, target, "p"))
     return SearchResult(bounds.max_candidates)

@@ -9,9 +9,10 @@ A transition system bundles, per state:
   * a valuation assigning each proposition the set of states where it holds.
 
 Models are treated as immutable after construction; nothing in this package
-mutates them, so they are safe to share across threads. A truth set is a
-``frozenset`` of state names; ``TruthSet`` is the frozenset that
-``ModelChecker.truth_set`` returns.
+mutates them, so they are safe to share across threads. The one store that
+grows is the cache of modal images, whose values depend on their keys only.
+A truth set is a ``frozenset`` of state names; ``TruthSet`` is the frozenset
+that ``ModelChecker.truth_set`` returns.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import CapacityError, InputError
-from .formula import IDENTIFIER, TOP_PROP
+from .formula import IDENTIFIER, TOP_PROP, Modality
 
 DEFAULT_PROFILE_CAP = 10**6
 PROFILE_CAP_ENV = "PERMITMC_PROFILE_CAP"
@@ -99,6 +100,16 @@ class TransitionSystem:
             a: tuple((tuple(states), tuple(unions)) for states, unions in sides)
             for a, sides in rows.items()
         }
+
+    @cached_property
+    def modal_images(self) -> dict[tuple[Modality, str, frozenset[str]], frozenset[str]]:
+        """(modality, agent, argument truth set) -> the states where the
+        modality holds, filled by ``checker.modal_image`` on each new key, so
+        that every consumer of the model scans each key once. It lives as
+        long as the model and holds at most 4·|Ag| entries per distinct
+        argument truth set. Two threads that miss the same key both scan it
+        and store equal values."""
+        return {}
 
     @cached_property
     def successor_universe(self) -> frozenset[str]:
@@ -192,6 +203,18 @@ def profile_cap() -> int:
     if cap < 1:
         raise InputError(f"{PROFILE_CAP_ENV} must be at least 1, got {cap}")
     return cap
+
+
+def proposition_name_fault(p: str) -> str | None:
+    """Why no formula can refer to the proposition ``p``, as a violation
+    code: ``reserved-proposition`` for ``__top``, which formulas read as
+    true, and ``unwritable-name`` for ``true``, ``false`` and any name that
+    is not an identifier. None for a name a formula can write."""
+    if p == TOP_PROP:
+        return "reserved-proposition"
+    if p in ("true", "false") or not IDENTIFIER.fullmatch(p):
+        return "unwritable-name"
+    return None
 
 
 def validate_model(m: TransitionSystem) -> list[dict[str, str | None]]:
@@ -343,14 +366,11 @@ def validate_model(m: TransitionSystem) -> list[dict[str, str | None]]:
                     )
 
     for p, truth in m.valuation.items():
-        if p == TOP_PROP:
-            out.append(
-                _violation("reserved-proposition", f"valuation defines reserved proposition {p!r}")
-            )
-        elif p in ("true", "false") or not IDENTIFIER.fullmatch(p):
-            out.append(
-                _violation("unwritable-name", f"proposition {p!r} cannot be written in a formula")
-            )
+        fault = proposition_name_fault(p)
+        if fault == "reserved-proposition":
+            out.append(_violation(fault, f"valuation defines reserved proposition {p!r}"))
+        elif fault is not None:
+            out.append(_violation(fault, f"proposition {p!r} cannot be written in a formula"))
         extra = truth - state_set
         if extra:
             out.append(

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from strategies import enumerate_formulas, models
 
 from permitmc.algebra import (
     SearchBounds,
+    _is_witness,
     _random_candidate,
     closure_step,
     default_family,
@@ -16,6 +18,7 @@ from permitmc.algebra import (
 )
 from permitmc.checker import model_check
 from permitmc.errors import CapacityError, InputError
+from permitmc.fixtures import FIXTURE_IDS, load_fixture
 from permitmc.formula import Modality, Prop
 from permitmc.model import make_model, validate_model
 
@@ -137,6 +140,61 @@ def test_witness_depth_sweep_stays_in_family(fig1):
     for f in sweep:
         assert checker.truth_set(f) in fam
     assert model_check(fig1, Prop("p")) in fam
+
+
+def _witness_cases():
+    """(model, target, closed modalities) for seeded streams of search
+    candidates, then for every fixture model under each target and under
+    each witness expectation of its fixture."""
+    for target, max_actions in [("WA", 2), ("WE", 2), ("SE", 2), ("SE", 3), ("SA", 2), ("SA", 3)]:
+        rng = random.Random(f"{target}-{max_actions}")
+        bounds = SearchBounds(max_actions=max_actions)
+        for _ in range(500):
+            yield _random_candidate(rng, bounds), Modality(target), None
+    for fixture_id in FIXTURE_IDS:
+        fixture = load_fixture(fixture_id)
+        for m in fixture.models.values():
+            for target in Modality:
+                yield m, target, None
+        for e in fixture.expectations:
+            if e["kind"] == "witness":
+                closed = [Modality(x) for x in e["closed"]]
+                yield fixture.models[e["variant"]], Modality(e["target"]), closed
+
+
+def test_early_reject_agrees_with_the_full_report():
+    # Each kind of rejection must occur, so that a decision that skipped the
+    # escape check or the closure check would disagree somewhere.
+    kinds = {"accepted": 0, "escape only": 0, "closure only": 0, "both": 0}
+    for m, target, closed in _witness_cases():
+        report = verify_witness(m, target, "p", closed)
+        assert _is_witness(m, target, "p", closed) is report["ok"]
+        stays = any(line.endswith("which stays in the family") for line in report["failures"])
+        open_family = len(report["failures"]) > stays
+        kind = {(False, False): "accepted", (True, False): "escape only",
+                (False, True): "closure only", (True, True): "both"}[stays, open_family]
+        kinds[kind] += 1
+    assert min(kinds.values()) > 0, kinds
+
+
+@pytest.mark.parametrize(
+    "prop, fault",
+    [("__top", "reserved-proposition"), ("true", "unwritable-name"), ("false", "unwritable-name"),
+     ("p q", "unwritable-name"), ("", "unwritable-name"), ("2p", "unwritable-name"),
+     ("p", None), ("_q1", None), ("q", None)],
+)
+def test_witness_refuses_exactly_the_propositions_validation_flags(fig1, prop, fault):
+    # validate_model and the witness share one name rule.
+    m = make_model(fig1.agents, fig1.states, fig1.actions, fig1.permitted,
+                   [(s, profile, t) for s in fig1.states for profile, t in fig1.entries(s)],
+                   {prop: ["u"]})
+    assert [v["code"] for v in validate_model(m)] == ([fault] if fault else [])
+    if fault is None:
+        assert verify_witness(m, Modality.WA, prop)["ok"]
+        return
+    for check in (verify_witness, _is_witness):
+        with pytest.raises(InputError, match=f"; {re.escape(repr(prop))} is not one \\({fault}\\)$"):
+            check(m, Modality.WA, prop)
 
 
 def test_enumerate_formulas_counts():

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given
@@ -153,6 +155,7 @@ def test_unknown_agent_is_an_input_error(fig1):
         with pytest.raises(InputError, match="unknown agent 'zz'"):
             checker.truth_set(parse("WA[zz] p"))
     assert sorted(checker.truth_set(parse("WA[a] p"))) == ["s", "u"]
+    assert all(agent != "zz" for _, agent, _ in fig1.modal_images)
 
 
 # --- modal images shared by (modality, agent, argument truth set) ---------------
@@ -169,23 +172,74 @@ def _layered_chain(layers, agents, props):
 
 
 def test_checker_scans_each_modality_agent_and_truth_set_once(monkeypatch):
-    m = random_model(GenParams(
-        seed=3, num_states=50, num_agents=2, max_actions=3, branching=2, num_props=3,
-    ))
+    params = GenParams(seed=3, num_states=50, num_agents=2, max_actions=3, branching=2, num_props=3)
+    # The keys and the expected truth set come from a twin, so that the
+    # model under test starts with an empty image cache.
+    m, twin = random_model(params), random_model(params)
     chain = _layered_chain(64, m.agents, sorted(m.valuation))
     nodes = [g for g in postorder(chain, set()) if isinstance(g, Modal)]
-    keys = {(g.kind, g.agent, model_check(m, g.child)) for g in nodes}
-    want = model_check(m, chain)
+    keys = {(g.kind, g.agent, model_check(twin, g.child)) for g in nodes}
+    want = model_check(twin, chain)
     scans = []
+    scan = permitmc.checker._scan
 
     def counted(*args):
         scans.append(args[1:])
-        return modal_image(*args)
+        return scan(*args)
 
-    monkeypatch.setattr(permitmc.checker, "modal_image", counted)
+    monkeypatch.setattr(permitmc.checker, "_scan", counted)
     assert ModelChecker(m).truth_set(chain) == want
     assert len(nodes) == 64
     assert set(scans) == keys and len(scans) == len(keys) < len(nodes)
+    # The cache belongs to the model: a second checker and a direct step
+    # scan nothing new.
+    assert model_check(m, chain) == want
+    assert all(modal_image(m, *key) == twin.modal_images[key] for key in keys)
+    assert len(scans) == len(keys)
+
+
+def test_closure_steps_and_checkers_share_the_model_image_cache(monkeypatch):
+    m = random_model(GenParams(seed=4, num_states=6, num_agents=2, max_actions=2, num_props=1))
+    family = default_family(m, "p0")
+    scans = []
+    scan = permitmc.checker._scan
+    monkeypatch.setattr(permitmc.checker, "_scan", lambda *args: scans.append(args[1:]) or scan(*args))
+    images = closure_step(m, family, Modality.SE, m.agents[0])
+    assert len(scans) == len(family)
+    assert model_check(m, Modal(Modality.SE, m.agents[0], P)) == images[m.valuation["p0"]]
+    assert closure_step(m, family, Modality.SE, m.agents[0]) == images
+    assert len(scans) == len(family)
+
+
+def test_threads_sharing_a_model_read_equal_images():
+    # Checkers in several threads fill one model's image cache at once; each
+    # must get the truth sets of a single-threaded run on a twin, and every
+    # cached image must equal the twin's for its key.
+    params = GenParams(seed=8, num_states=30, num_agents=2, max_actions=3, num_props=2)
+    m, twin = random_model(params), random_model(params)
+    rng = random.Random(8)
+    batch = _batch(twin, rng, (16, 24))
+    want = [model_check(twin, f) for f in batch]
+    threads, results = 8, []
+    start = threading.Barrier(threads)
+
+    def check():
+        start.wait(timeout=60)
+        results.append([ModelChecker(m).truth_set(f) for f in batch])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=check) for _ in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(results) == threads and all(r == want for r in results)
+    assert all(image == twin.modal_images[key] for key, image in m.modal_images.items())
 
 
 def _batch(m, rng, chain_layers):

@@ -339,6 +339,26 @@ def test_seeded_fuzz_output_replays(fig1_path, capsys):
     assert digest == "e84fb673af165edc3371dc0e7001ac71e36a51400427afbb71563a321876abad"
 
 
+@pytest.mark.parametrize(
+    "target, actions, seed, digest, exit_code",
+    [
+        ("WA", "2", "7", "61c8a177aec1fb243dc699f486134e5ee5d1ae78b1bc24db6551c41b8b3a494c", 1),
+        ("WE", "2", "7", "f029efadcb7d13a28b57f4c1d139e73225c14a634a6f9c53ce1f6ee7475d4929", 0),
+        ("SE", "3", "7", "97763c9be432b3d1cba47b873f8a9a081d0bf20611afc60b43198751e7a9ef18", 0),
+        ("SA", "3", "7", "c2b52ab00a668fdc976998225ea8088a920c43d36197212a596fd0bd31b3d267", 0),
+        ("SE", "2", "7", "61c8a177aec1fb243dc699f486134e5ee5d1ae78b1bc24db6551c41b8b3a494c", 1),
+        ("SA", "2", "1", "dce6df0ee20daa1592e50642d86a13ff5b543d98a393699c68b4fc1176392330", 1),
+    ],
+    ids=["WA-2", "WE-2", "SE-3", "SA-3", "SE-2", "SA-2-seed-1"],
+)
+def test_seeded_search_output_replays(capsys, target, actions, seed, digest, exit_code):
+    # These digests pin every draw of the search and the found report byte for
+    # byte; the runs that exit 1 exhaust their 4000 candidates.
+    code, out, _ = run_cli(capsys, "witness", "--search", "--target", target, "--max-actions",
+                           actions, "--seed", seed, "--max-candidates", "4000")
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == (digest, exit_code)
+
+
 def test_soundness_counts_ir4_only_on_models_with_two_agents(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "soundness", "--count", "3", "--max-agents", "1")
     assert (code, out.splitlines()[-1]) == (0, "models: 3  checks: 42  counterexamples: 0")
@@ -459,6 +479,21 @@ def test_witness_report_json_fig1_wa(fig1_path, capsys):
         "failures": [],
     }
     assert out == json.dumps({"schema": "permitmc/v1", "report": report}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "prop, fault",
+    [("__top", "reserved-proposition"), ("true", "unwritable-name"), ("p q", "unwritable-name")],
+    ids=["top", "true", "space"],
+)
+def test_witness_model_refuses_a_proposition_formulas_cannot_name(fig1_path, capsys, prop, fault):
+    # `--prop true` used to report `WA[a] true` with truth set {}, and
+    # `--prop "p q"` an escape formula that does not parse.
+    code, out, err = run_cli(capsys, "witness", "--target", "WA", "--model", fig1_path, "--prop", prop)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: a witness needs a proposition that formulas refer to; {prop!r} is not one ({fault})\n"
+    )
 
 
 def test_witness_search_found_and_exhausted(capsys):
