@@ -104,9 +104,8 @@ def _witness_setup(
         raise InputError("a witness needs an agent for its escape formula; the model has none")
     fault = proposition_name_fault(prop)
     if fault is not None:
-        raise InputError(
-            f"a witness needs a proposition that formulas refer to; {prop!r} is not one ({fault})"
-        )
+        code, text = fault
+        raise InputError(f"a witness needs a proposition that formulas refer to; {text} ({code})")
     closed = (
         tuple(closed_modalities)
         if closed_modalities is not None
@@ -115,16 +114,11 @@ def _witness_setup(
     return default_family(m, prop), closed, Modal(target, m.agents[0], Prop(prop))
 
 
-def _is_witness(
-    m: TransitionSystem,
-    target: Modality,
-    prop: str,
-    closed_modalities: Iterable[Modality] | None = None,
-) -> bool:
-    """Whether ``verify_witness`` reports ``ok``, decided at the first failing
-    check: the escape image first, one modal scan, then the closure failures
-    one at a time."""
-    family, closed, escape = _witness_setup(m, target, prop, closed_modalities)
+def _is_witness(m: TransitionSystem, target: Modality, prop: str) -> bool:
+    """Whether ``verify_witness`` reports ``ok`` with its default closed
+    modalities, decided at the first failing check: the escape image first,
+    one modal scan, then the closure failures one at a time."""
+    family, closed, escape = _witness_setup(m, target, prop, None)
     if model_check(m, escape) in family:
         return False
     return next(_closure_failures(m, family, closed), None) is None

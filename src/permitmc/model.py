@@ -106,9 +106,11 @@ class TransitionSystem:
         """(modality, agent, argument truth set) -> the states where the
         modality holds, filled by ``checker.modal_image`` on each new key, so
         that every consumer of the model scans each key once. It lives as
-        long as the model and holds at most 4·|Ag| entries per distinct
-        argument truth set. Two threads that miss the same key both scan it
-        and store equal values."""
+        long as the model, never shrinks, and holds at most 4·|Ag| entries
+        per distinct argument truth set; a caller that checks many formulas
+        on one model and needs the memory back drops the model or clears
+        this dict, after which steps scan again. Two threads that miss the
+        same key both scan it and store equal values."""
         return {}
 
     @cached_property
@@ -205,15 +207,15 @@ def profile_cap() -> int:
     return cap
 
 
-def proposition_name_fault(p: str) -> str | None:
-    """Why no formula can refer to the proposition ``p``, as a violation
-    code: ``reserved-proposition`` for ``__top``, which formulas read as
-    true, and ``unwritable-name`` for ``true``, ``false`` and any name that
-    is not an identifier. None for a name a formula can write."""
+def proposition_name_fault(p: str) -> tuple[str, str] | None:
+    """Why no formula can refer to the proposition ``p``, as a violation code
+    and its message: ``reserved-proposition`` for ``__top``, which formulas
+    read as true, and ``unwritable-name`` for ``true``, ``false`` and any
+    name that is not an identifier. None for a name a formula can write."""
     if p == TOP_PROP:
-        return "reserved-proposition"
+        return "reserved-proposition", f"proposition {p!r} is reserved: formulas read it as true"
     if p in ("true", "false") or not IDENTIFIER.fullmatch(p):
-        return "unwritable-name"
+        return "unwritable-name", f"proposition {p!r} cannot be written in a formula"
     return None
 
 
@@ -367,10 +369,8 @@ def validate_model(m: TransitionSystem) -> list[dict[str, str | None]]:
 
     for p, truth in m.valuation.items():
         fault = proposition_name_fault(p)
-        if fault == "reserved-proposition":
-            out.append(_violation(fault, f"valuation defines reserved proposition {p!r}"))
-        elif fault is not None:
-            out.append(_violation(fault, f"proposition {p!r} cannot be written in a formula"))
+        if fault is not None:
+            out.append(_violation(*fault))
         extra = truth - state_set
         if extra:
             out.append(

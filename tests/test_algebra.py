@@ -143,32 +143,26 @@ def test_witness_depth_sweep_stays_in_family(fig1):
 
 
 def _witness_cases():
-    """(model, target, closed modalities) for seeded streams of search
-    candidates, then for every fixture model under each target and under
-    each witness expectation of its fixture."""
+    """(model, target) for seeded streams of search candidates, then for
+    every fixture model under each target."""
     for target, max_actions in [("WA", 2), ("WE", 2), ("SE", 2), ("SE", 3), ("SA", 2), ("SA", 3)]:
         rng = random.Random(f"{target}-{max_actions}")
         bounds = SearchBounds(max_actions=max_actions)
         for _ in range(500):
-            yield _random_candidate(rng, bounds), Modality(target), None
+            yield _random_candidate(rng, bounds), Modality(target)
     for fixture_id in FIXTURE_IDS:
-        fixture = load_fixture(fixture_id)
-        for m in fixture.models.values():
+        for m in load_fixture(fixture_id).models.values():
             for target in Modality:
-                yield m, target, None
-        for e in fixture.expectations:
-            if e["kind"] == "witness":
-                closed = [Modality(x) for x in e["closed"]]
-                yield fixture.models[e["variant"]], Modality(e["target"]), closed
+                yield m, target
 
 
 def test_early_reject_agrees_with_the_full_report():
     # Each kind of rejection must occur, so that a decision that skipped the
     # escape check or the closure check would disagree somewhere.
     kinds = {"accepted": 0, "escape only": 0, "closure only": 0, "both": 0}
-    for m, target, closed in _witness_cases():
-        report = verify_witness(m, target, "p", closed)
-        assert _is_witness(m, target, "p", closed) is report["ok"]
+    for m, target in _witness_cases():
+        report = verify_witness(m, target, "p")
+        assert _is_witness(m, target, "p") is report["ok"]
         stays = any(line.endswith("which stays in the family") for line in report["failures"])
         open_family = len(report["failures"]) > stays
         kind = {(False, False): "accepted", (True, False): "escape only",
@@ -184,16 +178,18 @@ def test_early_reject_agrees_with_the_full_report():
      ("p", None), ("_q1", None), ("q", None)],
 )
 def test_witness_refuses_exactly_the_propositions_validation_flags(fig1, prop, fault):
-    # validate_model and the witness share one name rule.
+    # validate_model and the witness share one name rule and its wording.
     m = make_model(fig1.agents, fig1.states, fig1.actions, fig1.permitted,
                    [(s, profile, t) for s in fig1.states for profile, t in fig1.entries(s)],
                    {prop: ["u"]})
-    assert [v["code"] for v in validate_model(m)] == ([fault] if fault else [])
+    violations = validate_model(m)
+    assert [v["code"] for v in violations] == ([fault] if fault else [])
     if fault is None:
         assert verify_witness(m, Modality.WA, prop)["ok"]
         return
+    reason = f"; {re.escape(violations[0]['message'])} \\({fault}\\)$"
     for check in (verify_witness, _is_witness):
-        with pytest.raises(InputError, match=f"; {re.escape(repr(prop))} is not one \\({fault}\\)$"):
+        with pytest.raises(InputError, match=reason):
             check(m, Modality.WA, prop)
 
 

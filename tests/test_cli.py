@@ -482,18 +482,18 @@ def test_witness_report_json_fig1_wa(fig1_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "prop, fault",
-    [("__top", "reserved-proposition"), ("true", "unwritable-name"), ("p q", "unwritable-name")],
+    "prop, reason",
+    [("__top", "proposition '__top' is reserved: formulas read it as true (reserved-proposition)"),
+     ("true", "proposition 'true' cannot be written in a formula (unwritable-name)"),
+     ("p q", "proposition 'p q' cannot be written in a formula (unwritable-name)")],
     ids=["top", "true", "space"],
 )
-def test_witness_model_refuses_a_proposition_formulas_cannot_name(fig1_path, capsys, prop, fault):
+def test_witness_model_refuses_a_proposition_formulas_cannot_name(fig1_path, capsys, prop, reason):
     # `--prop true` used to report `WA[a] true` with truth set {}, and
     # `--prop "p q"` an escape formula that does not parse.
     code, out, err = run_cli(capsys, "witness", "--target", "WA", "--model", fig1_path, "--prop", prop)
     assert (code, out) == (2, "")
-    assert err == (
-        f"error: a witness needs a proposition that formulas refer to; {prop!r} is not one ({fault})\n"
-    )
+    assert err == f"error: a witness needs a proposition that formulas refer to; {reason}\n"
 
 
 def test_witness_search_found_and_exhausted(capsys):
