@@ -16,13 +16,11 @@ no interpreter work per state, whether the truth set is nearly empty or
 nearly full. The global checker labels the distinct
 subformulas bottom-up in one ``formula.postorder`` walk, so formula depth is
 bounded by memory only. A step's result depends only on its modality, its
-agent and the truth set of its argument, so each model caches its images
-per (modality, agent, argument truth set) (``TransitionSystem.modal_images``)
-and the checker memoizes per subformula: a modal subformula costs one step
-unless an earlier one, in this checker or any other consumer of the model,
-had the same key, and then one hash and one equality test of the truth set,
-O(|psi|). Nested modal formulas whose argument truth sets recur gain the
-most.
+agent and the truth set of its argument, so the checker memoizes per
+subformula and per (modality, agent, argument truth set): a modal
+subformula costs one step unless an earlier one had the same key, and then
+one hash and one equality test of the truth set, O(|psi|). Nested modal
+formulas whose argument truth sets recur gain the most.
 
 The per-state oracle ``check_state_naive`` transcribes the satisfaction
 relation directly from the raw mechanism, with no sharing and no cached
@@ -57,22 +55,7 @@ def modal_image(m: TransitionSystem, kind: Modality, agent: str, psi: frozenset)
     A weak modality holds where some permitted action passes, a strong one
     where no non-permitted action does. Either way the step is one scan of
     the agent's rows on that side, mapped and compressed in C.
-
-    The image depends only on the modality, the agent and ``psi``, so the
-    model keeps it in ``m.modal_images``: each key is scanned once per model,
-    by whichever consumer asks first, and a repeated key costs one hash and
-    one equality test of ``psi``, O(|psi|). A step that fails stores nothing.
     """
-    key = (kind, agent, psi)
-    images = m.modal_images
-    image = images.get(key)
-    if image is None:
-        image = images[key] = _scan(m, kind, agent, psi)
-    return image
-
-
-def _scan(m: TransitionSystem, kind: Modality, agent: str, psi: frozenset) -> frozenset:
-    """The one scan of ``modal_image``, on a key the model has not cached."""
     sides = m.successor_unions.get(agent)
     if sides is None:
         raise InputError(f"unknown agent {agent!r}")
@@ -103,26 +86,35 @@ def truth_set_sa(m: TransitionSystem, agent: str, psi: frozenset) -> frozenset:
 
 
 class ModelChecker:
-    """Global model checking context for one model, memoized per subformula.
+    """Global model checking context for one model, memoized per subformula
+    and per (modality, agent, argument truth set).
 
     ``truth_set`` labels the distinct subformulas not yet in the memo,
     children first, in one ``postorder`` walk; the memo holds frozensets,
     and only the result is copied into a ``TruthSet``. A modal subformula
-    asks ``modal_image``, which scans only a (modality, agent, argument
-    truth set) key that no consumer of the model has asked before. The memo
-    is private to the instance, so independent checkers can run
-    concurrently over the same model.
+    reuses the image of any earlier one with the same modality, agent and
+    argument truth set, at the cost of one hash and one equality test of
+    that truth set, and calls ``modal_image`` only for a new key; a step
+    that fails stores nothing. Both caches are private to the instance and
+    are freed with it: a caller that checks many formulas on one model keeps
+    one checker to reuse its images. Independent checkers can run
+    concurrently over the same (immutable) model.
     """
 
     def __init__(self, model: TransitionSystem):
         self.model = model
         self._memo: dict[Formula, frozenset[str]] = {}
+        self._images: dict[tuple[Modality, str, frozenset[str]], frozenset[str]] = {}
 
     def truth_set(self, f: Formula) -> TruthSet:
-        m, memo = self.model, self._memo
+        m, memo, images = self.model, self._memo, self._images
         for g in postorder(f, memo):
             if isinstance(g, Modal):
-                memo[g] = modal_image(m, g.kind, g.agent, memo[g.child])
+                key = (g.kind, g.agent, memo[g.child])
+                image = images.get(key)
+                if image is None:
+                    image = images[key] = modal_image(m, *key)
+                memo[g] = image
             elif isinstance(g, Or):
                 memo[g] = memo[g.left] | memo[g.right]
             elif isinstance(g, Neg):
@@ -152,12 +144,13 @@ def check_state_naive(m: TransitionSystem, s: str, f: Formula) -> bool:
     Deliberately naive: no memoization, no truth sets, each modality expands
     into per-action quantifier scans. Serves as an independent oracle for
     model_check, so it stays recursive on purpose and shares no walk with the
-    rest of the package; it is the one function whose recursion follows
-    formula depth. It reads an invalid model as the checker does: WA and WE
-    quantify over the permitted actions that are also available, an entry
-    counts toward an agent's action only when its profile gives the agent
-    that available action, and a successor outside the states satisfies no
-    formula.
+    rest of the package; it is the one function whose recursion follows the
+    depth of a formula it is given (``generate.random_formula`` recurses once
+    per level it generates, up to its ``max_depth``). It reads an invalid
+    model as the checker does: WA and WE quantify over the permitted actions
+    that are also available, an entry counts toward an agent's action only
+    when its profile gives the agent that available action, and a successor
+    outside the states satisfies no formula.
     """
     states = set(m.states)
     if s not in states:

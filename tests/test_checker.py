@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -155,7 +156,6 @@ def test_unknown_agent_is_an_input_error(fig1):
         with pytest.raises(InputError, match="unknown agent 'zz'"):
             checker.truth_set(parse("WA[zz] p"))
     assert sorted(checker.truth_set(parse("WA[a] p"))) == ["s", "u"]
-    assert all(agent != "zz" for _, agent, _ in fig1.modal_images)
 
 
 # --- modal images shared by (modality, agent, argument truth set) ---------------
@@ -172,49 +172,47 @@ def _layered_chain(layers, agents, props):
 
 
 def test_checker_scans_each_modality_agent_and_truth_set_once(monkeypatch):
-    params = GenParams(seed=3, num_states=50, num_agents=2, max_actions=3, branching=2, num_props=3)
-    # The keys and the expected truth set come from a twin, so that the
-    # model under test starts with an empty image cache.
-    m, twin = random_model(params), random_model(params)
+    m = random_model(GenParams(
+        seed=3, num_states=50, num_agents=2, max_actions=3, branching=2, num_props=3,
+    ))
     chain = _layered_chain(64, m.agents, sorted(m.valuation))
     nodes = [g for g in postorder(chain, set()) if isinstance(g, Modal)]
-    keys = {(g.kind, g.agent, model_check(twin, g.child)) for g in nodes}
-    want = model_check(twin, chain)
+    keys = {(g.kind, g.agent, model_check(m, g.child)) for g in nodes}
+    want = model_check(m, chain)
     scans = []
-    scan = permitmc.checker._scan
 
     def counted(*args):
         scans.append(args[1:])
-        return scan(*args)
+        return modal_image(*args)
 
-    monkeypatch.setattr(permitmc.checker, "_scan", counted)
-    assert ModelChecker(m).truth_set(chain) == want
+    monkeypatch.setattr(permitmc.checker, "modal_image", counted)
+    checker = ModelChecker(m)
+    assert checker.truth_set(chain) == want
     assert len(nodes) == 64
     assert set(scans) == keys and len(scans) == len(keys) < len(nodes)
-    # The cache belongs to the model: a second checker and a direct step
-    # scan nothing new.
-    assert model_check(m, chain) == want
-    assert all(modal_image(m, *key) == twin.modal_images[key] for key in keys)
-    assert len(scans) == len(keys)
+    # The images belong to the checker: asking it again scans nothing, and a
+    # second checker scans each of its keys once more.
+    assert checker.truth_set(chain) == want and len(scans) == len(keys)
+    assert ModelChecker(m).truth_set(chain) == want
+    assert len(scans) == 2 * len(keys) and set(scans) == keys
 
 
-def test_closure_steps_and_checkers_share_the_model_image_cache(monkeypatch):
-    m = random_model(GenParams(seed=4, num_states=6, num_agents=2, max_actions=2, num_props=1))
-    family = default_family(m, "p0")
-    scans = []
-    scan = permitmc.checker._scan
-    monkeypatch.setattr(permitmc.checker, "_scan", lambda *args: scans.append(args[1:]) or scan(*args))
-    images = closure_step(m, family, Modality.SE, m.agents[0])
-    assert len(scans) == len(family)
-    assert model_check(m, Modal(Modality.SE, m.agents[0], P)) == images[m.valuation["p0"]]
-    assert closure_step(m, family, Modality.SE, m.agents[0]) == images
-    assert len(scans) == len(family)
+def test_checking_leaves_a_model_its_fields_and_derived_caches_only():
+    m = random_model(GenParams(seed=4, num_states=30, num_agents=2, max_actions=3, num_props=2))
+    rng = random.Random(4)
+    agents, props = sorted(m.agents), sorted(m.valuation)
+    for _ in range(1000):
+        f = random_formula(rng.getrandbits(32), rng.randint(1, 5), agents, props)
+        ModelChecker(m).truth_set(f)
+    for modality in Modality:
+        closure_step(m, default_family(m, "p0"), modality, agents[0])
+    derived = {"state_set", "successor_unions", "successor_universe"}
+    assert set(vars(m)) == {f.name for f in fields(m)} | derived
 
 
 def test_threads_sharing_a_model_read_equal_images():
-    # Checkers in several threads fill one model's image cache at once; each
-    # must get the truth sets of a single-threaded run on a twin, and every
-    # cached image must equal the twin's for its key.
+    # Checkers in several threads build one model's derived caches at once;
+    # each must get the truth sets of a single-threaded run on a twin.
     params = GenParams(seed=8, num_states=30, num_agents=2, max_actions=3, num_props=2)
     m, twin = random_model(params), random_model(params)
     rng = random.Random(8)
@@ -239,7 +237,6 @@ def test_threads_sharing_a_model_read_equal_images():
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert len(results) == threads and all(r == want for r in results)
-    assert all(image == twin.modal_images[key] for key, image in m.modal_images.items())
 
 
 def _batch(m, rng, chain_layers):

@@ -104,6 +104,11 @@ def test_instantiate_missing_binding():
         instantiate_axiom(AXIOMS["A7"], {"a": "a", "phi": "p"})
 
 
+def test_instantiate_refuses_an_agent_variable_bound_to_a_non_string():
+    with pytest.raises(InputError, match="^agent variable 'a' must bind to an agent name$"):
+        instantiate_axiom(AXIOMS["A1"], {"a": 5})
+
+
 def test_a9_allows_equal_agents(fig1):
     inst = instantiate_axiom(AXIOMS["A9"], {"a": "a", "b": "a", "phi": "p", "psi": "q"})
     assert check_validity(fig1, inst).valid
@@ -713,6 +718,7 @@ NOT_STRINGS = "step 1: 'bind' values must be strings"
          NOT_STRINGS),
         ({"formula": "p | !p", "by": "taut:7"}, "step 1: taut takes no argument, got 'taut:7'"),
         ({"formula": "p | !p", "by": "TAUT:"}, "step 1: taut takes no argument, got 'TAUT:'"),
+        ({"formula": "p", "by": "mp:1,x"}, "step 1: step references must be integers"),
     ],
 )
 def test_derivation_field_types_are_input_errors(step, message):

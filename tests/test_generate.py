@@ -3,7 +3,7 @@ import pytest
 from permitmc.checker import model_check
 from permitmc.errors import CapacityError, InputError
 from permitmc.formula import BOT, TOP, Modal, Modality, Neg, Or, Prop, subformulas
-from permitmc.generate import GenParams, random_formula, random_model
+from permitmc.generate import GenParams, random_formula, random_model, replicate_model
 from permitmc.model import validate_model
 
 
@@ -55,6 +55,13 @@ def test_param_validation():
         GenParams(seed=0, num_states=0)
     with pytest.raises(InputError):
         GenParams(seed=0, permitted_density=0.0)
+    with pytest.raises(InputError, match="^branching must be at least 1$"):
+        GenParams(seed=0, branching=0)
+
+
+def test_replicate_model_refuses_fewer_than_one_copy():
+    with pytest.raises(InputError, match="^copies must be at least 1$"):
+        replicate_model(random_model(GenParams(seed=0)), 0)
 
 
 def test_random_formula_depth_zero_is_leaf():

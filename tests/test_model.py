@@ -88,6 +88,23 @@ def test_empty_actions_and_transitions_from_unknown_state_reported():
     ]
 
 
+def test_table_keys_naming_undeclared_states_or_agents_reported():
+    doc = {
+        "agents": ["a"],
+        "states": ["s"],
+        "actions": {"s": {"a": ["1"], "zz": ["9"]}, "ghost": {"a": ["1"]}},
+        "permitted": {"s": {"a": ["1"], "yy": ["1"]}, "ghost": {"zz": ["9"]}},
+        "transitions": [{"from": "s", "profile": {"a": "1"}, "to": "s"}],
+        "valuation": {"p": ["s"]},
+    }
+    assert [tuple(v.values()) for v in validate_model(model_from_dict(doc))] == [
+        ("unknown-agent-in-table", "actions table names unknown agent 'zz' at state 's'", "s", "zz"),
+        ("unknown-state-in-table", "actions table names unknown state 'ghost'", "ghost", None),
+        ("unknown-agent-in-table", "permitted table names unknown agent 'yy' at state 's'", "s", "yy"),
+        ("unknown-state-in-table", "permitted table names unknown state 'ghost'", "ghost", None),
+    ]
+
+
 def test_duplicate_names_report_each_state_agent_violation_once():
     m = make_model(
         ["a", "b", "a"],
@@ -289,6 +306,8 @@ SHAPE_ERRORS = {
     (lambda d: d["transitions"][4].update({"from": 7})): "transitions[4] endpoints must be strings",
     (lambda d: d["transitions"][5]["profile"].update(b=1)):
         "transitions[5].profile must map agent names to action names",
+    (lambda d: d.update(valuation=["p"])): "valuation must be an object keyed by proposition",
+    (lambda d: d["valuation"].update(p="u")): "valuation['p'] must be a list of strings",
 }
 
 
