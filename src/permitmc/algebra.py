@@ -90,38 +90,31 @@ def verify_closure(
     return list(_closure_failures(m, family, modalities))
 
 
-def _witness_setup(
-    m: TransitionSystem,
-    target: Modality,
-    prop: str,
-    closed_modalities: Iterable[Modality] | None,
-) -> tuple[Family, tuple[Modality, ...], Modal]:
-    """The default family of ``prop``, the modalities it must be closed
-    under (default: all but the target) and the escape formula
-    ``target[agent] prop`` for the model's first agent. Refuses a model with
-    no agents and a proposition that no formula can refer to."""
+def _witness_setup(m: TransitionSystem, prop: str) -> tuple[Family, frozenset[str], str]:
+    """The default family of ``prop``, its truth set p, read from the
+    valuation as the checker would once these refusals pass, and the escape
+    agent, the model's first. Refuses a model with no agents and a
+    proposition that no formula can refer to."""
     if not m.agents:
         raise InputError("a witness needs an agent for its escape formula; the model has none")
     fault = proposition_name_fault(prop)
     if fault is not None:
         code, text = fault
         raise InputError(f"a witness needs a proposition that formulas refer to; {text} ({code})")
-    closed = (
-        tuple(closed_modalities)
-        if closed_modalities is not None
-        else tuple(mod for mod in Modality if mod is not target)
-    )
-    return default_family(m, prop), closed, Modal(target, m.agents[0], Prop(prop))
+    p = m.valuation.get(prop, frozenset())
+    return family_of(m, [p, m.state_set - p, m.states, ()]), p, m.agents[0]
 
 
 def _is_witness(m: TransitionSystem, target: Modality, prop: str) -> bool:
     """Whether ``verify_witness`` reports ``ok`` with its default closed
     modalities, decided at the first failing check: the escape image first,
-    one modal scan, then the closure failures one at a time."""
-    family, closed, escape = _witness_setup(m, target, prop, None)
-    if model_check(m, escape) in family:
+    one ``modal_image`` scan of p and no checker, then the closure failures
+    one at a time."""
+    family, p, agent = _witness_setup(m, prop)
+    if modal_image(m, target, agent, p) in family:
         return False
-    return next(_closure_failures(m, family, closed), None) is None
+    others = (mod for mod in Modality if mod is not target)
+    return next(_closure_failures(m, family, others), None) is None
 
 
 def verify_witness(
@@ -133,17 +126,20 @@ def verify_witness(
     """Check a model witnesses the undefinability of ``target``: the default
     family of ``prop`` is closed under the other modalities (default: the
     remaining three) for all agents, while ``target[agent] prop``, for the
-    model's first agent, produces a truth set outside it. Returns the report
-    as the JSON object ``witness`` prints, whose ``closed_under`` is empty
-    unless the family is closed and ``failures`` empty exactly when ``ok``.
+    model's first agent, produces a truth set outside it: one ``modal_image``
+    scan of the valuation's p, and no checker. Returns the report as the
+    JSON object ``witness`` prints, whose ``closed_under`` is empty unless
+    the family is closed and ``failures`` empty exactly when ``ok``.
     ``prop`` must be a name a formula can write, and not ``__top``
     (``InputError`` otherwise)."""
-    family, closed, escape = _witness_setup(m, target, prop, closed_modalities)
+    family, p, agent = _witness_setup(m, prop)
+    others = (mod for mod in Modality if mod is not target)
+    closed = tuple(others if closed_modalities is None else closed_modalities)
     failures = verify_closure(m, family, closed)
     closed_under = [] if failures else [[mod.value, a] for mod in closed for a in m.agents]
 
-    escape_formula = format_formula(escape)
-    escape_set = model_check(m, escape)
+    escape_formula = format_formula(Modal(target, agent, Prop(prop)))
+    escape_set = modal_image(m, target, agent, p)
     if escape_set in family:
         failures.append(
             f"{escape_formula} has truth set {_set_text(escape_set)}, "
@@ -154,7 +150,7 @@ def verify_witness(
         "ok": not failures,
         "target": target.value,
         "prop": prop,
-        "agent": escape.agent,
+        "agent": agent,
         "family": [sorted(ts) for ts in family],
         "closed_under": closed_under,
         "escape": {"formula": escape_formula, "states": sorted(escape_set)},

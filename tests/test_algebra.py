@@ -1,9 +1,11 @@
+import dataclasses
 import random
 import re
 
 import pytest
 from hypothesis import given, settings
 from strategies import enumerate_formulas, models
+from test_model import MUTATIONS, TABLE_MUTATIONS, mutated_models
 
 from permitmc.algebra import (
     SearchBounds,
@@ -19,7 +21,7 @@ from permitmc.algebra import (
 from permitmc.checker import model_check
 from permitmc.errors import CapacityError, InputError
 from permitmc.fixtures import FIXTURE_IDS, load_fixture
-from permitmc.formula import Modality, Prop
+from permitmc.formula import Modal, Modality, Prop, format_formula
 from permitmc.model import make_model, validate_model
 
 
@@ -169,6 +171,63 @@ def test_early_reject_agrees_with_the_full_report():
                 (False, True): "closure only", (True, True): "both"}[stays, open_family]
         kinds[kind] += 1
     assert min(kinds.values()) > 0, kinds
+
+
+def _truth_set_cases():
+    """Models for the witness path, valid and invalid: the mutated corpus
+    (every mutation kind), seeded search candidates, the fixture models, and
+    each fixture model with a valuation member outside its states."""
+    kinds = tuple(dict.fromkeys(MUTATIONS + TABLE_MUTATIONS + ("no-actions",)))
+    yield from mutated_models(seed=25, count=240, kinds=kinds)
+    rng = random.Random(25)
+    for k in range(200):
+        yield _random_candidate(rng, SearchBounds(max_states=3 + k % 3, max_actions=1 + k % 3))
+    for fixture_id in FIXTURE_IDS:
+        for m in load_fixture(fixture_id).models.values():
+            yield m
+            p = m.valuation.get("p", frozenset())
+            yield dataclasses.replace(m, valuation={**m.valuation, "p": p | {"ghost"}})
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except InputError as exc:
+        return InputError, str(exc)
+
+
+def _checker_reference(m, target, prop):
+    """The family, escape and verdict of a witness report, built from
+    ``default_family`` and the checker's truth set of the escape formula."""
+    family = default_family(m, prop)
+    escape = Modal(target, m.agents[0], Prop(prop))
+    states = model_check(m, escape)
+    closed = [mod for mod in Modality if mod is not target]
+    return {
+        "family": [sorted(ts) for ts in family],
+        "escape": {"formula": format_formula(escape), "states": sorted(states)},
+        "ok": states not in family and not verify_closure(m, family, closed),
+    }
+
+
+def test_witness_reads_the_truth_sets_the_checker_reads():
+    # verify_witness and _is_witness read p from the valuation and scan its
+    # escape image once; on valid and invalid models alike they must agree
+    # with the checker, errors and their messages included.
+    errors = 0
+    for m in _truth_set_cases():
+        for prop in ("p", "p0"):
+            for target in Modality:
+                want = _outcome(_checker_reference, m, target, prop)
+                got = _outcome(verify_witness, m, target, prop)
+                if isinstance(want, dict) and isinstance(got, dict):
+                    got = {key: got[key] for key in want}
+                assert got == want
+                assert _outcome(_is_witness, m, target, prop) == (
+                    want["ok"] if isinstance(want, dict) else want
+                )
+                errors += not isinstance(want, dict)
+    assert errors > 0
 
 
 @pytest.mark.parametrize(

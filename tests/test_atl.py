@@ -16,7 +16,8 @@ from permitmc.atl import (
     translate_formula,
     verify_translation,
 )
-from permitmc.checker import model_check
+from permitmc.checker import check_state_naive, model_check
+from permitmc.deduction import is_tautology
 from permitmc.errors import CapacityError, InputError
 from permitmc.formula import TOP, Modal, Modality, Neg, Or, Prop, and_, implies, parse
 from permitmc.generate import GenParams, random_formula, random_model
@@ -361,3 +362,15 @@ def test_export_transitions_match_game_oracle(fig1, fig3):
             assert (entry["base"], entry["moves"]) == (s, vector)
             base, allowed = oracle.transition(s, vector)
             assert entry["to"] == {"base": base, "allowed": sorted(allowed)}
+
+
+def test_game_nodes_are_not_source_formulas(fig1):
+    # The checker, the oracle, the tautology test and the translation read
+    # source formulas only; a game atom, even under a source connective, is
+    # an input error in each.
+    am = expand_model(fig1)
+    for node in (ADeontic("a"), Neg(ADeontic("a"))):
+        for check in (lambda f: model_check(fig1, f), lambda f: check_state_naive(fig1, "s", f),
+                      is_tautology, lambda f: translate_formula(f, am)):
+            with pytest.raises(InputError, match=r"^not a formula node: <ADeontic d_a>$"):
+                check(node)

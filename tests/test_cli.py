@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import resource
 import subprocess
 import sys
@@ -317,6 +318,23 @@ def test_soundness_smoke(capsys):
     assert "counterexamples: 0" in out
 
 
+def test_soundness_prints_each_counterexample_and_exits_1(capsys, monkeypatch):
+    # A rule check forced to fail: each round reports ir2 and ir3 (one agent)
+    # as "<rule> fails at <state>", and the CLI prefixes model and gen seed.
+    from permitmc import deduction
+
+    monkeypatch.setattr(deduction, "check_rule_locally",
+                        lambda *a: deduction.ValidityVerdict(False, "s0"))
+    code, out, err = run_cli(capsys, "soundness", "--count", "2", "--seed", "3",
+                             "--max-agents", "1")
+    lines = out.splitlines()
+    assert (code, err, lines[0]) == (1, "", "seed: 3")
+    assert [re.sub(r"gen seed \d+", "gen seed N", line) for line in lines[1:-1]] == [
+        f"model {k} (gen seed N): {rule} fails at s0" for k in (0, 1) for rule in ("ir2", "ir3")
+    ]
+    assert re.fullmatch(r"models: 2  checks: \d+  counterexamples: 4", lines[-1])
+
+
 def test_seeded_fuzz_output_replays(fig1_path, capsys):
     # A printed seed replays the fuzz: these outputs pin the order of every draw.
     code, out, _ = run_cli(capsys, "axioms", "--model", fig1_path, "--seed", "3", "--count", "1")
@@ -400,6 +418,16 @@ def test_prove_builtin_and_rejection(tmp_path, capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["accepted"] is False and doc["failed_step"] == 1
+
+
+def test_prove_rejection_in_text_mode_names_the_step(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {"steps": [{"formula": "p | !p", "by": "taut"}, {"formula": "p", "by": "taut"}]}
+    ))
+    code, out, err = run_cli(capsys, "prove", "--derivation", str(bad))
+    assert (code, err) == (1, "")
+    assert re.fullmatch(r"rejected at step 2: \S.*\n", out)
 
 
 @pytest.mark.parametrize(
@@ -641,6 +669,20 @@ def test_translate_verify_expands_once(fig1_path, tmp_path, capsys, monkeypatch)
     assert len(json.loads(out_path.read_text())["states"]) == 12
 
 
+def test_translate_without_verify_writes_the_game(fig1_path, tmp_path, capsys):
+    out_path = tmp_path / "atl.json"
+    code, out, err = run_cli(capsys, "translate", "--model", fig1_path, "--out", str(out_path))
+    assert (code, out, err) == (0, f"wrote {out_path} (12 expanded states)\n", "")
+    assert len(json.loads(out_path.read_text())["states"]) == 12
+
+
+def test_translate_into_a_missing_directory_is_usage_error(fig1_path, tmp_path, capsys):
+    out_path = tmp_path / "missing" / "atl.json"
+    code, out, err = run_cli(capsys, "translate", "--model", fig1_path, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {out_path}: ") and err.count("\n") == 1
+
+
 def test_translate_and_verify(fig1_path, tmp_path, capsys):
     out_path = tmp_path / "atl.json"
     code, out, _ = run_cli(
@@ -725,6 +767,18 @@ def test_gen_deterministic_output(tmp_path, capsys):
     assert code == 0
 
 
+def test_gen_without_out_prints_the_model(tmp_path, capsys):
+    argv = ("gen", "--seed", "11", "--states", "3", "--agents", "2")
+    code, out, err = run_cli(capsys, *argv)
+    head, _, body = out.partition("\n")
+    doc = json.loads(body)
+    assert (code, err, head, list(doc)) == (0, "", "seed: 11", ["schema", "model"])
+    assert doc["schema"] == "permitmc/v1"
+    path = tmp_path / "m.json"
+    assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
+    assert doc["model"] == json.loads(path.read_text())
+
+
 def test_gen_refuses_a_model_over_the_profile_cap(monkeypatch, capsys):
     monkeypatch.setenv("PERMITMC_PROFILE_CAP", "3")
     code, out, err = run_cli(capsys, "gen", "--seed", "1")
@@ -740,6 +794,25 @@ def test_fixtures_listing_and_run(capsys):
     assert code == 0
     assert "failures: 0" in out
     assert "[FAIL]" not in out
+
+
+def test_fixtures_run_counts_failed_expectations_and_rejected_derivations(capsys, monkeypatch):
+    # Every witness report forced to fail, every derivation forced to reject:
+    # each prints a FAIL line and counts once.
+    from permitmc import algebra, deduction
+
+    monkeypatch.setattr(algebra, "verify_witness", lambda *a, **k: {"failures": ["forced", "x"]})
+    monkeypatch.setattr(deduction, "verify_derivation",
+                        lambda steps: deduction.DerivationVerdict(False, 1, "forced"))
+    code, out, err = run_cli(capsys, "fixtures", "--run")
+    lines = out.splitlines()
+    failed = [line for line in lines if line.startswith("[FAIL] ")]
+    assert (code, err, lines[-1]) == (1, "", f"failures: {len(failed)}")
+    assert failed[-2:] == ["[FAIL] derivation we-monotonicity",
+                           "[FAIL] derivation se-antimonotonicity"]
+    witness = [line for line in failed if ": witness " in line]
+    assert witness and all(line.endswith(" -> forced; x") for line in witness)
+    assert len(failed) == len(witness) + 2
 
 
 def test_fixtures_export(tmp_path, capsys):

@@ -163,6 +163,13 @@ def test_fixture_model_property_errors():
     assert load_fixture("fig1-wa").model.states == ("s", "t", "u")
 
 
+def test_missing_packaged_data_file_is_an_input_error():
+    from permitmc.fixtures import _read_data
+
+    with pytest.raises(InputError, match="^no packaged data file 'derivations/nope.json'$"):
+        _read_data("derivations", "nope.json")
+
+
 def test_shipped_fixture_data_matches_its_builders():
     path = Path(__file__).resolve().parent.parent / "scripts" / "build_fixture_data.py"
     spec = importlib.util.spec_from_file_location("build_fixture_data", path)

@@ -153,6 +153,14 @@ def test_print_examples():
     assert format_formula(BOT) == "false"
 
 
+def test_node_arity_is_checked_and_str_prints_the_formula():
+    with pytest.raises(TypeError, match="^Neg takes 1 arguments, got 2$"):
+        Neg(p, q)
+    with pytest.raises(TypeError, match="^Prop takes 1 arguments, got 0$"):
+        Prop()
+    assert str(Modal(Modality.SE, "b", Or(Neg(p), q))) == "SE[b] (!p | q)"
+
+
 def test_print_parenthesizes_structurally():
     assert format_formula(Or(Or(p, q), p)) == "p | q | p"
     assert format_formula(Or(p, Or(q, p))) == "p | (q | p)"
