@@ -21,19 +21,19 @@ direct model checking at every expanded state.
 
 expand_model computes each successor once: per base state it keeps one row
 per total move vector, holding the index of the successor game state.
-translate_formula and eval_atl run on the one ``formula.postorder`` walk, so
-neither recurses. eval_atl labels the game globally: each distinct
-subformula gets the set of game-state indices where it holds, children
-first. Propositions and d_a are index sets, negation and disjunction are set
-operations, and <<C>> X f is a pre-image computed per base state, holding at
-all its copies or at none.
+translate_formula and eval_atl are each one ``formula.fold``, so neither
+recurses. eval_atl labels the game globally: each distinct subformula gets
+the set of game-state indices where it holds, children first. Propositions
+and d_a are index sets, negation and disjunction are set operations, and
+<<C>> X f is a pre-image computed per base state, holding at all its copies
+or at none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Any, Mapping
 
 from .checker import model_check
@@ -47,8 +47,8 @@ from .formula import (
     Or,
     Prop,
     and_,
+    fold,
     implies,
-    postorder,
 )
 from .model import NATURE, TransitionSystem
 
@@ -77,7 +77,12 @@ class ANext(Formula):
     coalition: frozenset[str]
     child: Formula
     _arity = 1
-    _text = "<<{0.coalition}>> X "
+    _text = "<<{0._players}>> X "
+
+    @property
+    def _players(self) -> str:
+        """The coalition as printed: sorted, so the text follows no set order."""
+        return ", ".join(sorted(self.coalition))
 
 
 # --- model expansion ---------------------------------------------------------------
@@ -180,26 +185,22 @@ def translate_formula(f: Formula, am: AtlModel) -> Formula:
     """Structurally translate a permission formula for evaluation on ``am``."""
     grand = frozenset(am.players)
     out: dict[Formula, Formula] = {}
-    for g in postorder(f, out):
+
+    def leaf(g: Formula) -> Formula:
         if isinstance(g, Prop):
-            out[g] = g
-        elif isinstance(g, Neg):
-            out[g] = Neg(out[g.child])
-        elif isinstance(g, Or):
-            out[g] = Or(out[g.left], out[g.right])
-        elif isinstance(g, Modal):
-            body, d = out[g.child], ADeontic(g.agent)
-            if g.kind is Modality.WA:
-                out[g] = ANext(grand, and_(d, body))
-            elif g.kind is Modality.WE:
-                out[g] = ANext(frozenset({g.agent}), and_(d, body))
-            elif g.kind is Modality.SE:
-                out[g] = Neg(ANext(frozenset({g.agent}), Neg(implies(body, d))))
-            else:
-                out[g] = Neg(ANext(grand, Neg(implies(body, d))))
-        else:
+            return g
+        if not isinstance(g, Modal):
             raise InputError(f"not a formula node: {g!r}")
-    return out[f]
+        body, d = out[g.child], ADeontic(g.agent)
+        if g.kind is Modality.WA:
+            return ANext(grand, and_(d, body))
+        if g.kind is Modality.WE:
+            return ANext(frozenset({g.agent}), and_(d, body))
+        if g.kind is Modality.SE:
+            return Neg(ANext(frozenset({g.agent}), Neg(implies(body, d))))
+        return Neg(ANext(grand, Neg(implies(body, d))))
+
+    return fold(f, out, Neg, Or, leaf)
 
 
 # --- evaluation --------------------------------------------------------------------
@@ -214,22 +215,19 @@ def eval_atl(am: AtlModel, f: Formula) -> frozenset[int]:
     players."""
     everything = frozenset(range(len(am.states)))
     labels: dict[Formula, frozenset[int]] = {}
-    for g in postorder(f, labels):
+
+    def leaf(g: Formula) -> frozenset[int]:
         if isinstance(g, Prop):
             where = am.source.valuation.get(g.name, frozenset())
-            labels[g] = _copies(am, [g.name == TOP_PROP or s in where for s in am.source.states])
-        elif isinstance(g, ADeontic):
+            return _copies(am, [g.name == TOP_PROP or s in where for s in am.source.states])
+        if isinstance(g, ADeontic):
             bit = 1 << am.source.agents.index(g.agent) if g.agent in am.source.agents else 0
-            labels[g] = frozenset(i for i in everything if i & bit)
-        elif isinstance(g, Or):
-            labels[g] = labels[g.left] | labels[g.right]
-        elif isinstance(g, Neg):
-            labels[g] = everything - labels[g.child]
-        elif isinstance(g, ANext):
-            labels[g] = _copies(am, _forcing_bases(am, g.coalition, labels[g.child]))
-        else:
-            raise InputError(f"not a next-step formula node: {g!r}")
-    return labels[f]
+            return frozenset(i for i in everything if i & bit)
+        if isinstance(g, ANext):
+            return _copies(am, _forcing_bases(am, g.coalition, labels[g.child]))
+        raise InputError(f"not a next-step formula node: {g!r}")
+
+    return fold(f, labels, everything.__sub__, or_, leaf)
 
 
 def _copies(am: AtlModel, base_holds: list[bool]) -> frozenset[int]:

@@ -13,14 +13,15 @@ admit modalities and its complement for the ensure modalities. The test
 probes the smaller of X and U and stops at the first common state, so a
 modal step costs O(sum over s and i of min(|X|, |U(s, a, i)|)) at most, with
 no interpreter work per state, whether the truth set is nearly empty or
-nearly full. The global checker labels the distinct
-subformulas bottom-up in one ``formula.postorder`` walk, so formula depth is
-bounded by memory only. A step's result depends only on its modality, its
-agent and the truth set of its argument, so the checker memoizes per
-subformula and per (modality, agent, argument truth set): a modal
-subformula costs one step unless an earlier one had the same key, and then
-one hash and one equality test of the truth set, O(|psi|). Nested modal
-formulas whose argument truth sets recur gain the most.
+nearly full. The global checker labels the distinct subformulas bottom-up in
+one ``formula.fold``, which takes complements and unions for negation and
+disjunction, so formula depth is bounded by memory only. A step's result
+depends only on its modality, its agent and the truth set of its argument,
+so the checker memoizes per subformula and per (modality, agent, argument
+truth set): a modal subformula costs one step unless an earlier one had the
+same key, and then one hash and one equality test of the truth set,
+O(|psi|). Nested modal formulas whose argument truth sets recur gain the
+most.
 
 The per-state oracle ``check_state_naive`` transcribes the satisfaction
 relation directly from the raw mechanism, with no sharing and no cached
@@ -31,11 +32,11 @@ other.
 from __future__ import annotations
 
 from itertools import compress
-from operator import not_
+from operator import not_, or_
 from typing import Iterator
 
 from .errors import InputError
-from .formula import TOP_PROP, Formula, Modal, Modality, Neg, Or, Prop, postorder
+from .formula import TOP_PROP, Formula, Modal, Modality, Neg, Or, Prop, fold
 from .model import TransitionSystem, TruthSet
 
 
@@ -90,15 +91,15 @@ class ModelChecker:
     and per (modality, agent, argument truth set).
 
     ``truth_set`` labels the distinct subformulas not yet in the memo,
-    children first, in one ``postorder`` walk; the memo holds frozensets,
-    and only the result is copied into a ``TruthSet``. A modal subformula
-    reuses the image of any earlier one with the same modality, agent and
-    argument truth set, at the cost of one hash and one equality test of
-    that truth set, and calls ``modal_image`` only for a new key; a step
-    that fails stores nothing. Both caches are private to the instance and
-    are freed with it: a caller that checks many formulas on one model keeps
-    one checker to reuse its images. Independent checkers can run
-    concurrently over the same (immutable) model.
+    children first, in one ``fold``; the memo holds frozensets, and only the
+    result is copied into a ``TruthSet``. A modal subformula reuses the
+    image of any earlier one with the same modality, agent and argument
+    truth set, at the cost of one hash and one equality test of that truth
+    set, and calls ``modal_image`` only for a new key; a step that fails
+    stores nothing. Both caches are private to the instance and are freed
+    with it: a caller that checks many formulas on one model keeps one
+    checker to reuse its images. Independent checkers can run concurrently
+    over the same (immutable) model.
     """
 
     def __init__(self, model: TransitionSystem):
@@ -108,29 +109,25 @@ class ModelChecker:
 
     def truth_set(self, f: Formula) -> TruthSet:
         m, memo, images = self.model, self._memo, self._images
-        for g in postorder(f, memo):
+
+        def leaf(g: Formula) -> frozenset[str]:
             if isinstance(g, Modal):
                 key = (g.kind, g.agent, memo[g.child])
                 image = images.get(key)
                 if image is None:
                     image = images[key] = modal_image(m, *key)
-                memo[g] = image
-            elif isinstance(g, Or):
-                memo[g] = memo[g.left] | memo[g.right]
-            elif isinstance(g, Neg):
-                memo[g] = m.state_set - memo[g.child]
-            elif isinstance(g, Prop):
+                return image
+            if isinstance(g, Prop):
                 if g.name == TOP_PROP:
-                    memo[g] = m.state_set
-                else:
-                    members = m.valuation.get(g.name, frozenset())
-                    if not members <= m.state_set:
-                        extra = sorted(members - m.state_set)
-                        raise InputError(f"truth set members outside the state universe: {extra}")
-                    memo[g] = members
-            else:
-                raise InputError(f"not a formula node: {g!r}")
-        return TruthSet(memo[f])
+                    return m.state_set
+                members = m.valuation.get(g.name, frozenset())
+                if not members <= m.state_set:
+                    extra = sorted(members - m.state_set)
+                    raise InputError(f"truth set members outside the state universe: {extra}")
+                return members
+            raise InputError(f"not a formula node: {g!r}")
+
+        return TruthSet(fold(f, memo, m.state_set.__sub__, or_, leaf))
 
 
 def model_check(m: TransitionSystem, f: Formula) -> TruthSet:

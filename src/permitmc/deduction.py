@@ -11,14 +11,15 @@ names: the agents and propositions the text names, which instantiation
 replaces by name. A derivation is a numbered list of steps, each carrying the
 justification that must reproduce it exactly; verification is purely
 syntactic, as in any Hilbert kernel. Formulas are interned, so "reproduces
-exactly" is an identity test, and substitution and the tautology check run
-on the one ``formula.postorder`` walk.
+exactly" is an identity test, and substitution and the tautology check are
+each one ``formula.fold``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import or_
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .checker import model_check
@@ -35,12 +36,12 @@ from .formula import (
     Prop,
     conj,
     disj,
+    fold,
     format_formula,
     implies,
     match_and,
     match_implies,
     parse,
-    postorder,
     subformulas,
 )
 from .model import TransitionSystem
@@ -112,16 +113,13 @@ def instantiate_axiom(schema: AxiomSchema, bindings: Mapping[str, Any]) -> Formu
     # One simultaneous substitution over the template, which as parsed text
     # holds only Prop, Neg, Or and Modal nodes.
     out: dict[Formula, Formula] = {}
-    for g in postorder(schema.template, out):
+
+    def leaf(g: Formula) -> Formula:
         if isinstance(g, Prop):
-            out[g] = formulas.get(g.name, g)
-        elif isinstance(g, Neg):
-            out[g] = Neg(out[g.child])
-        elif isinstance(g, Or):
-            out[g] = Or(out[g.left], out[g.right])
-        else:
-            out[g] = Modal(g.kind, agents[g.agent], out[g.child])
-    return out[schema.template]
+            return formulas.get(g.name, g)
+        return Modal(g.kind, agents[g.agent], out[g.child])
+
+    return fold(schema.template, out, Neg, Or, leaf)
 
 
 # --- semantic validity -----------------------------------------------------------
@@ -152,8 +150,7 @@ def is_tautology(f: Formula) -> bool:
     ``TAUTOLOGY_ATOM_CAP`` atoms.
     The walk does not enter modal atoms. A subformula's truth table is one
     integer, whose bit r is set when it holds in row r."""
-    order = list(subformulas(f, leaves=Modal))
-    atoms = [g for g in order if isinstance(g, (Prop, Modal))]
+    atoms = [g for g in subformulas(f, leaves=Modal) if isinstance(g, (Prop, Modal))]
     if len(atoms) > TAUTOLOGY_ATOM_CAP:
         raise CapacityError(
             f"{len(atoms)} atoms exceed the truth-table cap of {TAUTOLOGY_ATOM_CAP}"
@@ -165,15 +162,11 @@ def is_tautology(f: Formula) -> bool:
         rows = 1 << len(columns)  # each atom doubles the rows, holding in the first half
         columns = [c | c << rows for c in columns] + [(1 << rows) - 1]
     full = (1 << (1 << len(atoms))) - 1
-    value = dict(zip(atoms, columns))
-    for g in order:
-        if isinstance(g, Neg):
-            value[g] = full ^ value[g.child]
-        elif isinstance(g, Or):
-            value[g] = value[g.left] | value[g.right]
-        elif not isinstance(g, (Prop, Modal)):
-            raise InputError(f"not a formula node: {g!r}")
-    return value[f] == full
+
+    def leaf(g: Formula) -> int:
+        raise InputError(f"not a formula node: {g!r}")
+
+    return fold(f, dict(zip(atoms, columns)), full.__sub__, or_, leaf) == full
 
 
 # --- inference rules ---------------------------------------------------------------

@@ -16,11 +16,13 @@ user valuations must not define.
 Nodes are interned: every constructor goes through one weak-value table keyed
 by (class, fields), so equal formulas are one object, equality is identity
 and the hash is the default identity hash. Each node lists its subformulas in
-``children``, and ``postorder`` is the one walk that the checker, the
-rewriters and the measures share: an explicit stack, children before parents,
-each distinct node once. The parser is an operator-precedence loop with
-explicit stacks, and the printer keeps its pending text on a stack, so no
-Python recursion follows formula depth: depth is bounded by memory only.
+``children``, and ``postorder`` is the one walk: an explicit stack, children
+before parents, each distinct node once. On it ``fold`` labels ``Neg`` and
+``Or`` nodes with two given operations and any other node with a given
+``leaf``; the checker, the game, the tautology check and the rewriters are
+folds. The parser is an operator-precedence loop with explicit stacks, and
+the printer keeps its pending text on a stack, so no Python recursion
+follows formula depth: depth is bounded by memory only.
 """
 
 from __future__ import annotations
@@ -231,6 +233,21 @@ def postorder(
                 stack += g.children[::-1]
 
 
+def fold(f: Formula, memo: dict, neg: Callable, or_: Callable, leaf: Callable) -> Any:
+    """The label of ``f`` in ``memo``, after labelling each node of ``f`` not
+    yet in ``memo``, children first: an ``Or`` node with ``or_`` of its
+    sides' labels, a ``Neg`` node with ``neg`` of its child's, and any other
+    node with ``leaf(node)``, which reads its children's labels in ``memo``."""
+    for g in postorder(f, memo):
+        if isinstance(g, Or):
+            memo[g] = or_(memo[g.left], memo[g.right])
+        elif isinstance(g, Neg):
+            memo[g] = neg(memo[g.child])
+        else:
+            memo[g] = leaf(g)
+    return memo[f]
+
+
 def size(f: Formula) -> int:
     """Node count of the (desugared) tree; a shared subformula counts once
     per occurrence."""
@@ -275,6 +292,11 @@ def _tokenize(text: str) -> list[tuple[str | None, int]]:
         tokens.append((m.group(1), m.start(1)))
     tokens.append((None, len(text)))
     return tokens
+
+
+def _found(tok: str | None) -> str:
+    """The error message for an unexpected token, or for the end of input."""
+    return "found end of input" if tok is None else f"found {tok!r}"
 
 
 _OPERAND = ("proposition", "'true'", "'false'", "'!'", "'('", "modality")
@@ -324,10 +346,10 @@ def parse(text: str) -> Formula:
                 raise ParseError(f"unknown modality keyword {tok!r}", pos, tuple(sorted(_KINDS)))
             agent, agent_pos = tokens[i + 1]
             if agent in _SYMBOLS:
-                raise ParseError(f"found {agent!r}", agent_pos, ("agent name",))
+                raise ParseError(_found(agent), agent_pos, ("agent name",))
             close, close_pos = tokens[i + 2]
             if close != "]":
-                raise ParseError(f"found {close!r}", close_pos, ("']'",))
+                raise ParseError(_found(close), close_pos, ("']'",))
             ops.append((_PREFIX, partial(Modal, kind, agent)))
             i += 3
             continue
@@ -338,7 +360,7 @@ def parse(text: str) -> Formula:
         elif ident:
             operands.append(Prop(tok))
         else:
-            raise ParseError(f"found {tok!r}", pos, _OPERAND)
+            raise ParseError(_found(tok), pos, _OPERAND)
         # Operator position: close groups, then a binary operator or the end.
         tok, pos = tokens[i]
         while tok == ")" and depth:
@@ -353,7 +375,7 @@ def parse(text: str) -> Formula:
             ops.append((power, build))
             i += 1
         elif depth:
-            raise ParseError(f"found {tok!r}", pos, ("')'",))
+            raise ParseError(_found(tok), pos, ("')'",))
         elif tok is not None:
             raise ParseError(f"trailing input {tok!r}", pos, ("end of input",))
         else:

@@ -19,7 +19,18 @@ from permitmc.atl import (
 from permitmc.checker import check_state_naive, model_check
 from permitmc.deduction import is_tautology
 from permitmc.errors import CapacityError, InputError
-from permitmc.formula import TOP, Modal, Modality, Neg, Or, Prop, and_, implies, parse
+from permitmc.formula import (
+    TOP,
+    Modal,
+    Modality,
+    Neg,
+    Or,
+    Prop,
+    and_,
+    format_formula,
+    implies,
+    parse,
+)
 from permitmc.generate import GenParams, random_formula, random_model
 from permitmc.model import make_model
 
@@ -181,6 +192,21 @@ def test_eval_unknown_coalition_member(fig1):
     # that holds everywhere.
     with pytest.raises(InputError, match="unknown players"):
         eval_atl(am, Or(TOP, ANext(frozenset({"zz"}), Prop("p"))))
+
+
+def test_eval_refuses_a_source_modal_node(fig1):
+    # The game reads next-step formulas only: a permission modality must be
+    # translated first, even under a connective.
+    am = expand_model(fig1)
+    wa = Modal(Modality.WA, "a", Prop("p"))
+    for f in (wa, Neg(wa)):
+        with pytest.raises(InputError, match=r"^not a next-step formula node: <Modal WA\[a\] p>$"):
+            eval_atl(am, f)
+
+
+def test_next_step_nodes_print_their_coalition_sorted():
+    assert format_formula(ANext(frozenset({"c", "b", "a"}), Prop("p"))) == "<<a, b, c>> X p"
+    assert repr(ANext(frozenset(), Neg(Prop("p")))) == "<ANext <<>> X !p>"
 
 
 def test_verify_translation_fig_fixtures(fig1, fig2, fig3, fig4):

@@ -18,6 +18,7 @@ from permitmc.formula import (
     and_,
     conj,
     disj,
+    fold,
     format_formula,
     implies,
     modal_depth,
@@ -95,8 +96,9 @@ def test_parse_trailing_input():
 _OPERAND = ("proposition", "'true'", "'false'", "'!'", "'('", "modality")
 _MODALITIES = ("SA", "SE", "WA", "WE")
 
-# (text, message, position, expected) of each malformed input, as the
-# recursive-descent parser reported them; any parser must keep them.
+# (text, message, position, expected) of each malformed input. Positions and
+# expected tokens are those the recursive-descent parser reported, and any
+# parser must keep them; a message names the end as "end of input".
 PARSE_ERRORS = [
     ("p | | q", "found '|'", 4, _OPERAND),
     ("p q", "trailing input 'q'", 2, ("end of input",)),
@@ -105,31 +107,31 @@ PARSE_ERRORS = [
     ("WA[ ] p", "found ']'", 4, ("agent name",)),
     ("WA[a p", "found 'p'", 5, ("']'",)),
     ("true[a] p", "unknown modality keyword 'true'", 0, _MODALITIES),
-    ("p ->", "found None", 4, _OPERAND),
+    ("p ->", "found end of input", 4, _OPERAND),
     (")", "found ')'", 0, _OPERAND),
-    ("", "found None", 0, _OPERAND),
+    ("", "found end of input", 0, _OPERAND),
     ("@", "unexpected character '@'", 0, ()),
     ("p @ q", "unexpected character '@'", 2, ()),
-    ("(", "found None", 1, _OPERAND),
+    ("(", "found end of input", 1, _OPERAND),
     ("()", "found ')'", 1, _OPERAND),
-    ("p &", "found None", 3, _OPERAND),
-    ("!", "found None", 1, _OPERAND),
-    ("WA[", "found None", 3, ("agent name",)),
-    ("WA[a", "found None", 4, ("']'",)),
-    ("WA[a]", "found None", 5, _OPERAND),
+    ("p &", "found end of input", 3, _OPERAND),
+    ("!", "found end of input", 1, _OPERAND),
+    ("WA[", "found end of input", 3, ("agent name",)),
+    ("WA[a", "found end of input", 4, ("']'",)),
+    ("WA[a]", "found end of input", 5, _OPERAND),
     ("false[b] q", "unknown modality keyword 'false'", 0, _MODALITIES),
     ("p | q)", "trailing input ')'", 5, ("end of input",)),
-    ("((p)", "found None", 4, ("')'",)),
+    ("((p)", "found end of input", 4, ("')'",)),
     ("p -> -> q", "found '->'", 5, _OPERAND),
-    ("WE[a] (p | q", "found None", 12, ("')'",)),
+    ("WE[a] (p | q", "found end of input", 12, ("')'",)),
     ("& p", "found '&'", 0, _OPERAND),
     ("p [a]", "unknown modality keyword 'p'", 0, _MODALITIES),
     ("SA[a] ]", "found ']'", 6, _OPERAND),
     ("!(p -> q) r", "trailing input 'r'", 10, ("end of input",)),
     ("p ! q", "trailing input '!'", 2, ("end of input",)),
     ("p q \t", "trailing input 'q'", 2, ("end of input",)),
-    (" \n", "found None", 2, _OPERAND),
-    ("(p \n", "found None", 4, ("')'",)),
+    (" \n", "found end of input", 2, _OPERAND),
+    ("(p \n", "found end of input", 4, ("')'",)),
     ("p -", "unexpected character '-'", 2, ()),
 ]
 
@@ -190,6 +192,51 @@ def test_modal_depth_of_deep_chain():
     for i in range(10**4):
         f = Neg(f) if i % 2 else Modal(Modality.WE, "a", f)
     assert modal_depth(Or(q, f)) == 5000
+
+
+def _fold_size(f, memo, seen, fail=None):
+    """Fold ``f`` to its tree size, recording each node given to the leaf
+    labeller in ``seen``; the labeller raises on the node ``fail``."""
+
+    def leaf(g):
+        seen.append(g)
+        if g is fail:
+            raise ValueError(g)
+        return 1 + sum(memo[c] for c in g.children)
+
+    return fold(f, memo, lambda x: x + 1, lambda x, y: x + y + 1, leaf)
+
+
+def test_fold_labels_each_distinct_node_once_and_leaves_only_other_nodes():
+    shared = Modal(Modality.WA, "a", p)
+    f = Or(Neg(shared), Or(shared, q))
+    seen = []
+    assert _fold_size(f, {}, seen) == size(f) == 8
+    # The shared modal node and the p under it reach the leaf once; no Or or
+    # Neg node ever does.
+    assert seen == [p, shared, q]
+
+
+def test_fold_neither_enters_nor_relabels_a_node_already_in_memo():
+    shared = Modal(Modality.WA, "a", p)
+    memo, seen = {shared: 10}, []
+    assert _fold_size(Or(shared, Neg(q)), memo, seen) == 10 + 2 + 1
+    assert seen == [q]
+    assert p not in memo and memo[shared] == 10
+
+
+def test_fold_stores_nothing_for_a_node_whose_leaf_raises():
+    bad = Modal(Modality.SE, "b", q)
+    f = Or(p, Neg(bad))
+    memo, seen = {}, []
+    with pytest.raises(ValueError):
+        _fold_size(f, memo, seen, fail=bad)
+    assert seen == [p, q, bad]
+    assert set(memo) == {p, q}
+    # A later fold over the same memo labels the rest, and only the rest.
+    seen.clear()
+    assert _fold_size(f, memo, seen) == size(f) == 5
+    assert seen == [bad]
 
 
 @given(formulas())
