@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import or_
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .checker import model_check
+from .checker import ModelChecker
 from .errors import CapacityError, InputError
 from .formula import (
     BOT,
@@ -134,8 +134,14 @@ class ValidityVerdict:
 def check_validity(m: TransitionSystem, f: Formula) -> ValidityVerdict:
     """Valid iff ``f`` holds at every state of ``m``; otherwise reports the
     first failing state in the model's state order."""
-    ts = model_check(m, f)
-    for s in m.states:
+    return _verdict(ModelChecker(m), f)
+
+
+def _verdict(checker: ModelChecker, f: Formula) -> ValidityVerdict:
+    """``check_validity`` on the checker's model, reusing what the checker
+    already labelled."""
+    ts = checker.truth_set(f)
+    for s in checker.model.states:
         if s not in ts:
             return ValidityVerdict(False, s)
     return ValidityVerdict(True)
@@ -264,10 +270,10 @@ def check_rule_locally(
     expected = rule_conclusion(rule, premise, agents, se_agents)
     if conclusion != expected:
         raise InputError(f"conclusion is not {format_formula(expected)!r}")
-
-    if not check_validity(m, premise).valid:
+    checker = ModelChecker(m)  # the conclusion contains the premise's parts
+    if not _verdict(checker, premise).valid:
         return ValidityVerdict(True)
-    return check_validity(m, conclusion)
+    return _verdict(checker, conclusion)
 
 
 def _random_formula(m: TransitionSystem, rng: random.Random, depth: int) -> Formula:
@@ -280,12 +286,14 @@ def random_instances(
 ) -> Iterator[tuple[AxiomSchema, Formula, ValidityVerdict]]:
     """Each schema in order, with one instance on ``m`` drawn from ``rng`` and
     its validity verdict. Agent variables bind to agents of ``m``, formula
-    variables to random formulas of depth ``depth``, in variable order."""
+    variables to random formulas of depth ``depth``, in variable order. One
+    checker labels every instance."""
+    checker = ModelChecker(m)
     for schema in schemas:
         bindings: dict[str, Any] = {var: rng.choice(m.agents) for var in schema.agent_vars}
         bindings.update((var, _random_formula(m, rng, depth)) for var in schema.formula_vars)
         instance = instantiate_axiom(schema, bindings)
-        yield schema, instance, check_validity(m, instance)
+        yield schema, instance, _verdict(checker, instance)
 
 
 def soundness_round(m: TransitionSystem, rng: random.Random, depth: int) -> tuple[int, list[str]]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, product, repeat
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping
 
@@ -216,15 +216,17 @@ def validate_model(m: TransitionSystem) -> list[dict[str, str | None]]:
     agent is reported (``unknown-state-in-table``, ``unknown-agent-in-table``).
     Agent and proposition names must be identifiers a formula can write
     (``unwritable-name``); ``__nature`` is reserved as an agent name,
-    ``__top`` as a proposition. The mechanism is read in one pass, which
-    also collects, per state, the distinct profiles that cover the agent set
-    with available actions. Continuity holds at a state when their number
-    equals the product of its per-agent action counts; the product of the
-    available actions is enumerated against them only at a state where it
-    does not, to name the uncovered profiles. That enumeration is guarded by
-    a cap on the total number of profiles (default 10^6, override via
-    PERMITMC_PROFILE_CAP), which raises CapacityError when exceeded, whether
-    or not the model is valid.
+    ``__top`` as a proposition. The mechanism is checked per state in a few
+    C-level passes, which also collect the distinct profiles that cover the
+    agent set with available actions; only a state that fails a pass is
+    re-read entry by entry, to word its violations. Continuity holds at a
+    state when the number of those profiles equals the product of its
+    per-agent action counts; the product of the available actions is
+    enumerated against them only at a state where it does not, to name the
+    uncovered profiles. That enumeration is guarded by a cap on the total
+    number of profiles (default 10^6, override via PERMITMC_PROFILE_CAP),
+    which raises CapacityError when exceeded, whether or not the model is
+    valid.
     """
     cap = profile_cap()
     out: list[dict[str, str | None]] = []
@@ -303,62 +305,65 @@ def validate_model(m: TransitionSystem) -> list[dict[str, str | None]]:
 
     actions_of = _actions_getter(agents)
     # state -> distinct agent-ordered action tuples of covering profiles
-    # whose actions are all available there
-    covered: dict[str, set[tuple[str, ...]]] = {}
+    # whose actions are all available there; None where they number need[s]
+    covered: dict[str, set[tuple[str, ...]] | None] = {}
     for s, entries in m.mechanism.items():
         if s not in state_set:
             out.append(
                 _violation("unknown-state-in-mechanism", f"transitions from unknown state {s!r}", s)
             )
             continue
-        good = covered[s] = set()
         avail = available[s]
-        for profile, target in entries:
-            if profile.keys() != agent_set:
-                out.append(
-                    _violation(
-                        "malformed-profile",
-                        f"profile {_profile_text(profile)} at state {s!r} "
-                        "does not cover exactly the agent set",
-                        s,
-                    )
-                )
-            else:
-                acts = actions_of(profile)
-                if acts not in good:
-                    if all(map(frozenset.__contains__, avail, acts)):
-                        good.add(acts)
-                    else:
-                        text = _profile_text(profile)
-                        out.extend(
-                            _violation(
-                                "malformed-profile",
-                                f"profile {text} at state {s!r} uses unavailable action "
-                                f"{act!r} of agent {a!r}",
-                                s,
-                                a,
-                            )
-                            for a, act, act_set in zip(agents, acts, avail)
-                            if act not in act_set
+        good = _well_formed_profiles(entries, actions_of, len(agents), avail, state_set)
+        if good is None:  # re-read the state entry by entry to word its violations
+            good = set()
+            for profile, target in entries:
+                if profile.keys() != agent_set:
+                    out.append(
+                        _violation(
+                            "malformed-profile",
+                            f"profile {_profile_text(profile)} at state {s!r} "
+                            "does not cover exactly the agent set",
+                            s,
                         )
-            if target not in state_set:
-                out.append(
-                    _violation(
-                        "bad-target",
-                        f"transition from {s!r} under {_profile_text(profile)} "
-                        f"reaches unknown state {target!r}",
-                        s,
                     )
-                )
+                else:
+                    acts = actions_of(profile)
+                    if acts not in good:
+                        if all(map(frozenset.__contains__, avail, acts)):
+                            good.add(acts)
+                        else:
+                            text = _profile_text(profile)
+                            out.extend(
+                                _violation(
+                                    "malformed-profile",
+                                    f"profile {text} at state {s!r} uses unavailable action "
+                                    f"{act!r} of agent {a!r}",
+                                    s,
+                                    a,
+                                )
+                                for a, act, act_set in zip(agents, acts, avail)
+                                if act not in act_set
+                            )
+                if target not in state_set:
+                    out.append(
+                        _violation(
+                            "bad-target",
+                            f"transition from {s!r} under {_profile_text(profile)} "
+                            f"reaches unknown state {target!r}",
+                            s,
+                        )
+                    )
+        covered[s] = good if len(good) != need[s] else None
 
     for s in states:
         # need[s] is 0 where some agent has no action (reported as empty-actions).
         # Each covered tuple is a distinct one of the need[s] combinations of
-        # available actions, so a full count leaves none uncovered. Duplicate
-        # actions make combinations coincide, so such states never reach the
-        # count and are enumerated.
+        # available actions, so a full count (kept as None) leaves none
+        # uncovered. Duplicate actions make combinations coincide, so such
+        # states never reach the count and are enumerated.
         good = covered.get(s, ())
-        if need[s] and len(good) != need[s]:
+        if need[s] and good is not None:
             for acts in product(*(m.action_set(s, a) for a in agents)):
                 if acts not in good:
                     text = _profile_text(dict(zip(agents, acts)))
@@ -389,11 +394,36 @@ def _actions_getter(agents: tuple[str, ...]) -> Callable[[Profile], tuple[str, .
     return lambda profile: tuple(profile[a] for a in agents)
 
 
+def _well_formed_profiles(
+    entries: tuple[TransitionEntry, ...],
+    actions_of: Callable[[Profile], tuple[str, ...]],
+    num_agents: int,
+    available: tuple[frozenset[str], ...],
+    state_set: set[str],
+) -> set[tuple[str, ...]] | None:
+    """The distinct agent-ordered action tuples of ``entries`` when each
+    profile names exactly the agents, each action is available and each
+    target is a state; None when any of this fails. Decided in C-level
+    passes over the entries, without a message."""
+    profiles = list(map(itemgetter(0), entries))
+    try:
+        good = set(map(actions_of, profiles))  # KeyError: a profile misses an agent
+    except KeyError:
+        return None
+    if (
+        all(map(num_agents.__eq__, map(len, profiles)))
+        and all(map(frozenset.issuperset, available, zip(*good)))
+        and state_set.issuperset(map(itemgetter(1), entries))
+    ):
+        return good
+    return None
+
+
 # --- JSON format ----------------------------------------------------------------
 
 
 def _is_str_list(value: Any) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+    return isinstance(value, list) and all(map(str.__instancecheck__, value))
 
 
 def model_to_dict(m: TransitionSystem) -> dict[str, Any]:
@@ -417,8 +447,11 @@ def model_from_dict(data: Any) -> TransitionSystem:
     """Decode the JSON model format. Structural (shape) errors raise InputError;
     semantic problems are left for validate_model to report.
 
-    A message is formatted only for a check that fails. Nothing is copied
-    here: make_model copies every container into the model."""
+    The transitions are checked in a few C-level passes over all entries;
+    only a document that fails one is re-read entry by entry, to name the
+    first failing entry. A message is formatted only for a check that fails.
+    Nothing is copied here: make_model copies every container into the
+    model."""
     if not isinstance(data, dict):
         raise InputError("model document must be a JSON object")
     for key in ("agents", "states", "actions", "permitted", "transitions", "valuation"):
@@ -445,20 +478,22 @@ def model_from_dict(data: Any) -> TransitionSystem:
     raw_transitions = data["transitions"]
     if not isinstance(raw_transitions, list):
         raise InputError("transitions must be a list")
-    for i, entry in enumerate(raw_transitions):
-        if not isinstance(entry, dict):
-            raise InputError(f"transitions[{i}] must be an object")
-        for key in ("from", "profile", "to"):
-            if key not in entry:
-                raise InputError(f"transitions[{i}] is missing {key!r}")
-        if not (isinstance(entry["from"], str) and isinstance(entry["to"], str)):
-            raise InputError(f"transitions[{i}] endpoints must be strings")
-        prof = entry["profile"]
-        if not (
-            isinstance(prof, dict)
-            and all(isinstance(k, str) and isinstance(v, str) for k, v in prof.items())
-        ):
-            raise InputError(f"transitions[{i}].profile must map agent names to action names")
+    if not _well_formed_transitions(raw_transitions):
+        # re-read entry by entry to name the first failing one
+        for i, entry in enumerate(raw_transitions):
+            if not isinstance(entry, dict):
+                raise InputError(f"transitions[{i}] must be an object")
+            for key in ("from", "profile", "to"):
+                if key not in entry:
+                    raise InputError(f"transitions[{i}] is missing {key!r}")
+            if not (isinstance(entry["from"], str) and isinstance(entry["to"], str)):
+                raise InputError(f"transitions[{i}] endpoints must be strings")
+            prof = entry["profile"]
+            if not (
+                isinstance(prof, dict)
+                and all(isinstance(k, str) and isinstance(v, str) for k, v in prof.items())
+            ):
+                raise InputError(f"transitions[{i}].profile must map agent names to action names")
 
     raw_val = data["valuation"]
     if not isinstance(raw_val, dict):
@@ -467,5 +502,29 @@ def model_from_dict(data: Any) -> TransitionSystem:
         if not _is_str_list(sts):
             raise InputError(f"valuation[{p!r}] must be a list of strings")
 
-    transitions = ((entry["from"], entry["profile"], entry["to"]) for entry in raw_transitions)
+    transitions = map(itemgetter("from", "profile", "to"), raw_transitions)
     return make_model(data["agents"], data["states"], actions, permitted, transitions, raw_val)
+
+
+def _well_formed_transitions(raw: list) -> bool:
+    """Whether every entry of ``raw`` is an object with string endpoints
+    ``from`` and ``to`` and a ``profile`` object of strings to strings,
+    decided in C-level passes. The keys are probed with ``dict.__contains__``,
+    so no ``__missing__`` of a dict subclass runs and ``raw`` is not written."""
+    if not all(map(dict.__instancecheck__, raw)):
+        return False
+    for key in ("from", "profile", "to"):
+        if not all(map(dict.__contains__, raw, repeat(key))):
+            return False
+    is_str = str.__instancecheck__
+    if not (
+        all(map(is_str, map(itemgetter("from"), raw)))
+        and all(map(is_str, map(itemgetter("to"), raw)))
+    ):
+        return False
+    profiles = list(map(itemgetter("profile"), raw))
+    return (
+        all(map(dict.__instancecheck__, profiles))
+        and all(map(is_str, chain.from_iterable(profiles)))
+        and all(map(is_str, chain.from_iterable(map(dict.values, profiles))))
+    )

@@ -19,6 +19,7 @@ from permitmc.deduction import (
     instantiate_axiom,
     is_tautology,
     rule_conclusion,
+    soundness_round,
     verify_derivation,
 )
 from permitmc.errors import CapacityError, InputError
@@ -294,6 +295,27 @@ def test_rule_check_with_invalid_premise_is_vacuous():
     verdict = check_rule_locally(m, "ir2", parse("q -> p"), parse("WA[a]q -> WA[a]p"))
     assert not check_validity(m, parse("q -> p")).valid
     assert verdict.valid
+
+
+def test_one_checker_per_rule_check_and_for_a_rounds_instances(monkeypatch):
+    import permitmc.deduction as deduction
+
+    made = []
+
+    class Counting(deduction.ModelChecker):
+        def __init__(self, model):
+            made.append(model)
+            super().__init__(model)
+
+    monkeypatch.setattr(deduction, "ModelChecker", Counting)
+    m = subset_model()
+    assert check_rule_locally(m, "ir2", parse("p -> q"), parse("WA[a]p -> WA[a]q")).valid
+    assert made == [m]
+    made.clear()
+    fuzzed = random_model(GenParams(seed=4, num_agents=2, num_states=4, max_actions=2, branching=2))
+    ran, problems = soundness_round(fuzzed, random.Random(4), 2)
+    assert (ran, problems) == (len(AXIOMS) + len(DERIVED_SCHEMAS) + 3, [])
+    assert made == [fuzzed] * 4  # the instances share one, each of the 3 rule checks has one
 
 
 def test_rule_shape_mismatch_is_input_error():
