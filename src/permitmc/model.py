@@ -9,7 +9,11 @@ A transition system bundles, per state:
   * a valuation assigning each proposition the set of states where it holds.
 
 Models are treated as immutable after construction; nothing in this package
-mutates them, so they are safe to share across threads. A truth set is a
+mutates them, so they are safe to share across threads. The mechanism of a
+state is an ``Entries`` record of two parallel columns, its profiles and its
+targets, so that a loaded model holds a few objects the garbage collector
+tracks per state, not per entry (it never untracks a tuple that holds a
+dict). A truth set is a
 ``frozenset`` of state names; ``TruthSet`` is the frozenset that
 ``ModelChecker.truth_set`` returns.
 """
@@ -21,7 +25,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product, repeat
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Mapping
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import CapacityError, InputError
 from .formula import IDENTIFIER, TOP_PROP
@@ -35,6 +40,48 @@ Profile = Mapping[str, str]
 TransitionEntry = tuple[Profile, str]
 # parallel tuples: states, and the successor union of one action at each
 UnionRows = tuple[tuple[str, ...], tuple[frozenset[str], ...]]
+# the defaults of a state missing from ``actions`` or ``permitted``, and of
+# an agent missing from its row
+_NO_ROW: Mapping[str, Any] = MappingProxyType({})
+_NOT_PERMITTED: frozenset[str] = frozenset()
+
+
+class Entries:
+    """The mechanism entries of one state as two parallel tuples, the
+    profiles and their successor states. A read-only record: ``len`` is the
+    number of entries, iteration yields (profile, target) pairs, and two
+    records are equal when both columns are."""
+
+    __slots__ = ("_profiles", "_targets")
+
+    def __init__(self, profiles: tuple[Profile, ...], targets: tuple[str, ...]) -> None:
+        self._profiles = profiles
+        self._targets = targets
+
+    @property
+    def profiles(self) -> tuple[Profile, ...]:
+        return self._profiles
+
+    @property
+    def targets(self) -> tuple[str, ...]:
+        return self._targets
+
+    def __len__(self) -> int:
+        return len(self._targets)
+
+    def __iter__(self) -> Iterator[TransitionEntry]:
+        return zip(self._profiles, self._targets)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Entries):
+            return NotImplemented
+        return self._targets == other._targets and self._profiles == other._profiles
+
+    def __repr__(self) -> str:
+        return f"Entries(profiles={self._profiles!r}, targets={self._targets!r})"
+
+
+_NO_ENTRIES = Entries((), ())
 
 
 @dataclass(frozen=True)
@@ -45,19 +92,19 @@ class TransitionSystem:
     actions: Mapping[str, Mapping[str, tuple[str, ...]]]
     # state -> agent -> permitted subset
     permitted: Mapping[str, Mapping[str, frozenset[str]]]
-    # state -> ((profile, successor), ...)
-    mechanism: Mapping[str, tuple[TransitionEntry, ...]]
+    # state -> its entries: parallel columns of profiles and successors
+    mechanism: Mapping[str, Entries]
     # proposition -> states where it holds
     valuation: Mapping[str, frozenset[str]]
 
     def action_set(self, state: str, agent: str) -> tuple[str, ...]:
-        return self.actions.get(state, {}).get(agent, ())
+        return self.actions.get(state, _NO_ROW).get(agent, ())
 
     def permitted_set(self, state: str, agent: str) -> frozenset[str]:
-        return self.permitted.get(state, {}).get(agent, frozenset())
+        return self.permitted.get(state, _NO_ROW).get(agent, _NOT_PERMITTED)
 
-    def entries(self, state: str) -> tuple[TransitionEntry, ...]:
-        return self.mechanism.get(state, ())
+    def entries(self, state: str) -> Entries:
+        return self.mechanism.get(state, _NO_ENTRIES)
 
     @cached_property
     def state_set(self) -> frozenset[str]:
@@ -84,9 +131,10 @@ class TransitionSystem:
         rows = {a: (([], []), ([], [])) for a in self.agents}
         for s in dict.fromkeys(self.states):  # each state once, even if named twice
             entries = self.entries(s)
+            profiles, targets = entries.profiles, entries.targets
             for a, sides in rows.items():
                 by_action: dict[str, set[str]] = {i: set() for i in self.action_set(s, a)}
-                for profile, target in entries:
+                for profile, target in zip(profiles, targets):
                     u = by_action.get(profile.get(a))
                     if u is not None:
                         u.add(target)
@@ -109,8 +157,7 @@ class TransitionSystem:
         taken in it keeps every member of a successor union that lies outside
         a truth set.
         """
-        targets = map(itemgetter(1), chain.from_iterable(self.mechanism.values()))
-        return self.state_set.union(targets)
+        return self.state_set.union(*(entries.targets for entries in self.mechanism.values()))
 
 
 class TruthSet(frozenset):
@@ -137,23 +184,50 @@ def make_model(
 ) -> TransitionSystem:
     """Normalize plain containers into a TransitionSystem.
 
-    State names are shared as one object: every state the model stores as a
-    mechanism source or target, a key of ``actions`` or ``permitted``, or a
-    valuation member is the string object in ``states``, so set probes on
-    state names succeed on identity without comparing characters. A name
-    that is not in ``states`` stays as given.
+    Every container is copied, so the caller may change its own afterwards.
+    A profile given as a plain dict that names exactly the distinct agents
+    is stored as one dict shared by every entry with the same agent-ordered
+    actions; every other profile gets a copy of its own. State names are
+    shared as one object: every state the model stores as a mechanism source
+    or target, a key of ``actions`` or ``permitted``, or a valuation member
+    is the string object in ``states``, so set probes on state names succeed
+    on identity without comparing characters. A name that is not in
+    ``states`` stays as given.
 
     No invariant checking happens here; run validate_model to get a report.
     """
+    agents = tuple(agents)
     states = tuple(states)
     shared = {s: s for s in states}.get
-    mechanism: dict[str, list[TransitionEntry]] = {}
+    distinct = tuple(dict.fromkeys(agents))
+    size = len(distinct)
+    # itemgetter of one agent gives its bare action, which keys as well as a
+    # tuple; the one profile that names no agent is {}, keyed by its length
+    key_of = itemgetter(*distinct) if distinct else len
+    copies: dict[Any, dict[str, str]] = {}
+    # source -> (profiles, targets), in the order of ``transitions``
+    columns: dict[str, tuple[list[Profile], list[str]]] = {}
     for source, profile, target in transitions:
-        mechanism.setdefault(shared(source, source), []).append(
-            (dict(profile), shared(target, target))
-        )
+        copy = None
+        # a plain dict only: a dict subclass's __missing__ could add the agent
+        # that a profile misses
+        if len(profile) == size and type(profile) is dict:
+            try:
+                key = key_of(profile)
+                copy = copies.get(key)
+                if copy is None:
+                    copy = copies[key] = dict(profile)
+            except (KeyError, TypeError):  # an agent missing; an action that is no key
+                pass
+        if copy is None:
+            copy = dict(profile)
+        column = columns.get(source)
+        if column is None:
+            column = columns[shared(source, source)] = ([], [])
+        column[0].append(copy)
+        column[1].append(shared(target, target))
     return TransitionSystem(
-        agents=tuple(agents),
+        agents=agents,
         states=states,
         actions={
             shared(s, s): {a: tuple(acts) for a, acts in per.items()}
@@ -163,7 +237,7 @@ def make_model(
             shared(s, s): {a: frozenset(acts) for a, acts in per.items()}
             for s, per in permitted.items()
         },
-        mechanism={s: tuple(entries) for s, entries in mechanism.items()},
+        mechanism={s: Entries(tuple(p), tuple(t)) for s, (p, t) in columns.items()},
         valuation={
             p: frozenset([shared(s, s) for s in sts]) for p, sts in (valuation or {}).items()
         },
@@ -395,7 +469,7 @@ def _actions_getter(agents: tuple[str, ...]) -> Callable[[Profile], tuple[str, .
 
 
 def _well_formed_profiles(
-    entries: tuple[TransitionEntry, ...],
+    entries: Entries,
     actions_of: Callable[[Profile], tuple[str, ...]],
     num_agents: int,
     available: tuple[frozenset[str], ...],
@@ -404,8 +478,8 @@ def _well_formed_profiles(
     """The distinct agent-ordered action tuples of ``entries`` when each
     profile names exactly the agents, each action is available and each
     target is a state; None when any of this fails. Decided in C-level
-    passes over the entries, without a message."""
-    profiles = list(map(itemgetter(0), entries))
+    passes over the entries' columns, without a message."""
+    profiles = entries.profiles
     try:
         good = set(map(actions_of, profiles))  # KeyError: a profile misses an agent
     except KeyError:
@@ -413,7 +487,7 @@ def _well_formed_profiles(
     if (
         all(map(num_agents.__eq__, map(len, profiles)))
         and all(map(frozenset.issuperset, available, zip(*good)))
-        and state_set.issuperset(map(itemgetter(1), entries))
+        and state_set.issuperset(entries.targets)
     ):
         return good
     return None
@@ -451,7 +525,8 @@ def model_from_dict(data: Any) -> TransitionSystem:
     only a document that fails one is re-read entry by entry, to name the
     first failing entry. A message is formatted only for a check that fails.
     Nothing is copied here: make_model copies every container into the
-    model."""
+    model, with one dict per distinct profile, so the model shares nothing
+    with ``data``."""
     if not isinstance(data, dict):
         raise InputError("model document must be a JSON object")
     for key in ("agents", "states", "actions", "permitted", "transitions", "valuation"):

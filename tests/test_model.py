@@ -1,9 +1,12 @@
+import copy
+import gc
 import hashlib
 import json
 import random
 import re
 from collections import defaultdict
 from itertools import product
+from types import MappingProxyType
 
 import hypothesis.strategies as st
 import pytest
@@ -437,6 +440,80 @@ def test_state_names_are_shared_as_one_object():
     # the decoded inputs did hold copies: a name decoded twice is two objects
     doc = json.loads('{"states": ["s0"], "to": "s0"}')
     assert doc["to"] is not doc["states"][0]
+
+
+# check-large's three shapes (perfbench/workload_check_large.py) at smoke size
+CHECK_LARGE_SMOKE = (
+    {"num_states": 12, "num_agents": 4, "max_actions": 5, "branching": 2},
+    {"num_states": 40, "num_agents": 3, "max_actions": 3, "branching": 2},
+    {"num_states": 20, "num_agents": 2, "max_actions": 3, "branching": 3},
+)
+
+
+@pytest.mark.parametrize("k", range(len(CHECK_LARGE_SMOKE)))
+def test_a_loaded_model_keeps_no_tracked_object_per_entry(k):
+    generated = random_model(
+        GenParams(seed=7919 + k, num_props=3, permitted_density=0.6, **CHECK_LARGE_SMOKE[k])
+    )
+    doc = model_to_dict(generated)
+    for m in (generated, model_from_dict(json.loads(json.dumps(doc)))):
+        gc.collect()
+        assert not any(gc.is_tracked(entries.targets) for entries in m.mechanism.values())
+        profiles = [p for entries in m.mechanism.values() for p in entries.profiles]
+        distinct = {tuple(map(p.get, m.agents)) for p in profiles}
+        assert len({id(p) for p in profiles}) == len(distinct) < len(profiles)
+        assert sum(len(v) for v in m.mechanism.values()) == len(doc["transitions"])
+
+
+def _awkward_inputs():
+    """make_model arguments whose profiles the sharing must not conflate: a
+    duplicated agent, keys in another order, a missing, an added and a
+    foreign agent, a defaultdict that would fill in the missing agent, and a
+    read-only mapping."""
+    actions = {"s": {"a": ["1", "2"], "b": ["1"]}, "t": {"a": ["1"], "b": ["1"]}}
+    transitions = [
+        ("s", {"a": "1", "b": "1"}, "s"),
+        ("s", {"b": "1", "a": "1"}, "t"),
+        ("s", {"a": "2"}, "t"),
+        ("s", {"a": "2", "b": "1", "c": "1"}, "t"),
+        ("s", {"a": "2", "zz": "1"}, "s"),
+        ("s", defaultdict(lambda: "1", {"a": "2", "zz": "1"}), "t"),
+        ("t", MappingProxyType({"a": "1", "b": "1"}), "t"),
+        ("t", {"a": "1", "b": "1"}, "s"),
+        ("s", {"a": "2", "b": "1"}, "ghost"),
+    ]
+    return ["a", "b", "a"], ["s", "t"], actions, actions, transitions, {"p": ["s"]}
+
+
+def test_profile_sharing_keeps_awkward_profiles_apart():
+    inputs = _awkward_inputs()
+    transitions = inputs[4]
+    plain = [(s, dict(profile), t) for s, profile, t in transitions]
+    pristine = make_model(*copy.deepcopy(inputs[:4]), plain, inputs[5])
+    m = make_model(*inputs)
+    assert m == pristine
+    assert "b" not in transitions[5][1]  # the defaultdict filled in nothing
+    got = [(s, profile, t) for s in m.mechanism for profile, t in m.entries(s)]
+    want = sorted(transitions, key=lambda entry: entry[0])  # grouped by source, stable
+    assert [(s, dict(p), t) for s, p, t in want] == got
+    assert [v["message"] for v in validate_model(m)] == [
+        "duplicate agent name 'a'",
+        "profile {'a': '2'} at state 's' does not cover exactly the agent set",
+        "profile {'a': '2', 'b': '1', 'c': '1'} at state 's' does not cover exactly the agent set",
+        "profile {'a': '2', 'zz': '1'} at state 's' does not cover exactly the agent set",
+        "profile {'a': '2', 'zz': '1'} at state 's' does not cover exactly the agent set",
+        "transition from 's' under {'a': '2', 'b': '1'} reaches unknown state 'ghost'",
+    ]
+    # the two orders of one profile share a copy, which is no input object
+    first, reordered = m.entries("s").profiles[:2]
+    assert first is reordered
+    assert all(p is not q for q in m.entries("s").profiles for _, p, _ in transitions)
+    for _, profile, _ in transitions:
+        if isinstance(profile, dict):
+            profile["a"] = "9"
+            profile["new"] = "9"
+    inputs[2]["s"]["a"].append("9")
+    assert m == pristine
 
 
 # --- validation on a seeded corpus of broken models ---------------------------
