@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Any, Iterable, Iterator
 
 from .checker import modal_image, model_check
 from .errors import InputError
 from .formula import Modal, Modality, Prop, format_formula
-from .model import TransitionSystem, make_model, proposition_name_fault
+from .model import TransitionSystem, proposition_name_fault, within_states
 
 # A family of pairwise distinct truth sets, in canonical order: by their
 # sorted members.
@@ -27,13 +27,9 @@ Family = tuple[frozenset[str], ...]
 
 
 def family_of(model: TransitionSystem, sets: Iterable[Iterable[str]]) -> Family:
-    distinct: set[frozenset[str]] = set()
-    for s in sets:
-        members = frozenset(s)
-        if not members <= model.state_set:
-            extra = sorted(members - model.state_set)
-            raise InputError(f"truth set members outside the state universe: {extra}")
-        distinct.add(members)
+    """The distinct ``sets``, in canonical order; a set with a member outside
+    the states is refused by ``model.within_states`` (InputError)."""
+    distinct = {within_states(model, frozenset(s)) for s in sets}
     return tuple(sorted(distinct, key=sorted))
 
 
@@ -193,39 +189,25 @@ class SearchResult:
 
 def _random_candidate(rng: random.Random, bounds: SearchBounds) -> TransitionSystem:
     # Imported here, so that verifying a given witness never runs the generator.
-    from .generate import agent_names, guard_profiles
+    from .generate import draw_model
 
     # SearchBounds admits no fewer than three states; sample from three up.
     n_states = 3 if bounds.max_states == 3 else rng.randint(3, bounds.max_states)
-    states = [f"s{i}" for i in range(n_states)]
-    agents = agent_names(bounds.num_agents)
-    actions: dict[str, dict[str, list[str]]] = {}
-    permitted: dict[str, dict[str, list[str]]] = {}
-    for s in states:
-        actions[s] = {}
-        permitted[s] = {}
-        for a in agents:
-            count = rng.randint(1, bounds.max_actions)
-            acts = [str(i + 1) for i in range(count)]
-            actions[s][a] = acts
-            if bounds.allow_nonpermitted and count > 1 and rng.random() < 0.8:
-                keep = rng.randint(1, count - 1)
-                permitted[s][a] = sorted(rng.sample(acts, keep))
-            else:
-                permitted[s][a] = list(acts)
-    guard_profiles(actions)
-    transitions: list[tuple[str, dict[str, str], str]] = []
-    for s in states:
-        for combo in product(*(actions[s][a] for a in agents)):
-            profile = dict(zip(agents, combo))
-            k = rng.randint(1, min(MAX_BRANCHING, n_states))
-            for target in rng.sample(states, k):
-                transitions.append((s, profile, target))
-    # A proposition with a nonempty proper truth set keeps the family at the
-    # full four members, where escapes are actually possible.
-    cut = rng.randint(1, n_states - 1)
-    marked = rng.sample(states, cut)
-    return make_model(agents, states, actions, permitted, transitions, {"p": marked})
+
+    def permit(acts: list[str]) -> list[str]:
+        if bounds.allow_nonpermitted and len(acts) > 1 and rng.random() < 0.8:
+            keep = rng.randint(1, len(acts) - 1)
+            return sorted(rng.sample(acts, keep))
+        return acts
+
+    def valuation(states: list[str]) -> dict[str, list[str]]:
+        # A proposition with a nonempty proper truth set keeps the family at
+        # the full four members, where escapes are actually possible.
+        cut = rng.randint(1, n_states - 1)
+        return {"p": rng.sample(states, cut)}
+
+    return draw_model(rng, n_states, bounds.num_agents, bounds.max_actions, permit, MAX_BRANCHING,
+                      valuation)
 
 
 def search_witness(

@@ -37,7 +37,7 @@ from typing import Iterator
 
 from .errors import InputError
 from .formula import TOP_PROP, Formula, Modal, Modality, Neg, Or, Prop, fold
-from .model import TransitionSystem, TruthSet
+from .model import TransitionSystem, TruthSet, within_states
 
 
 def modal_image(m: TransitionSystem, kind: Modality, agent: str, psi: frozenset) -> frozenset:
@@ -96,10 +96,12 @@ class ModelChecker:
     image of any earlier one with the same modality, agent and argument
     truth set, at the cost of one hash and one equality test of that truth
     set, and calls ``modal_image`` only for a new key; a step that fails
-    stores nothing. Both caches are private to the instance and are freed
-    with it: a caller that checks many formulas on one model keeps one
-    checker to reuse its images. Independent checkers can run concurrently
-    over the same (immutable) model.
+    stores nothing. ``model.within_states`` refuses a valuation member
+    outside the states (InputError), as it does for ``algebra.family_of``.
+    Both caches are private to the instance and are freed with it: a caller
+    that checks many formulas on one model keeps one checker to reuse its
+    images. Independent checkers can run concurrently over the same
+    (immutable) model.
     """
 
     def __init__(self, model: TransitionSystem):
@@ -120,11 +122,7 @@ class ModelChecker:
             if isinstance(g, Prop):
                 if g.name == TOP_PROP:
                     return m.state_set
-                members = m.valuation.get(g.name, frozenset())
-                if not members <= m.state_set:
-                    extra = sorted(members - m.state_set)
-                    raise InputError(f"truth set members outside the state universe: {extra}")
-                return members
+                return within_states(m, m.valuation.get(g.name, frozenset()))
             raise InputError(f"not a formula node: {g!r}")
 
         return TruthSet(fold(f, memo, m.state_set.__sub__, or_, leaf))

@@ -14,7 +14,7 @@ import string
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .errors import CapacityError, InputError
 from .formula import BOT, TOP, Formula, Modal, Modality, Neg, Or, Prop
@@ -45,14 +45,46 @@ def agent_names(count: int) -> list[str]:
     return [letters[i] if i < len(letters) else f"a{i}" for i in range(count)]
 
 
-def guard_profiles(actions: Mapping[str, Mapping[str, Sequence[str]]]) -> None:
-    """Raise CapacityError when action sets (state -> agent -> actions) make
-    more profiles than ``PERMITMC_PROFILE_CAP`` allows. It draws no random
-    number, so a seeded generator under the cap gives what it gave before."""
+def draw_model(
+    rng: random.Random,
+    num_states: int,
+    num_agents: int,
+    max_actions: int,
+    permit: Callable[[list[str]], list[str]],
+    branching: int,
+    valuation: Callable[[list[str]], Mapping[str, Iterable[str]]],
+) -> TransitionSystem:
+    """Draw a valid model from ``rng``: the tables of ``random_model`` and of
+    the witness candidates. Each (state, agent) gets actions "1".."k", k up
+    to ``max_actions``, of which ``permit`` picks the permitted ones; each
+    profile gets one successor, or 1 up to ``branching``; ``valuation`` is
+    drawn last. A model over ``PERMITMC_PROFILE_CAP`` profiles raises
+    CapacityError before any profile is built, by a check that draws nothing."""
+    states = [f"s{i}" for i in range(num_states)]
+    agents = agent_names(num_agents)
+    actions: dict[str, dict[str, list[str]]] = {}
+    permitted: dict[str, dict[str, list[str]]] = {}
+    for s in states:
+        actions[s] = {}
+        permitted[s] = {}
+        for a in agents:
+            count = rng.randint(1, max_actions)
+            acts = [str(i + 1) for i in range(count)]
+            actions[s][a] = acts
+            permitted[s][a] = permit(acts)
     total = sum(prod(len(acts) for acts in row.values()) for row in actions.values())
     cap = profile_cap()
     if total > cap:
         raise CapacityError(f"requested model needs {total} profiles, over the cap of {cap}")
+
+    transitions: list[tuple[str, dict[str, str], str]] = []
+    for s in states:
+        for combo in product(*(actions[s][a] for a in agents)):
+            profile = dict(zip(agents, combo))
+            k = 1 if branching == 1 else rng.randint(1, min(branching, num_states))
+            for target in rng.sample(states, k):
+                transitions.append((s, profile, target))
+    return make_model(agents, states, actions, permitted, transitions, valuation(states))
 
 
 def random_model(params: GenParams) -> TransitionSystem:
@@ -60,36 +92,16 @@ def random_model(params: GenParams) -> TransitionSystem:
     seed give a structurally identical model. A model with more profiles
     than ``PERMITMC_PROFILE_CAP`` allows raises CapacityError."""
     rng = random.Random(params.seed)
-    states = [f"s{i}" for i in range(params.num_states)]
-    agents = agent_names(params.num_agents)
 
-    actions: dict[str, dict[str, list[str]]] = {}
-    permitted: dict[str, dict[str, list[str]]] = {}
-    for s in states:
-        actions[s] = {}
-        permitted[s] = {}
-        for a in agents:
-            count = rng.randint(1, params.max_actions)
-            acts = [str(i + 1) for i in range(count)]
-            actions[s][a] = acts
-            chosen = [i for i in acts if rng.random() < params.permitted_density]
-            if not chosen:
-                chosen = [rng.choice(acts)]
-            permitted[s][a] = chosen
-    guard_profiles(actions)
+    def permit(acts: list[str]) -> list[str]:
+        chosen = [i for i in acts if rng.random() < params.permitted_density]
+        return chosen or [rng.choice(acts)]
 
-    transitions: list[tuple[str, dict[str, str], str]] = []
-    for s in states:
-        for combo in product(*(actions[s][a] for a in agents)):
-            profile = dict(zip(agents, combo))
-            k = 1 if params.branching == 1 else rng.randint(1, min(params.branching, len(states)))
-            for target in rng.sample(states, k):
-                transitions.append((s, profile, target))
+    def valuation(states: list[str]) -> dict[str, list[str]]:
+        return {f"p{i}": [s for s in states if rng.random() < 0.5] for i in range(params.num_props)}
 
-    valuation = {
-        f"p{i}": [s for s in states if rng.random() < 0.5] for i in range(params.num_props)
-    }
-    return make_model(agents, states, actions, permitted, transitions, valuation)
+    return draw_model(rng, params.num_states, params.num_agents, params.max_actions, permit,
+                      params.branching, valuation)
 
 
 def replicate_model(m: TransitionSystem, copies: int) -> TransitionSystem:

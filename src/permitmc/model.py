@@ -21,7 +21,7 @@ dict). A truth set is a
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product, repeat
 from operator import itemgetter
@@ -174,6 +174,14 @@ class TruthSet(frozenset):
         return sorted(self)
 
 
+def within_states(m: TransitionSystem, members: frozenset[str]) -> frozenset[str]:
+    """``members`` itself when all are states of ``m``; InputError otherwise."""
+    if not members <= m.state_set:
+        extra = sorted(members - m.state_set)
+        raise InputError(f"truth set members outside the state universe: {extra}")
+    return members
+
+
 def make_model(
     agents: Iterable[str],
     states: Iterable[str],
@@ -186,13 +194,13 @@ def make_model(
 
     Every container is copied, so the caller may change its own afterwards.
     A profile given as a plain dict that names exactly the distinct agents
-    is stored as one dict shared by every entry with the same agent-ordered
-    actions; every other profile gets a copy of its own. State names are
-    shared as one object: every state the model stores as a mechanism source
-    or target, a key of ``actions`` or ``permitted``, or a valuation member
-    is the string object in ``states``, so set probes on state names succeed
-    on identity without comparing characters. A name that is not in
-    ``states`` stays as given.
+    is stored as one dict shared by every entry with the same actions tuple
+    (``_actions_getter``, as ``validate_model`` reads it); every other
+    profile gets a copy of its own. State names are shared as one object:
+    every state the model stores as a mechanism source or target, a key of
+    ``actions`` or ``permitted``, or a valuation member is the string object
+    in ``states``, so set probes on state names succeed on identity without
+    comparing characters. A name not in ``states`` stays as given.
 
     No invariant checking happens here; run validate_model to get a report.
     """
@@ -201,9 +209,7 @@ def make_model(
     shared = {s: s for s in states}.get
     distinct = tuple(dict.fromkeys(agents))
     size = len(distinct)
-    # itemgetter of one agent gives its bare action, which keys as well as a
-    # tuple; the one profile that names no agent is {}, keyed by its length
-    key_of = itemgetter(*distinct) if distinct else len
+    key_of = _actions_getter(distinct)
     copies: dict[Any, dict[str, str]] = {}
     # source -> (profiles, targets), in the order of ``transitions``
     columns: dict[str, tuple[list[Profile], list[str]]] = {}

@@ -9,7 +9,6 @@ from permitmc.algebra import verify_witness
 from permitmc.checker import model_check
 from permitmc.errors import InputError
 from permitmc.fixtures import (
-    DERIVATION_IDS,
     FIXTURE_IDS,
     Fixture,
     load_derivation_fixture,

@@ -19,7 +19,7 @@ from permitmc.formula import Modality, parse
 from permitmc.generate import GenParams, random_model
 from permitmc.model import TruthSet, make_model, model_from_dict, model_to_dict, validate_model
 
-from strategies import JSON, action_unions, formulas, model_and_formulas, models
+from strategies import JSON, action_unions, model_and_formulas, models
 
 
 def two_agent_square(transitions, permitted=None):
@@ -313,6 +313,9 @@ SHAPE_ERRORS = {
         "transitions[5].profile must map agent names to action names",
     (lambda d: d.update(valuation=["p"])): "valuation must be an object keyed by proposition",
     (lambda d: d["valuation"].update(p="u")): "valuation['p'] must be a list of strings",
+    (lambda d: d.update(actions=["s"])): "actions must be an object keyed by state",
+    (lambda d: d.update(permitted="nope")): "permitted must be an object keyed by state",
+    (lambda d: d["permitted"]["s"].update(a="1")): "permitted['s']['a'] must be a list of strings",
 }
 
 
