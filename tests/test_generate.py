@@ -50,8 +50,7 @@ def _stream_digest(models):
 
 def test_generated_model_stream_is_pinned():
     # A draw that moves, is added or is dropped changes some model of the
-    # grid, so it changes this digest; it was recorded before random_model
-    # and the witness candidates shared one table builder.
+    # grid, and so this digest.
     grid = [_grid_params(seed, branching) for branching in (None, 3) for seed in range(120)]
     digest = _stream_digest(map(random_model, grid))
     assert digest == "3d56d9737937f8b7a0db2525fee11dab8c49c269f163df92b1f37067d69f199a"
