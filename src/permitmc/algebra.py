@@ -12,7 +12,6 @@ set with the escaping one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Iterable, Iterator
 
@@ -20,6 +19,7 @@ from .checker import modal_image, model_check
 from .errors import InputError
 from .formula import Modal, Modality, Prop, format_formula
 from .model import TransitionSystem, proposition_name_fault, within_states
+from .record import Record
 
 # A family of pairwise distinct truth sets, in canonical order: by their
 # sorted members.
@@ -160,27 +160,52 @@ def verify_witness(
 MAX_BRANCHING = 2
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    max_states: int = 3
-    num_agents: int = 2
-    max_actions: int = 3
-    allow_nonpermitted: bool = True
-    max_candidates: int = 50_000
+class SearchBounds(Record):
+    __slots__ = ("max_states", "num_agents", "max_actions", "allow_nonpermitted",
+                 "max_candidates")
+    max_states: int
+    num_agents: int
+    max_actions: int
+    allow_nonpermitted: bool
+    max_candidates: int
 
-    def __post_init__(self) -> None:
-        if min(self.max_states, self.num_agents, self.max_actions, self.max_candidates) < 1:
+    def __init__(
+        self,
+        max_states: int = 3,
+        num_agents: int = 2,
+        max_actions: int = 3,
+        allow_nonpermitted: bool = True,
+        max_candidates: int = 50_000,
+    ) -> None:
+        if min(max_states, num_agents, max_actions, max_candidates) < 1:
             raise InputError("search bounds must be at least 1")
-        if self.max_states < 3:
-            raise InputError(f"witness search needs at least 3 states, got {self.max_states}: on "
+        if max_states < 3:
+            raise InputError(f"witness search needs at least 3 states, got {max_states}: on "
                              "fewer, the family of p, !p, true and false is the whole powerset")
+        set_states, set_agents, set_actions, set_nonpermitted, set_candidates = self._setters
+        set_states(self, max_states)
+        set_agents(self, num_agents)
+        set_actions(self, max_actions)
+        set_nonpermitted(self, allow_nonpermitted)
+        set_candidates(self, max_candidates)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
+    __slots__ = ("candidates", "model", "report")
     candidates: int
-    model: TransitionSystem | None = None
-    report: dict[str, Any] | None = None  # verify_witness's report on the model
+    model: TransitionSystem | None
+    report: dict[str, Any] | None  # verify_witness's report on the model
+
+    def __init__(
+        self,
+        candidates: int,
+        model: TransitionSystem | None = None,
+        report: dict[str, Any] | None = None,
+    ) -> None:
+        set_candidates, set_model, set_report = self._setters
+        set_candidates(self, candidates)
+        set_model(self, model)
+        set_report(self, report)
 
     @property
     def found(self) -> bool:

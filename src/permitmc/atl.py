@@ -31,7 +31,6 @@ or at none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter, or_
 from typing import Any, Mapping
@@ -51,14 +50,20 @@ from .formula import (
     implies,
 )
 from .model import NATURE, TransitionSystem
+from .record import Record
 
 AGENT_CAP = 6
 
 
-@dataclass(frozen=True)
-class AtlState:
+class AtlState(Record):
+    __slots__ = ("base", "allowed")
     base: str
     allowed: frozenset[str]  # agents whose incoming action was permitted
+
+    def __init__(self, base: str, allowed: frozenset[str]) -> None:
+        set_base, set_allowed = self._setters
+        set_base(self, base)
+        set_allowed(self, allowed)
 
 
 # --- game formula nodes ------------------------------------------------------------
@@ -88,8 +93,8 @@ class ANext(Formula):
 # --- model expansion ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AtlModel:
+class AtlModel(Record):
+    __slots__ = ("source", "players", "states", "moves", "rows")
     source: TransitionSystem
     players: tuple[str, ...]  # the source agents, then Nature if it joins
     # index base_index * 2^|agents| + mask: the base state's copy whose
@@ -101,6 +106,21 @@ class AtlModel:
     # base state -> one (move vector, index of its successor in states) per
     # total move vector, in the product order of the players' moves
     rows: Mapping[str, tuple[tuple[tuple[str, ...], int], ...]]
+
+    def __init__(
+        self,
+        source: TransitionSystem,
+        players: tuple[str, ...],
+        states: tuple[AtlState, ...],
+        moves: Mapping[str, Mapping[str, tuple[str, ...]]],
+        rows: Mapping[str, tuple[tuple[tuple[str, ...], int], ...]],
+    ) -> None:
+        set_source, set_players, set_states, set_moves, set_rows = self._setters
+        set_source(self, source)
+        set_players(self, players)
+        set_states(self, states)
+        set_moves(self, moves)
+        set_rows(self, rows)
 
     @property
     def has_nature(self) -> bool:
@@ -258,12 +278,25 @@ def _forcing_bases(am: AtlModel, coalition: frozenset[str], body: frozenset[int]
 # --- equivalence check -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TranslationVerdict:
+class TranslationVerdict(Record):
+    __slots__ = ("checked", "game", "mismatch_state", "expected")
     checked: int
     game: AtlModel  # the expansion the check ran on
-    mismatch_state: AtlState | None = None
-    expected: bool | None = None
+    mismatch_state: AtlState | None
+    expected: bool | None
+
+    def __init__(
+        self,
+        checked: int,
+        game: AtlModel,
+        mismatch_state: AtlState | None = None,
+        expected: bool | None = None,
+    ) -> None:
+        set_checked, set_game, set_mismatch, set_expected = self._setters
+        set_checked(self, checked)
+        set_game(self, game)
+        set_mismatch(self, mismatch_state)
+        set_expected(self, expected)
 
     @property
     def ok(self) -> bool:

@@ -18,7 +18,6 @@ each one ``formula.fold``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from operator import or_
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -45,16 +44,27 @@ from .formula import (
     subformulas,
 )
 from .model import TransitionSystem
+from .record import Record
 
 TAUTOLOGY_ATOM_CAP = 20
 
 
-@dataclass(frozen=True)
-class AxiomSchema:
+class AxiomSchema(Record):
+    __slots__ = ("id", "agent_vars", "formula_vars", "template")
     id: str
     agent_vars: tuple[str, ...]
     formula_vars: tuple[str, ...]
     template: Formula
+
+    def __init__(
+        self, id: str, agent_vars: tuple[str, ...], formula_vars: tuple[str, ...],
+        template: Formula,
+    ) -> None:
+        set_id, set_agent_vars, set_formula_vars, set_template = self._setters
+        set_id(self, id)
+        set_agent_vars(self, agent_vars)
+        set_formula_vars(self, formula_vars)
+        set_template(self, template)
 
 
 def _schemas(*rows: tuple[str, str]) -> dict[str, AxiomSchema]:
@@ -125,10 +135,15 @@ def instantiate_axiom(schema: AxiomSchema, bindings: Mapping[str, Any]) -> Formu
 # --- semantic validity -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidityVerdict:
+class ValidityVerdict(Record):
+    __slots__ = ("valid", "counterexample")
     valid: bool
-    counterexample: str | None = None
+    counterexample: str | None
+
+    def __init__(self, valid: bool, counterexample: str | None = None) -> None:
+        set_valid, set_counterexample = self._setters
+        set_valid(self, valid)
+        set_counterexample(self, counterexample)
 
 
 def check_validity(m: TransitionSystem, f: Formula) -> ValidityVerdict:
@@ -325,8 +340,7 @@ def soundness_round(m: TransitionSystem, rng: random.Random, depth: int) -> tupl
 CITES = {"axiom": 0, "taut": 0, "mp": 2, "ir2": 1, "ir3": 1, "ir4": 1}
 
 
-@dataclass(frozen=True)
-class DerivationStep:
+class DerivationStep(Record):
     """One step as its JSON object reads: the formula and the lower-cased
     kind ``by`` of its justification, a key of ``CITES``. ``cites`` holds the
     1-based numbers of the steps it cites: for ``mp`` the antecedent and then
@@ -334,20 +348,49 @@ class DerivationStep:
     schema and bindings (variable -> agent name or formula text); a rule step
     names its agents as ``rule_conclusion`` takes them."""
 
+    __slots__ = ("formula", "by", "cites", "axiom", "bindings", "agents", "se_agents")
     formula: Formula
     by: str
-    cites: tuple[int, ...] = ()
-    axiom: str = ""
-    bindings: tuple[tuple[str, str], ...] = ()
-    agents: tuple[str, ...] = ()
-    se_agents: tuple[str, ...] = ()
+    cites: tuple[int, ...]
+    axiom: str
+    bindings: tuple[tuple[str, str], ...]
+    agents: tuple[str, ...]
+    se_agents: tuple[str, ...]
+
+    def __init__(
+        self,
+        formula: Formula,
+        by: str,
+        cites: tuple[int, ...] = (),
+        axiom: str = "",
+        bindings: tuple[tuple[str, str], ...] = (),
+        agents: tuple[str, ...] = (),
+        se_agents: tuple[str, ...] = (),
+    ) -> None:
+        (set_formula, set_by, set_cites, set_axiom, set_bindings, set_agents,
+         set_se_agents) = self._setters
+        set_formula(self, formula)
+        set_by(self, by)
+        set_cites(self, cites)
+        set_axiom(self, axiom)
+        set_bindings(self, bindings)
+        set_agents(self, agents)
+        set_se_agents(self, se_agents)
 
 
-@dataclass(frozen=True)
-class DerivationVerdict:
+class DerivationVerdict(Record):
+    __slots__ = ("accepted", "failed_step", "reason")
     accepted: bool
-    failed_step: int | None = None  # 1-based
-    reason: str | None = None
+    failed_step: int | None  # 1-based
+    reason: str | None
+
+    def __init__(
+        self, accepted: bool, failed_step: int | None = None, reason: str | None = None
+    ) -> None:
+        set_accepted, set_failed_step, set_reason = self._setters
+        set_accepted(self, accepted)
+        set_failed_step(self, failed_step)
+        set_reason(self, reason)
 
 
 def verify_derivation(steps: Sequence[DerivationStep]) -> DerivationVerdict:

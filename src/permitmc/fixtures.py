@@ -14,13 +14,14 @@ Regenerate the data files with ``scripts/build_fixture_data.py``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
 from typing import Any, Callable, Mapping
 
 from .checker import model_check
 from .errors import InputError
 from .formula import Modality, parse
 from .model import TransitionSystem, model_from_dict
+from .record import Record
 
 FIXTURE_IDS = (
     "fig1-wa",
@@ -34,11 +35,22 @@ FIXTURE_IDS = (
 DERIVATION_IDS = ("we-monotonicity", "se-antimonotonicity")
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(Record):
+    __slots__ = ("id", "models", "expectations")
     id: str
     models: Mapping[str, TransitionSystem]
     expectations: tuple[Mapping[str, Any], ...]  # the JSON objects, each with a known kind
+
+    def __init__(
+        self,
+        id: str,
+        models: Mapping[str, TransitionSystem],
+        expectations: tuple[Mapping[str, Any], ...],
+    ) -> None:
+        set_id, set_models, set_expectations = self._setters
+        set_id(self, id)
+        set_models(self, models)
+        set_expectations(self, expectations)
 
     @property
     def model(self) -> TransitionSystem:
@@ -49,13 +61,12 @@ class Fixture:
 
 
 def _read_data(*parts: str) -> Any:
-    from importlib import resources  # pulls in zipfile and pathlib; only a read needs it
-
-    ref = resources.files("permitmc").joinpath("data")
-    for part in parts:
-        ref = ref.joinpath(part)
+    # The loader that ran this module reads the file, from a directory or an
+    # archive alike. importlib.resources would pull in zipfile and pathlib,
+    # and on Python 3.13 inspect as well.
+    path = os.path.join(os.path.dirname(__file__), "data", *parts)
     try:
-        return json.loads(ref.read_text())
+        return json.loads(__spec__.loader.get_data(path))
     except FileNotFoundError as exc:
         raise InputError(f"no packaged data file {'/'.join(parts)!r}") from exc
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 from typing import Callable, Iterable, Mapping
@@ -19,25 +18,45 @@ from typing import Callable, Iterable, Mapping
 from .errors import CapacityError, InputError
 from .formula import BOT, TOP, Formula, Modal, Modality, Neg, Or, Prop
 from .model import TransitionSystem, make_model, profile_cap
+from .record import Record
 
 
-@dataclass(frozen=True)
-class GenParams:
+class GenParams(Record):
+    __slots__ = ("seed", "num_agents", "num_states", "max_actions", "num_props",
+                 "permitted_density", "branching")
     seed: int
-    num_agents: int = 2
-    num_states: int = 3
-    max_actions: int = 2
-    num_props: int = 1
-    permitted_density: float = 1.0
-    branching: int = 1
+    num_agents: int
+    num_states: int
+    max_actions: int
+    num_props: int
+    permitted_density: float
+    branching: int
 
-    def __post_init__(self) -> None:
-        if min(self.num_agents, self.num_states, self.max_actions, self.num_props) < 1:
+    def __init__(
+        self,
+        seed: int,
+        num_agents: int = 2,
+        num_states: int = 3,
+        max_actions: int = 2,
+        num_props: int = 1,
+        permitted_density: float = 1.0,
+        branching: int = 1,
+    ) -> None:
+        if min(num_agents, num_states, max_actions, num_props) < 1:
             raise InputError("generator counts must be at least 1")
-        if not 0 < self.permitted_density <= 1:
+        if not 0 < permitted_density <= 1:
             raise InputError("permitted_density must lie in (0, 1]")
-        if self.branching < 1:
+        if branching < 1:
             raise InputError("branching must be at least 1")
+        (set_seed, set_agents, set_states, set_actions, set_props, set_density,
+         set_branching) = self._setters
+        set_seed(self, seed)
+        set_agents(self, num_agents)
+        set_states(self, num_states)
+        set_actions(self, max_actions)
+        set_props(self, num_props)
+        set_density(self, permitted_density)
+        set_branching(self, branching)
 
 
 def agent_names(count: int) -> list[str]:

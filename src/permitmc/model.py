@@ -21,7 +21,6 @@ dict). A truth set is a
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product, repeat
 from operator import itemgetter
@@ -30,6 +29,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import CapacityError, InputError
 from .formula import IDENTIFIER, TOP_PROP
+from .record import Record
 
 DEFAULT_PROFILE_CAP = 10**6
 PROFILE_CAP_ENV = "PERMITMC_PROFILE_CAP"
@@ -84,8 +84,11 @@ class Entries:
 _NO_ENTRIES = Entries((), ())
 
 
-@dataclass(frozen=True)
-class TransitionSystem:
+class TransitionSystem(Record):
+    """A frozen record whose fields live in its ``__dict__``, next to the
+    derived caches that ``cached_property`` stores there."""
+
+    _fields = ("agents", "states", "actions", "permitted", "mechanism", "valuation")
     agents: tuple[str, ...]
     states: tuple[str, ...]
     # state -> agent -> available actions (order preserved for determinism)
@@ -96,6 +99,23 @@ class TransitionSystem:
     mechanism: Mapping[str, Entries]
     # proposition -> states where it holds
     valuation: Mapping[str, frozenset[str]]
+
+    def __init__(
+        self,
+        agents: tuple[str, ...],
+        states: tuple[str, ...],
+        actions: Mapping[str, Mapping[str, tuple[str, ...]]],
+        permitted: Mapping[str, Mapping[str, frozenset[str]]],
+        mechanism: Mapping[str, Entries],
+        valuation: Mapping[str, frozenset[str]],
+    ) -> None:
+        fields = self.__dict__
+        fields["agents"] = agents
+        fields["states"] = states
+        fields["actions"] = actions
+        fields["permitted"] = permitted
+        fields["mechanism"] = mechanism
+        fields["valuation"] = valuation
 
     def action_set(self, state: str, agent: str) -> tuple[str, ...]:
         return self.actions.get(state, _NO_ROW).get(agent, ())

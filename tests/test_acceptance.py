@@ -7,7 +7,6 @@ All randomness is seed-pinned, so reruns are bit-identical.
 import random
 import statistics
 import time
-from dataclasses import replace
 
 from strategies import enumerate_formulas
 
@@ -22,6 +21,7 @@ from permitmc.checker import ModelChecker, check_state_naive, model_check
 from permitmc.deduction import (
     AXIOMS,
     DERIVED_SCHEMAS,
+    DerivationStep,
     check_rule_locally,
     check_validity,
     instantiate_axiom,
@@ -347,7 +347,10 @@ def test_criterion_9_derivation_checker():
                     mutants.append((index + 1, mutant_formula))
             for target_step, mutant_formula in mutants[:20]:
                 steps = list(derivation)
-                steps[target_step - 1] = replace(steps[target_step - 1], formula=mutant_formula)
+                s = steps[target_step - 1]
+                steps[target_step - 1] = DerivationStep(
+                    mutant_formula, s.by, s.cites, s.axiom, s.bindings, s.agents, s.se_agents
+                )
                 verdict = verify_derivation(steps)
                 mutants_checked += 1
                 ok = ok and not verdict.accepted and verdict.failed_step == target_step

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 
@@ -21,8 +20,8 @@ from permitmc.algebra import (
 from permitmc.checker import model_check
 from permitmc.errors import CapacityError, InputError
 from permitmc.fixtures import FIXTURE_IDS, load_fixture
-from permitmc.formula import Modal, Modality, Prop, format_formula
-from permitmc.model import make_model, validate_model
+from permitmc.formula import Modal, Modality, Prop, format_formula, parse
+from permitmc.model import TransitionSystem, make_model, validate_model
 
 
 def all_permitted_pair():
@@ -186,7 +185,8 @@ def _truth_set_cases():
         for m in load_fixture(fixture_id).models.values():
             yield m
             p = m.valuation.get("p", frozenset())
-            yield dataclasses.replace(m, valuation={**m.valuation, "p": p | {"ghost"}})
+            yield TransitionSystem(m.agents, m.states, m.actions, m.permitted, m.mechanism,
+                                   {**m.valuation, "p": p | {"ghost"}})
 
 
 def _outcome(check, *args):
@@ -360,3 +360,55 @@ def test_profile_guard_leaves_searches_under_the_cap_alone(monkeypatch):
     monkeypatch.setenv("PERMITMC_PROFILE_CAP", "2")
     with pytest.raises(CapacityError, match="^requested model needs [3-9] profiles"):
         search_witness(Modality.WE, bounds, seed=13)
+
+
+def _strong_duals(a):
+    """The two equivalences that hold at every state of a valid model with at
+    most two actions per (state, agent): each strong modality of p is a
+    boolean combination of the other's images of true and !p."""
+    def iff(left, right):
+        return parse(f"({left} -> {right}) & ({right} -> {left})")
+
+    return (iff(f"SA[{a}] p", f"SE[{a}] true | !SE[{a}] !p"),
+            iff(f"SE[{a}] p", f"SA[{a}] true | !SA[{a}] !p"))
+
+
+def test_two_actions_make_each_strong_modality_a_combination_of_the_other():
+    # Proof: the permitted set is nonempty, so of at most two actions at most
+    # one, n, is not permitted, and by continuity U(n) is nonempty. With no
+    # such n both sides of each equivalence are true. With one, SE[a] true
+    # and SA[a] true are false; !SE[a] !p says U(n) is inside !p, which is
+    # SA[a] p, and !SA[a] !p says U(n) meets !p, so is not inside p, which
+    # is SE[a] p. So no two-action witness exists for SE or SA: closure
+    # under the other strong modality keeps the target's image of p in the
+    # family.
+    rng = random.Random(3)
+    checks = strict = 0
+    for k in range(1500):
+        bounds = SearchBounds(max_states=5, num_agents=1 + k % 3, max_actions=2)
+        m = _random_candidate(rng, bounds)
+        assert validate_model(m) == []
+        strict += any(m.permitted_set(s, a) != set(m.action_set(s, a))
+                      for s in m.states for a in m.agents)
+        for a in m.agents:
+            for f in _strong_duals(a):
+                assert model_check(m, f) == m.state_set, (format_formula(f), m)
+                checks += 1
+    # every candidate is checked, and most have a non-permitted action
+    assert checks == 2 * sum(1 + k % 3 for k in range(1500)) and strict > 1200
+
+
+def test_three_actions_break_both_equivalences():
+    # At s, action 1 is permitted and actions 2 and 3 are not; 2 reaches the
+    # p-state t and 3 the !p-state u. SA[a] p and SE[a] p fail at s, as do
+    # SE[a] true and SA[a] true, while !SE[a] !p and !SA[a] !p hold.
+    acts = {s: {"a": ["1"] if s != "s" else ["1", "2", "3"]} for s in ("s", "t", "u")}
+    m = make_model(
+        ["a"], ["s", "t", "u"], acts, {s: {"a": ["1"]} for s in acts},
+        [("s", {"a": "1"}, "s"), ("s", {"a": "2"}, "t"), ("s", {"a": "3"}, "u"),
+         ("t", {"a": "1"}, "t"), ("u", {"a": "1"}, "u")],
+        {"p": ["t"]},
+    )
+    assert validate_model(m) == []
+    for f in _strong_duals("a"):
+        assert model_check(m, f) == {"t", "u"}

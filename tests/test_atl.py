@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from strategies import model_and_formulas
 
 from permitmc.atl import (
+    AGENT_CAP,
     ADeontic,
     ANext,
     AtlState,
@@ -271,18 +272,31 @@ def test_expand_rejects_unvalidated_entries(transitions, message):
 
 
 def test_expansion_agent_cap():
-    agents = [f"g{i}" for i in range(7)]
-    actions = {"s": {a: ["1"] for a in agents}}
-    m = make_model(
-        agents,
-        ["s"],
-        actions=actions,
-        permitted=actions,
-        transitions=[("s", {a: "1" for a in agents}, "s")],
-        valuation={},
-    )
-    with pytest.raises(CapacityError):
-        expand_model(m)
+    def one_state(n):
+        agents = [f"g{i}" for i in range(n)]
+        actions = {"s": {a: ["1"] for a in agents}}
+        return make_model(
+            agents,
+            ["s"],
+            actions=actions,
+            permitted=actions,
+            transitions=[("s", {a: "1" for a in agents}, "s")],
+            valuation={},
+        )
+
+    assert AGENT_CAP == 6
+    am = expand_model(one_state(AGENT_CAP))  # the cap itself expands
+    assert len(am.states) == 2**AGENT_CAP and am.players == am.source.agents
+    assert eval_atl(am, ADeontic("g5")) == frozenset(range(32, 64))
+    with pytest.raises(CapacityError, match="^7 agents exceed the expansion cap of 6$"):
+        expand_model(one_state(AGENT_CAP + 1))
+
+
+def test_deontic_atom_of_an_unknown_agent_holds_nowhere(fig1):
+    # d_zz names no source agent, so it tests no allowed-set bit.
+    am = expand_model(fig1)
+    assert eval_atl(am, ADeontic("zz")) == frozenset()
+    assert eval_atl(am, Neg(ADeontic("zz"))) == frozenset(range(len(am.states)))
 
 
 @given(model_and_formulas(max_states=3, max_agents=2, max_actions=2, max_leaves=4))

@@ -588,6 +588,35 @@ def test_forward_reference_rejected():
     assert not verdict.accepted and verdict.failed_step == 1
 
 
+@pytest.mark.parametrize("cite", [2, 0, 3], ids=["itself", "step-0", "a-later-step"])
+def test_a_reference_outside_the_earlier_steps_is_rejected(cite):
+    # Step 2 derives bare p by mp from p -> p and the formula at its cited
+    # antecedent. Were step 2 (itself), step 0 (which indexes the last step)
+    # or step 3 readable, that antecedent would be p and the derivation of p
+    # would be accepted.
+    steps = (
+        DerivationStep(parse("p -> p"), "taut"),
+        DerivationStep(parse("p"), "mp", (cite, 1)),
+        DerivationStep(parse("p"), "mp", (2, 1)),
+    )
+    verdict = verify_derivation(steps)
+    assert (verdict.accepted, verdict.failed_step, verdict.reason) == (
+        False, 2, f"reference to step {cite} is out of range"
+    )
+
+
+def test_mp_rejection_names_the_implication_step_then_the_antecedent_step():
+    steps = (
+        DerivationStep(parse("p | !p"), "taut"),
+        DerivationStep(parse("q | !q"), "taut"),
+        DerivationStep(parse("q"), "mp", (1, 2)),
+    )
+    verdict = verify_derivation(steps)
+    assert (verdict.accepted, verdict.failed_step, verdict.reason) == (
+        False, 3, "step 2 is not literally step 1 -> this formula"
+    )
+
+
 def test_each_step_kind_decodes_to_one_record():
     steps = derivation_from_dict(
         {
