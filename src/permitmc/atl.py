@@ -45,6 +45,12 @@ from .formula import (
     Neg,
     Or,
     Prop,
+    _ABSENT,
+    _bad_arguments,
+    _intern,
+    _new,
+    _nodes,
+    _set_children,
     and_,
     fold,
     implies,
@@ -76,18 +82,46 @@ class ADeontic(Formula):
     agent: str
     _text = "d_{0.agent}"
 
+    def __new__(cls, agent: str = _ABSENT, /, *extra: Any) -> ADeontic:
+        ref = _nodes.get(key := (cls, agent))
+        if ref is not None and (node := ref()) is not None and not extra:
+            return node
+        if extra or agent is _ABSENT:
+            raise _bad_arguments(key, extra)
+        node = _new(cls)
+        _set_agent(node, agent)
+        _set_children(node, ())
+        return _intern(key, node)
+
 
 class ANext(Formula):
     __slots__ = ("coalition", "child")
     coalition: frozenset[str]
     child: Formula
-    _arity = 1
     _text = "<<{0._players}>> X "
+
+    def __new__(
+        cls, coalition: frozenset[str] = _ABSENT, child: Formula = _ABSENT, /, *extra: Any
+    ) -> ANext:
+        ref = _nodes.get(key := (cls, coalition, child))
+        if ref is not None and (node := ref()) is not None and not extra:
+            return node
+        if extra or not isinstance(child, Formula):
+            raise _bad_arguments(key, extra)
+        node = _new(cls)
+        _set_coalition(node, coalition)
+        _set_child(node, child)
+        _set_children(node, (child,))
+        return _intern(key, node)
 
     @property
     def _players(self) -> str:
         """The coalition as printed: sorted, so the text follows no set order."""
         return ", ".join(sorted(self.coalition))
+
+
+_set_agent = ADeontic.agent.__set__
+_set_coalition, _set_child = ANext.coalition.__set__, ANext.child.__set__
 
 
 # --- model expansion ---------------------------------------------------------------

@@ -16,8 +16,6 @@ import argparse
 import importlib.util
 import json
 import os
-import pathlib
-import random
 import sys
 import types
 from typing import Any, Sequence
@@ -78,7 +76,7 @@ def _read_json(path: str) -> Any:
         raise InputError(f"{path} nests too deeply to decode") from exc
 
 
-def _write_json(path: str | pathlib.Path, payload: Any) -> None:
+def _write_json(path: str | os.PathLike[str], payload: Any) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
@@ -148,6 +146,8 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
     m = _load_model(args.model)
     if not m.agents:  # every schema has an agent variable
         raise InputError(f"{args.model} has no agents to bind the axioms' agent variables to")
+    import random
+
     rng = random.Random(args.seed)
     print(f"seed: {args.seed}")
     ids = [args.axiom] if args.axiom is not None else sorted(axioms)
@@ -169,6 +169,8 @@ def _cmd_soundness(args: argparse.Namespace) -> int:
     _at_least("--branching", args.branching, 1)
     _at_least("--depth", args.depth, 0)
     profile_cap()  # refuses a bad PERMITMC_PROFILE_CAP before the seed echo
+    import random
+
     rng = random.Random(args.seed)
     print(f"seed: {args.seed}")
     checks = counterexamples = 0
@@ -302,6 +304,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_fixtures(args: argparse.Namespace) -> int:
     if args.export:
+        import pathlib
+
         out_dir = pathlib.Path(args.export)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,7 @@ each one ``formula.fold``.
 from __future__ import annotations
 
 import random
-from operator import or_
+from operator import invert, or_
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .checker import ModelChecker
@@ -176,18 +176,21 @@ def is_tautology(f: Formula) -> bool:
         raise CapacityError(
             f"{len(atoms)} atoms exceed the truth-table cap of {TAUTOLOGY_ATOM_CAP}"
         )
-    # Atom k holds in the rows whose bit k is clear, full // (2**(2**k) + 1);
+    # Atom k of n holds in the rows whose bit k is clear, (2**2**n - 1) // (2**2**k + 1);
     # shifts build these columns in linear time, where dividing is quadratic.
     columns: list[int] = []
     for _ in atoms:
         rows = 1 << len(columns)  # each atom doubles the rows, holding in the first half
         columns = [c | c << rows for c in columns] + [(1 << rows) - 1]
-    full = (1 << (1 << len(atoms))) - 1
 
     def leaf(g: Formula) -> int:
         raise InputError(f"not a formula node: {g!r}")
 
-    return fold(f, dict(zip(atoms, columns)), full.__sub__, or_, leaf) == full
+    # Negation is ~, so a table also sets bits above its last row. No atom's
+    # column has a bit there, so each of those bits repeats the last row,
+    # where every atom is false: the formula holds in every row exactly
+    # when its table is -1.
+    return fold(f, dict(zip(atoms, columns)), invert, or_, leaf) == -1
 
 
 # --- inference rules ---------------------------------------------------------------

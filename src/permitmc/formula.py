@@ -13,16 +13,18 @@ desugared on construction; the AST only ever contains Prop/Neg/Or/Modal nodes.
 ``true`` is represented as ``__top | !__top`` over a reserved proposition that
 user valuations must not define.
 
-Nodes are interned: every constructor goes through one weak-value table keyed
-by (class, fields), so equal formulas are one object, equality is identity
-and the hash is the default identity hash. Each node lists its subformulas in
-``children``, and ``postorder`` is the one walk: an explicit stack, children
-before parents, each distinct node once. On it ``fold`` labels ``Neg`` and
-``Or`` nodes with two given operations and any other node with a given
-``leaf``; the checker, the game, the tautology check and the rewriters are
-folds. The parser is an operator-precedence loop with explicit stacks, and
-the printer keeps its pending text on a stack, so no Python recursion
-follows formula depth: depth is bounded by memory only.
+Nodes are interned: each node class's constructor looks its key, (class,
+fields), up in one weak-value table and enters a fresh node through
+``_intern``, so equal formulas are one object, equality is identity and the
+hash is the default identity hash. Each node lists its subformulas in
+``children``. Two explicit-stack loops visit a formula's distinct nodes once
+each, children before parents, left to right: the generator ``postorder``,
+which serves the measures and ``subformulas``, and ``fold``'s own copy of
+it, which labels ``Neg`` and ``Or`` nodes with two given operations and any
+other node with a given ``leaf``; the checker, the game, the tautology check
+and the rewriters are folds. The parser is an operator-precedence loop with
+explicit stacks, and the printer keeps its pending text on a stack, so no
+Python recursion follows formula depth: depth is bounded by memory only.
 """
 
 from __future__ import annotations
@@ -73,48 +75,54 @@ def _immutable(self: Formula, *args: Any) -> None:
     raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
 
+# the default of a constructor argument that was not given
+_ABSENT: Any = object()
+_new = object.__new__
+
+
+def _intern(key: tuple, node: Formula) -> Formula:
+    """Enter the fresh ``node`` in the table under ``key`` and return it, or
+    the live node that a concurrent builder entered first. One atomic
+    setdefault decides between builders; a dead entry whose removal is
+    still pending is cleared first."""
+    mine = _Ref(node, _forget)
+    mine.key = key
+    while (ref := _nodes.setdefault(key, mine)) is not mine:
+        other = ref()
+        if other is not None:
+            return other
+        _remove_dead_weakref(_nodes, key)
+    return node
+
+
+def _bad_arguments(key: tuple, extra: tuple) -> TypeError:
+    """The error for a node of class ``key[0]`` given the arguments
+    ``key[1:]`` and ``extra``: a wrong count, else a child that is not a
+    formula node."""
+    cls, *fields = key
+    given = [a for a in (*fields, *extra) if a is not _ABSENT]
+    if len(given) != len(fields):
+        return TypeError(f"{cls.__name__} takes {len(fields)} arguments, got {len(given)}")
+    return TypeError(f"the children of {cls.__name__} must be formula nodes")
+
+
 class Formula:
     """Base class for formula nodes: immutable, interned, compared by identity.
 
-    A subclass names its constructor arguments in ``__slots__``; the last
-    ``_arity`` of them are its children. ``_text`` formats a leaf, or the
-    prefix of a unary node, for the printer."""
+    A subclass names its constructor arguments in ``__slots__``; its
+    children come last, and ``_text`` formats a leaf, or the prefix of a
+    unary node, for the printer. Its ``__new__`` takes the arguments
+    positionally, with ``_ABSENT`` defaults and ``*extra`` so that a wrong
+    count gets ``_bad_arguments``' message. It returns the live node under
+    the key ``(cls, *arguments)`` if there is one; else it checks the
+    arguments, sets the fields and ``children`` of a fresh node and hands it
+    to ``_intern``."""
 
     __slots__ = ("children", "__weakref__")
     children: tuple[Formula, ...]
-    _arity = 0
 
     def __new__(cls, *args: Any) -> Any:
-        key = (cls, *args)
-        ref = _nodes.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
-        setters = cls._setters
-        if len(args) != len(setters):
-            raise TypeError(f"{cls.__name__} takes {len(setters)} arguments, got {len(args)}")
-        children = args[len(args) - cls._arity :]
-        for c in children:
-            if not isinstance(c, Formula):
-                raise TypeError(f"the children of {cls.__name__} must be formula nodes")
-        node = object.__new__(cls)
-        for set_field, value in zip(setters, args):
-            set_field(node, value)
-        _set_children(node, children)
-        # One atomic setdefault decides which of several concurrent builders
-        # wins; a dead entry whose removal is still pending is cleared first.
-        mine = _Ref(node, _forget)
-        mine.key = key
-        while (ref := _nodes.setdefault(key, mine)) is not mine:
-            other = ref()
-            if other is not None:
-                return other
-            _remove_dead_weakref(_nodes, key)
-        return node
-
-    def __init_subclass__(cls) -> None:
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        raise TypeError(f"{cls.__name__} has no constructor of its own")
 
     __setattr__ = __delattr__ = _immutable
 
@@ -133,19 +141,51 @@ class Prop(Formula):
     name: str
     _text = "{0.name}"
 
+    def __new__(cls, name: str = _ABSENT, /, *extra: Any) -> Prop:
+        ref = _nodes.get(key := (cls, name))
+        if ref is not None and (node := ref()) is not None and not extra:
+            return node
+        if extra or name is _ABSENT:
+            raise _bad_arguments(key, extra)
+        node = _new(cls)
+        _set_name(node, name)
+        _set_children(node, ())
+        return _intern(key, node)
+
 
 class Neg(Formula):
     __slots__ = ("child",)
     child: Formula
-    _arity = 1
     _text = "!"
+
+    def __new__(cls, child: Formula = _ABSENT, /, *extra: Any) -> Neg:
+        ref = _nodes.get(key := (cls, child))
+        if ref is not None and (node := ref()) is not None and not extra:
+            return node
+        if extra or not isinstance(child, Formula):
+            raise _bad_arguments(key, extra)
+        node = _new(cls)
+        _set_neg_child(node, child)
+        _set_children(node, (child,))
+        return _intern(key, node)
 
 
 class Or(Formula):
     __slots__ = ("left", "right")
     left: Formula
     right: Formula
-    _arity = 2
+
+    def __new__(cls, left: Formula = _ABSENT, right: Formula = _ABSENT, /, *extra: Any) -> Or:
+        ref = _nodes.get(key := (cls, left, right))
+        if ref is not None and (node := ref()) is not None and not extra:
+            return node
+        if extra or not isinstance(left, Formula) or not isinstance(right, Formula):
+            raise _bad_arguments(key, extra)
+        node = _new(cls)
+        _set_left(node, left)
+        _set_right(node, right)
+        _set_children(node, (left, right))
+        return _intern(key, node)
 
 
 class Modal(Formula):
@@ -153,11 +193,31 @@ class Modal(Formula):
     kind: Modality
     agent: str
     child: Formula
-    _arity = 1
     _text = "{0.kind.value}[{0.agent}] "
+
+    def __new__(
+        cls, kind: Modality = _ABSENT, agent: str = _ABSENT, child: Formula = _ABSENT, /,
+        *extra: Any,
+    ) -> Modal:
+        ref = _nodes.get(key := (cls, kind, agent, child))
+        if ref is not None and (node := ref()) is not None and not extra:
+            return node
+        if extra or not isinstance(child, Formula):
+            raise _bad_arguments(key, extra)
+        node = _new(cls)
+        _set_kind(node, kind)
+        _set_agent(node, agent)
+        _set_modal_child(node, child)
+        _set_children(node, (child,))
+        return _intern(key, node)
 
 
 _set_children = Formula.children.__set__
+_set_name = Prop.name.__set__
+_set_neg_child = Neg.child.__set__
+_set_left, _set_right = Or.left.__set__, Or.right.__set__
+_set_kind, _set_agent = Modal.kind.__set__, Modal.agent.__set__
+_set_modal_child = Modal.child.__set__
 
 TOP: Formula = Or(Prop(TOP_PROP), Neg(Prop(TOP_PROP)))
 BOT: Formula = Neg(TOP)
@@ -238,13 +298,29 @@ def fold(f: Formula, memo: dict, neg: Callable, or_: Callable, leaf: Callable) -
     yet in ``memo``, children first: an ``Or`` node with ``or_`` of its
     sides' labels, a ``Neg`` node with ``neg`` of its child's, and any other
     node with ``leaf(node)``, which reads its children's labels in ``memo``."""
-    for g in postorder(f, memo):
-        if isinstance(g, Or):
-            memo[g] = or_(memo[g.left], memo[g.right])
-        elif isinstance(g, Neg):
-            memo[g] = neg(memo[g.child])
-        else:
-            memo[g] = leaf(g)
+    # postorder's walk, with the labelling in place of its yield; a node
+    # without children is labelled as it is entered, which is where
+    # postorder would give it
+    stack: list[Formula | None] = [f]
+    pop = stack.pop
+    while stack:
+        g = pop()
+        if g is None:  # the children of the node below it are labelled
+            g = pop()
+            if isinstance(g, Or):
+                memo[g] = or_(memo[g.left], memo[g.right])
+            elif isinstance(g, Neg):
+                memo[g] = neg(memo[g.child])
+            else:
+                memo[g] = leaf(g)
+        elif g not in memo:
+            children = g.children
+            if not children:
+                memo[g] = leaf(g)
+            elif len(children) == 1:
+                stack += (g, None, children[0])
+            else:
+                stack += (g, None, *children[::-1])
     return memo[f]
 
 

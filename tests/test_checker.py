@@ -157,6 +157,12 @@ def test_unknown_agent_is_an_input_error(fig1):
     assert sorted(checker.truth_set(parse("WA[a] p"))) == ["s", "u"]
 
 
+def test_the_first_unknown_agent_in_fold_order_is_reported(fig1):
+    # The fold labels the left side first, so its agent is the one named.
+    with pytest.raises(InputError, match="^unknown agent 'zz'$"):
+        model_check(fig1, parse("WA[zz] p | SE[yy] WA[xx] p"))
+
+
 # --- modal images shared by (modality, agent, argument truth set) ---------------
 
 

@@ -176,6 +176,25 @@ def test_is_tautology_atom_cap():
         is_tautology(disj(at_cap + [Prop("y")]))
 
 
+def test_is_tautology_reads_the_all_true_and_the_all_false_rows():
+    # Each formula fails in one row only: p | q where every atom is false,
+    # which the bits above the table's last row repeat, and !p | !q where
+    # every atom is true.
+    p, q = Prop("p"), Prop("q")
+    assert not is_tautology(Or(p, q))
+    assert not is_tautology(Or(Neg(p), Neg(q)))
+    assert is_tautology(Or(Or(p, q), Neg(Or(p, q))))
+
+
+def test_is_tautology_at_the_cap_takes_milliseconds():
+    # Twenty columns of 2**20 bits: one integer operation per node of the fold.
+    at_cap = [Prop(f"x{i}") for i in range(TAUTOLOGY_ATOM_CAP)]
+    start = time.perf_counter()
+    assert is_tautology(Or(Neg(at_cap[-1]), disj(at_cap)))
+    assert not is_tautology(Or(Neg(at_cap[0]), Neg(disj(at_cap))))
+    assert time.perf_counter() - start < 0.5
+
+
 
 def _atoms(f):
     """The maximal Prop and Modal subformulas of ``f``, each once."""

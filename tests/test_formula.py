@@ -3,13 +3,17 @@ import pickle
 import sys
 import threading
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+import permitmc.formula
+from permitmc.atl import ADeontic, ANext
 from permitmc.errors import ParseError
 from permitmc.formula import (
     BOT,
     TOP,
+    Formula,
     Modal,
     Modality,
     Neg,
@@ -23,7 +27,9 @@ from permitmc.formula import (
     implies,
     modal_depth,
     parse,
+    postorder,
     size,
+    subformulas,
 )
 
 from strategies import deep_chain, formulas
@@ -247,6 +253,43 @@ def test_fold_stores_nothing_for_a_node_whose_leaf_raises():
     assert seen == [bad]
 
 
+def _reference_fold(f, memo, neg, or_, leaf):
+    """``fold`` as a loop over ``postorder``, labelling each node it gives."""
+    for g in postorder(f, memo):
+        if isinstance(g, Or):
+            memo[g] = or_(memo[g.left], memo[g.right])
+        elif isinstance(g, Neg):
+            memo[g] = neg(memo[g.child])
+        else:
+            memo[g] = leaf(g)
+    return memo[f]
+
+
+@given(formulas(max_leaves=12), st.data())
+def test_fold_makes_the_calls_of_a_fold_over_postorder(f, data):
+    nodes = list(subformulas(f))
+    seeded = data.draw(st.sets(st.sampled_from(nodes)))
+    runs = []
+    for run in (fold, _reference_fold):
+        calls, memo = [], {g: ("seeded", g) for g in nodes if g in seeded}
+
+        def leaf(g):
+            calls.append(("leaf", g))
+            return ("leaf", g, tuple(memo[c] for c in g.children))
+
+        def neg(x):
+            calls.append(("neg", x))
+            return ("neg", x)
+
+        def or_(x, y):
+            calls.append(("or", x, y))
+            return ("or", x, y)
+
+        label = run(f, memo, neg, or_, leaf)
+        runs.append((label, calls, memo))
+    assert runs[0] == runs[1]
+
+
 @given(formulas())
 def test_roundtrip(f):
     assert parse(format_formula(f)) == f
@@ -325,3 +368,60 @@ def test_concurrent_builders_share_one_node():
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert len(results) == threads and all(r is results[0] for r in results)
+
+
+# one builder per node class, each making a node no other test holds alive
+_BUILDERS = {
+    "Prop": lambda i: Prop(f"upkeep_{i}"),
+    "Neg": lambda i: Neg(Prop(f"upkeep_{i}")),
+    "Or": lambda i: Or(Prop("upkeep"), Prop(f"upkeep_{i}")),
+    "Modal": lambda i: Modal(Modality.SA, f"upkeep_{i}", p),
+    "ADeontic": lambda i: ADeontic(f"upkeep_{i}"),
+    "ANext": lambda i: ANext(frozenset({f"upkeep_{i}"}), p),
+}
+
+
+@pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS)
+def test_dropped_nodes_leave_the_table(build):
+    table = permitmc.formula._nodes
+    before = len(table)
+    chain = [build(i) for i in range(50)]
+    assert len(table) > before
+    del chain
+    assert len(table) == before
+
+
+@pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS)
+def test_a_dead_entry_is_replaced_by_the_next_build(build):
+    # The entry of a dead node, put back as if its removal were pending:
+    # the lookup finds it dead, and the setdefault loop clears it first.
+    table = permitmc.formula._nodes
+    node = build("dead")
+    key = next(key for key, ref in table.items() if ref() is node)
+    ref = table[key]
+    del node
+    assert ref() is None and key not in table
+    table[key] = ref
+    again = build("dead")
+    assert table[key] is not ref and table[key]() is again
+    del again
+    assert key not in table
+
+
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        (lambda: Neg("p"), "the children of Neg must be formula nodes"),
+        (lambda: Or(p, "q"), "the children of Or must be formula nodes"),
+        (lambda: Modal(Modality.WA, "a", None), "the children of Modal must be formula nodes"),
+        (lambda: ANext(frozenset(), "p"), "the children of ANext must be formula nodes"),
+        (lambda: Modal(Modality.WA, "a"), "Modal takes 3 arguments, got 2"),
+        (lambda: Or(p, q, p), "Or takes 2 arguments, got 3"),
+        (lambda: ADeontic(), "ADeontic takes 1 arguments, got 0"),
+        (lambda: ANext(frozenset()), "ANext takes 2 arguments, got 1"),
+        (lambda: Formula(), "Formula has no constructor of its own"),
+    ],
+)
+def test_constructor_errors_name_the_class(build, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        build()

@@ -44,3 +44,18 @@ def test_no_call_imports_dataclasses_or_the_source_tools():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0"]
+
+
+def test_cli_import_loads_neither_pathlib_nor_random():
+    # Only `fixtures --export` needs pathlib and only the seeded subcommands
+    # need random, so both are imported in those handlers. `-S` skips site,
+    # whose .pth files may import either module before permitmc does.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, permitmc.cli\n"
+         "print(*[m for m in ('pathlib', 'random') if m in sys.modules])\n"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
