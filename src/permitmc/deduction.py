@@ -271,13 +271,14 @@ def _modal_agents(side: Formula) -> tuple[str, ...]:
 
 
 def check_rule_locally(
-    m: TransitionSystem, rule: str, premise: Formula, conclusion: Formula
+    m: TransitionSystem | ModelChecker, rule: str, premise: Formula, conclusion: Formula
 ) -> ValidityVerdict:
     """Per-model soundness check of one rule application: when the premise is
     valid in ``m``, the conclusion must be too. The conclusion must be the one
     ``rule_conclusion`` infers from the premise for the agents it names.
     Returns the conclusion's verdict, or a valid one when the premise is not
-    valid in ``m``: the check then passes vacuously."""
+    valid in ``m``: the check then passes vacuously. ``m`` is the model, or
+    a ``ModelChecker`` of it whose labels the check reuses."""
     pair = match_implies(conclusion)
     if pair is None:
         raise InputError("conclusion is not an implication")
@@ -288,7 +289,8 @@ def check_rule_locally(
     expected = rule_conclusion(rule, premise, agents, se_agents)
     if conclusion != expected:
         raise InputError(f"conclusion is not {format_formula(expected)!r}")
-    checker = ModelChecker(m)  # the conclusion contains the premise's parts
+    # the conclusion contains the premise's parts
+    checker = m if isinstance(m, ModelChecker) else ModelChecker(m)
     if not _verdict(checker, premise).valid:
         return ValidityVerdict(True)
     return _verdict(checker, conclusion)
@@ -300,13 +302,18 @@ def _random_formula(m: TransitionSystem, rng: random.Random, depth: int) -> Form
 
 
 def random_instances(
-    m: TransitionSystem, schemas: Iterable[AxiomSchema], rng: random.Random, depth: int
+    m: TransitionSystem | ModelChecker,
+    schemas: Iterable[AxiomSchema],
+    rng: random.Random,
+    depth: int,
 ) -> Iterator[tuple[AxiomSchema, Formula, ValidityVerdict]]:
     """Each schema in order, with one instance on ``m`` drawn from ``rng`` and
     its validity verdict. Agent variables bind to agents of ``m``, formula
     variables to random formulas of depth ``depth``, in variable order. One
-    checker labels every instance."""
-    checker = ModelChecker(m)
+    checker labels every instance: ``m`` itself when it is a
+    ``ModelChecker``, else a new one of the model ``m``."""
+    checker = m if isinstance(m, ModelChecker) else ModelChecker(m)
+    m = checker.model
     for schema in schemas:
         bindings: dict[str, Any] = {var: rng.choice(m.agents) for var in schema.agent_vars}
         bindings.update((var, _random_formula(m, rng, depth)) for var in schema.formula_vars)
@@ -316,11 +323,13 @@ def random_instances(
 
 def soundness_round(m: TransitionSystem, rng: random.Random, depth: int) -> tuple[int, list[str]]:
     """Every axiom and derived schema once and every rule once (ir4 only where
-    ``m`` has two agents); returns how many checks ran and the counterexamples."""
+    ``m`` has two agents); returns how many checks ran and the counterexamples.
+    One checker labels the instances and the rule checks."""
     schemas = [*AXIOMS.values(), *DERIVED_SCHEMAS.values()]
+    checker = ModelChecker(m)
     problems = [
         f"{schema.id} fails at {verdict.counterexample}: {format_formula(instance)}"
-        for schema, instance, verdict in random_instances(m, schemas, rng, depth)
+        for schema, instance, verdict in random_instances(checker, schemas, rng, depth)
         if not verdict.valid
     ]
     phi, psi = _random_formula(m, rng, depth), _random_formula(m, rng, depth)
@@ -331,7 +340,7 @@ def soundness_round(m: TransitionSystem, rng: random.Random, depth: int) -> tupl
         rules.append(("ir4", implies(phi, Neg(psi)), (a,), (b,)))
     for rule, premise, agents, se_agents in rules:
         conclusion = rule_conclusion(rule, premise, agents, se_agents)
-        verdict = check_rule_locally(m, rule, premise, conclusion)
+        verdict = check_rule_locally(checker, rule, premise, conclusion)
         if not verdict.valid:
             problems.append(f"{rule} fails at {verdict.counterexample}")
     return len(schemas) + len(rules), problems

@@ -10,6 +10,7 @@ from permitmc.algebra import closure_step, default_family
 from permitmc.atl import verify_translation
 import permitmc.checker
 from permitmc.checker import (
+    BOOLEAN_CACHE_MIN_STATES,
     ModelChecker,
     check_state_naive,
     modal_image,
@@ -20,7 +21,7 @@ from permitmc.checker import (
     truth_set_we,
 )
 from permitmc.errors import InputError
-from permitmc.formula import Modal, Modality, Neg, Or, Prop, and_, parse, postorder
+from permitmc.formula import TOP_PROP, Modal, Modality, Neg, Or, Prop, and_, parse, postorder
 from permitmc.generate import GenParams, random_formula, random_model
 from permitmc.model import make_model, model_from_dict, model_to_dict
 from test_model import MUTATIONS, TABLE_MUTATIONS, mutated_models
@@ -200,6 +201,101 @@ def test_checker_scans_each_modality_agent_and_truth_set_once(monkeypatch):
     assert checker.truth_set(chain) == want and len(scans) == len(keys)
     assert ModelChecker(m).truth_set(chain) == want
     assert len(scans) == 2 * len(keys) and set(scans) == keys
+
+
+# --- boolean steps cached by operand truth sets ----------------------------------
+
+
+def _reference_labels(m, f):
+    """The truth set of each node of ``f`` by plain set algebra and no cache:
+    ``|`` for ``Or``, the complement in the states for ``Neg``,
+    ``modal_image`` for a modal node."""
+    labels = {}
+    for g in postorder(f, labels):
+        if isinstance(g, Or):
+            labels[g] = labels[g.left] | labels[g.right]
+        elif isinstance(g, Neg):
+            labels[g] = m.state_set - labels[g.child]
+        elif isinstance(g, Modal):
+            labels[g] = modal_image(m, g.kind, g.agent, labels[g.child])
+        elif g.name == TOP_PROP:
+            labels[g] = m.state_set
+        else:
+            labels[g] = m.valuation.get(g.name, EMPTY)
+    return labels
+
+
+def _negated_chain(layers, agents, props):
+    """``K[a] (p | !f)`` wrapped ``layers`` times around ``p``, cycling the
+    four modalities, the agents and the propositions: every layer takes one
+    complement and one union of a modal image."""
+    kinds = list(Modality)
+    f = Prop(props[0])
+    for i in range(layers):
+        f = Modal(kinds[i % 4], agents[i % len(agents)], Or(Prop(props[i % len(props)]), Neg(f)))
+    return f
+
+
+@pytest.mark.parametrize("states", [
+    3, 20, BOOLEAN_CACHE_MIN_STATES - 1, BOOLEAN_CACHE_MIN_STATES, 150, 300,
+])
+def test_cached_boolean_steps_agree_with_plain_set_algebra(states):
+    # Seeded models on both sides of the gate, each with one checker for a
+    # batch of random formulas and modal chains up to 10^4 layers deep.
+    rng = random.Random(states)
+    m = random_model(GenParams(
+        seed=states, num_states=states, num_agents=2, max_actions=3, branching=2, num_props=3,
+    ))
+    cached = len(m.state_set) >= BOOLEAN_CACHE_MIN_STATES
+    checker = ModelChecker(m)
+    assert hasattr(checker._or, "cache_info") == hasattr(checker._neg, "cache_info") == cached
+    agents, props = list(m.agents), sorted(m.valuation)
+    batch = [random_formula(rng.getrandbits(32), rng.randint(1, 6), agents, props)
+             for _ in range(40)]
+    for layers in (16, 128, 10**4):
+        batch.append(_layered_chain(layers, rng.sample(agents, 2), props))
+        batch.append(_negated_chain(layers, rng.sample(agents, 2), props))
+    rng.shuffle(batch)
+    for f in batch:
+        assert checker.truth_set(f) == _reference_labels(m, f)[f]
+    if cached:
+        assert checker._or.cache_info().hits > 0 and checker._neg.cache_info().hits > 0
+
+
+def test_each_distinct_operand_pair_is_computed_once(monkeypatch):
+    m = random_model(GenParams(
+        seed=5, num_states=2 * BOOLEAN_CACHE_MIN_STATES, num_agents=2, max_actions=3,
+        branching=2, num_props=3,
+    ))
+    chain = _negated_chain(128, m.agents, sorted(m.valuation))
+    labels = _reference_labels(m, chain)
+    ors = [g for g in labels if isinstance(g, Or)]
+    negs = [g for g in labels if isinstance(g, Neg)]
+    pairs = {(labels[g.left], labels[g.right]) for g in ors}
+    operands = {labels[g.child] for g in negs}
+    assert len(ors) == len(negs) == 128
+    assert len(pairs) < len(ors) and len(operands) < len(negs)  # the operands recur
+    unions = []
+
+    def counted(left, right):
+        unions.append((left, right))
+        return left | right
+
+    monkeypatch.setattr(permitmc.checker, "or_", counted)
+    checker = ModelChecker(m)
+    assert checker.truth_set(chain) == labels[chain]
+    assert len(unions) == len(set(unions)) == len(pairs) and set(unions) == pairs
+    neg = checker._neg.cache_info()
+    assert (neg.misses, neg.hits) == (len(operands), len(negs) - len(operands))
+    # A recurring pair returns the set stored for it, not an equal copy, and
+    # asking again unions nothing.
+    for g in ors:
+        assert checker._memo[g] is checker._or(labels[g.left], labels[g.right])
+    assert len(unions) == len(pairs)
+    # The caches are the checker's: the model keeps only its derived caches.
+    derived = {"state_set", "successor_unions", "successor_universe"}
+    fields = {"agents", "states", "actions", "permitted", "mechanism", "valuation"}
+    assert set(vars(m)) == fields | derived
 
 
 def test_checking_leaves_a_model_its_fields_and_derived_caches_only():

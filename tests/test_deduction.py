@@ -10,6 +10,7 @@ from strategies import JSON, deep_chain, models
 
 from permitmc.deduction import (
     AXIOMS,
+    CITES,
     DERIVED_SCHEMAS,
     TAUTOLOGY_ATOM_CAP,
     DerivationStep,
@@ -38,7 +39,7 @@ from permitmc.formula import (
     parse,
 )
 from permitmc.generate import GenParams, random_formula, random_model
-from permitmc.model import make_model
+from permitmc.model import make_model, model_from_dict, model_to_dict
 
 P, Q = Prop("p"), Prop("q")
 
@@ -334,7 +335,7 @@ def test_one_checker_per_rule_check_and_for_a_rounds_instances(monkeypatch):
     fuzzed = random_model(GenParams(seed=4, num_agents=2, num_states=4, max_actions=2, branching=2))
     ran, problems = soundness_round(fuzzed, random.Random(4), 2)
     assert (ran, problems) == (len(AXIOMS) + len(DERIVED_SCHEMAS) + 3, [])
-    assert made == [fuzzed] * 4  # the instances share one, each of the 3 rule checks has one
+    assert made == [fuzzed]  # the instances and the 3 rule checks share one
 
 
 def test_rule_shape_mismatch_is_input_error():
@@ -751,6 +752,112 @@ def test_accepted_derivations_are_valid_on_models(m):
         assert "a" in m.agents
         verdict = check_validity(m, conclusion)
         assert verdict.valid, f"{name} conclusion fails at {verdict.counterexample}"
+
+
+# --- an oracle for the proof checker ---------------------------------------------
+# Whatever verify_derivation accepts must be sound: every step of an accepted
+# derivation holds at every state of every model. The mutants below edit the
+# shipped derivations; the sampled models are the oracle.
+
+
+def _oracle_models():
+    """Seeded valid models over agents a and b whose propositions are p and q,
+    the letters of the shipped derivations."""
+    sample = []
+    for seed in range(24):
+        doc = model_to_dict(random_model(GenParams(
+            seed=seed, num_states=2 + seed % 4, num_agents=2, max_actions=1 + seed % 3,
+            num_props=2, branching=1 + seed % 2,
+        )))
+        doc["valuation"] = {"p": doc["valuation"]["p0"], "q": doc["valuation"]["p1"]}
+        sample.append(model_from_dict(doc))
+    return sample
+
+
+def _step(step, **changes):
+    return DerivationStep(*(changes.get(name, getattr(step, name))
+                            for name in DerivationStep.__slots__))
+
+
+def _edit(steps, rng):
+    """``steps`` with one seeded edit: a cite, a justification, one formula, or
+    the order of two steps. A cite may name any number from -1 to one past the
+    last step."""
+    steps = list(steps)
+    n = len(steps)
+    k = rng.randrange(n)
+    step = steps[k]
+    edit = rng.choice(("cite", "justification", "formula", "order"))
+    if edit == "cite" and step.cites:
+        cites = list(step.cites)
+        cites[rng.randrange(len(cites))] = rng.randint(-1, n + 1)
+        steps[k] = _step(step, cites=tuple(cites))
+    elif edit == "justification":
+        by = rng.choice(sorted(CITES))
+        steps[k] = _step(
+            step, by=by, cites=tuple(rng.randint(0, n) for _ in range(CITES[by])),
+            axiom=rng.choice(sorted(AXIOMS)) if by == "axiom" else step.axiom,
+            agents=step.agents or ("a",), se_agents=step.se_agents or ("b",),
+        )
+    elif edit == "formula":
+        other = rng.choice(steps).formula
+        steps[k] = _step(step, formula=rng.choice(
+            (_mutate(step.formula, rng), other, implies(other, other), P)
+        ))
+    else:
+        j = rng.randrange(n)
+        steps[k], steps[j] = steps[j], steps[k]
+    return tuple(steps)
+
+
+def _circular(steps, g, cite):
+    """``steps`` edited so that the last step asserts ``g`` by modus ponens
+    from ``g`` itself: the step before it becomes the tautology ``g -> g``,
+    and the last step cites ``cite`` as its antecedent."""
+    n = len(steps)
+    return (*steps[:-2], DerivationStep(implies(g, g), "taut"),
+            DerivationStep(g, "mp", (cite, n - 1)))
+
+
+def test_accepted_mutants_of_the_shipped_derivations_hold_on_sampled_models():
+    sample = _oracle_models()
+
+    def refuted(f):
+        return next(((m, v.counterexample) for m in sample
+                     for v in [check_validity(m, f)] if not v.valid), None)
+
+    rng = random.Random(15)
+    mutants = []
+    for name in DERIVATION_IDS:
+        shipped = load_derivation_fixture(name)
+        # Each prefix of an accepted derivation is accepted, and no step cites
+        # its last step, so an edit there is not refused just because a later
+        # step cites the old formula.
+        for end in range(1, len(shipped) + 1):
+            prefix = shipped[:end]
+            for _ in range(300):
+                mutant = prefix
+                for _ in range(rng.randint(1, 3)):
+                    mutant = _edit(mutant, rng)
+                mutants.append(mutant)
+            # Circular support: no earlier step can be cited for the last
+            # one, so only a reference outside the earlier steps (the step
+            # itself, step 0, a later step) could justify it.
+            for g in (P, Neg(prefix[-1].formula)) if end > 1 else ():
+                assert refuted(g) is not None  # the sample can tell g is not valid
+                mutants += [_circular(prefix, g, cite) for cite in (end, 0, end + 1)]
+    accepted = 0
+    for mutant in mutants:
+        if not verify_derivation(mutant).accepted:
+            continue
+        accepted += 1
+        for k, step in enumerate(mutant, start=1):
+            witness = refuted(step.formula)
+            assert witness is None, (
+                f"accepted step {k} {format_formula(step.formula)!r} fails at "
+                f"{witness[1]} of {model_to_dict(witness[0])}"
+            )
+    assert len(mutants) > 5000 and 0 < accepted < len(mutants) // 2
 
 
 def test_derivation_decode_errors():
